@@ -1,10 +1,11 @@
 """Exact modular arithmetic mod p^k with p-adic valuation tracking.
 
-Everything downstream (sequence generation mod p^3, quadratic-form right-hand
-sides, Hensel-lifted square roots) sits on top of this module.  Residues are
-plain Python ints in [0, p^k); the only wrapper type is ValUnit, which keeps a
-number in the form p^v * u with u a unit, so that binomial coefficients whose
-factorials contain powers of p can be divided exactly.
+Everything downstream (sequence recurrences mod p^k, quadratic-form and
+binomial right-hand sides, Hensel-lifted square roots) sits on top of this
+module.  Residues are plain Python ints in [0, p^k); the only wrapper type is
+ValUnit, which keeps a number in the form p^v * u with u a unit, so that
+binomial coefficients whose factorials contain powers of p can be divided
+exactly.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ def inv(a: int, m: Modulus) -> int:
     return pow(a, -1, m.pk)
 
 
-def symmetric_residue(a: int, m: Modulus) -> int:
-    """Representative in (-p^k/2, p^k/2]; formatting convenience only."""
-    a %= m.pk
-    return a - m.pk if a > m.pk // 2 else a
-
-
 def batch_invert(values: list[int], modulus: int) -> list[int]:
     """Invert many units mod `modulus` with a single modular inversion."""
     n = len(values)
@@ -126,11 +121,6 @@ class ValUnit:
         if self.v >= m.k:
             return 0
         return self.u * m.p**self.v % m.pk
-
-
-def to_residue(x: ValUnit, m: Modulus) -> int:
-    """Collapse p^v * u to its residue mod p^k (0 once v >= k)."""
-    return x.residue(m)
 
 
 class FactorialTable:
@@ -181,7 +171,7 @@ class FactorialTable:
         return ValUnit(v, u)
 
     def binomial_residue(self, n: int, r: int) -> int:
-        """C(n,r) mod p^k, fast path used by the sequence generators."""
+        """C(n,r) mod p^k, the fast path behind the InvBinomSq right-hand side."""
         v = self.vals[n] - self.vals[r] - self.vals[n - r]
         if v >= self.m.k:
             return 0
@@ -199,11 +189,6 @@ class FactorialTable:
 
 def factorial_table(n_max: int, m: Modulus) -> FactorialTable:
     return FactorialTable(n_max, m)
-
-
-def binomial_vu(n: int, r: int, table: FactorialTable) -> ValUnit:
-    """C(n,r) as a ValUnit, taken from a factorial table covering n."""
-    return table.binomial(n, r)
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every proven-status check passed, 1 on any failure
 (conjectural/cited failures only count under --include-conjectural-strict),
-2 on usage errors.
+2 on usage errors, which include a --config file with an unknown key, a line
+without "=", or a value the flag's type or choices reject.
 """
 
 from __future__ import annotations
@@ -223,16 +224,43 @@ def _cmd_verify_all(args) -> int:
 def _read_config(path: str) -> dict[str, str]:
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _set_config_defaults(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make the config values the defaults of `parser`'s one-value options.
+
+    Each value is converted and checked with the option's own type and
+    choices; an explicit flag still wins over a default.
+    """
+    options = {
+        a.dest: a for a in parser._actions
+        if a.option_strings and a.nargs is None and a.default is not None
+    }
+    defaults = {}
+    for key, value in config.items():
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(options))}")
+        try:
+            defaults[key] = action.type(value) if action.type else value
+        except ValueError:
+            raise ValueError(f"{key} = {value!r}: not a valid {action.type.__name__}") from None
+        if action.choices and defaults[key] not in action.choices:
+            raise ValueError(f"{key} = {value!r}: choose from {', '.join(action.choices)}")
+    parser.set_defaults(**defaults)
+
+
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The supercong parser; `config` values become defaults of the verify flags."""
     parser = argparse.ArgumentParser(prog="supercong")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,40 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=20240)
 
     for name in ("congruences", "qseries", "cm", "identities", "lemma23", "all"):
-        common(vsub.add_parser(name))
+        p = vsub.add_parser(name)
+        common(p)
+        if config:
+            _set_config_defaults(p, config)
     return parser
 
 
-# built-in defaults for the shared verify flags; a config file replaces these
-# unless the flag was set explicitly on the command line
-_FLAG_DEFAULTS = {
-    "format": "table", "min_p": 5, "max_p": 200, "workers": 1, "terms": 64,
-    "digits": 40, "samples": 12, "prec": 256, "trials": 25, "seed": 20240,
-}
-
-
-def _apply_config(args: argparse.Namespace, overrides: dict[str, str]) -> None:
-    for key, value in overrides.items():
-        if key not in _FLAG_DEFAULTS or not hasattr(args, key):
-            continue
-        if getattr(args, key) != _FLAG_DEFAULTS[key]:
-            continue  # explicit flag wins
-        default = _FLAG_DEFAULTS[key]
-        setattr(args, key, int(value) if isinstance(default, int) else value)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            # parse again, now with the config file's values as defaults
+            args = build_parser(_read_config(args.config)).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.config:
-        try:
-            _apply_config(args, _read_config(args.config))
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "list":
             return _cmd_list(args)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .arith import FactorialTable, Modulus, factorial_table, inv, jacobi, primes_in
 from .quadforms import FormSpec, QuadRep, represent, rhs_quadratic
 from .report import Report, Row
-from .sequences import SequenceId, table_size_for, terms_mod
+from .sequences import SequenceId, terms_mod
 
 
 # -- predicate / template / character types ----------------------------------
@@ -429,13 +429,14 @@ class PrimeContext:
 
     @property
     def table(self) -> FactorialTable:
+        """0!..(p-1)!, all that the InvBinomSq right-hand side reads (top < p)."""
         if self._table is None:
-            self._table = factorial_table(table_size_for(self.p), self.m3)
+            self._table = factorial_table(self.p - 1, self.m3)
         return self._table
 
     def terms(self, seq: SequenceId) -> list[int]:
         if seq not in self._terms:
-            self._terms[seq] = terms_mod(seq, self.p, self.m3, self.table)
+            self._terms[seq] = terms_mod(seq, self.p, self.m3)
         return self._terms[seq]
 
 

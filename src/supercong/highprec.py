@@ -11,6 +11,7 @@ result at working precision.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,7 +273,7 @@ def _random_gamma0_4(rng: random.Random) -> tuple[int, int, int, int]:
     while True:
         c = 4 * rng.randint(1, 6)
         a = rng.randrange(1, 4 * c, 2)
-        if _gcd(a, c) == 1:
+        if math.gcd(a, c) == 1:
             break
     d = pow(a, -1, c)
     b = (a * d - 1) // c
@@ -283,17 +284,11 @@ def _random_sl2(rng: random.Random) -> tuple[int, int, int, int]:
     while True:
         c = rng.randint(1, 8)
         a = rng.randint(-10, 10)
-        if a and _gcd(abs(a), c) == 1:
+        if a and math.gcd(a, c) == 1:
             break
     d = pow(a, -1, c)
     b = (a * d - 1) // c
     return a, b, c, d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, prec):

@@ -159,9 +159,6 @@ class QSeries:
                 base = base * base
         return result
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def first_nonzero(self) -> int | None:
         """Index (from the offset) of the first nonzero known coefficient."""
         for i, c in enumerate(self.coeffs):

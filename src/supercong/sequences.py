@@ -1,17 +1,18 @@
 """The seven binomial / Apery-like sequence families.
 
-Exact big-integer generators (used as oracles and by the q-series layer) and
-fast mod-p^k generators built on valuation-tracked factorial tables (used by
-the prime-sweep harness, where terms up to a_{p-1} are needed for every
-qualifying prime).
+Two independent generators.  The defining sums give exact big-integer terms:
+the oracle, also used by the q-series layer.  One table of three-term
+recurrences gives the terms mod p^k that the prime sweep needs (a_0..a_{p-1}
+at every qualifying prime), in O(count) steps for every family.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
+from math import comb, prod
+from typing import NamedTuple
 
-from .arith import FactorialTable, Modulus, factorial_table
+from .arith import Modulus, batch_invert
 
 
 class SequenceId(str, Enum):
@@ -85,6 +86,29 @@ _ALL_FORMULAS = {
 }
 
 
+class Recurrence(NamedTuple):
+    """(n+1)^3 a_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) a_n - e n^3 a_{n-1}."""
+
+    c: int
+    alpha: int
+    beta: int
+    e: int
+
+
+# a_0 = 1 for every family.  e = 0 for the binomial products, whose term
+# ratios are rational in n; the Apery-like rows are those of Almkvist-Zudilin
+# (2006) and Zagier (2009).
+RECURRENCES = {
+    SequenceId.CB3: Recurrence(8, 4, 1, 0),     # 8 (2n+1)^3
+    SequenceId.CB4: Recurrence(8, 16, 3, 0),    # 8 (2n+1)(4n+1)(4n+3)
+    SequenceId.CB6: Recurrence(24, 36, 5, 0),   # 24 (2n+1)(6n+1)(6n+5)
+    SequenceId.V: Recurrence(8, 2, 1, 256),
+    SequenceId.T: Recurrence(4, 3, 1, 16),
+    SequenceId.D: Recurrence(2, 5, 2, 64),
+    SequenceId.A: Recurrence(1, 17, 5, 1),
+}
+
+
 def exact_term(seq: SequenceId, n: int) -> int:
     """a_n by the defining summation, exact big-integer arithmetic."""
     if n < 0:
@@ -104,113 +128,33 @@ def alternate_formulas(seq: SequenceId, n: int) -> list[int]:
     return [exact_term(seq, n)]
 
 
-def table_size_for(count: int) -> int:
-    """Factorial-table size needed by terms_mod: C(6k,3k) reaches 6(count-1)."""
-    return max(6 * count, 1)
+def terms_mod(seq: SequenceId, count: int, m: Modulus) -> list[int]:
+    """a_0..a_{count-1} reduced mod p^k, from the family's RECURRENCES row.
 
-
-def terms_mod(
-    seq: SequenceId,
-    count: int,
-    m: Modulus,
-    table: FactorialTable | None = None,
-) -> list[int]:
-    """a_0..a_{count-1} reduced mod p^k, via valuation-tracked binomials.
-
-    Never touches exact big integers: every binomial is assembled from the
-    factorial table as p^v * unit, so terms keep their correct residue even
-    when individual factorials are divisible by p.
+    Each step divides by (n+1)^3.  For n+1 < p that divisor is a unit; each
+    factor p of n+1 instead costs three p-adic digits, so the loop runs mod
+    p^(k + 3 v_p((count-1)!)) and every term is still exact mod p^k.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    seq = SequenceId(seq)
-    if table is None:
-        table = factorial_table(table_size_for(count), m)
-    if len(table) < 6 * (count - 1) + 1 and seq is SequenceId.CB6:
-        raise ValueError("factorial table too small for CB6 terms")
-    pk = m.pk
-    binres = table.binomial_residue
-
-    if seq is SequenceId.CB3:
-        return [pow(binres(2 * j, j), 3, pk) for j in range(count)]
-    if seq is SequenceId.CB4:
-        return [
-            binres(2 * j, j) ** 2 % pk * binres(4 * j, 2 * j) % pk for j in range(count)
-        ]
-    if seq is SequenceId.CB6:
-        return [
-            binres(2 * j, j) * binres(3 * j, j) % pk * binres(6 * j, 3 * j) % pk
-            for j in range(count)
-        ]
-
-    # double sums: work from local aliases of the table arrays; every binomial
-    # is assembled as p^v * unit so rows with n >= p stay correct
-    p, k_exp = m.p, m.k
-    vf, uf, iu = table.vals, table.units, table.inv_units
-    ppow = [p**e for e in range(k_exp)]
-    c2 = [binres(2 * j, j) for j in range(count)]
-
-    if seq is SequenceId.V:
-        out = []
-        for n in range(count):
-            s = 0
-            for k in range(n + 1):
-                t = c2[k] * c2[n - k] % pk
-                s += t * t % pk
-            out.append(s % pk)
-        return out
-
-    if seq is SequenceId.T:
-        out = []
-        for n in range(count):
-            s = 0
-            vn = vf[n]
-            iun = iu[n]
-            for k in range((n + 1) // 2, n + 1):
-                v = vf[n] - vf[k] - vf[n - k] + vf[2 * k] - vn - vf[2 * k - n]
-                if v >= k_exp:
-                    continue
-                t = (
-                    uf[n] * iu[k] % pk * iu[n - k] % pk
-                    * uf[2 * k] % pk * iun % pk * iu[2 * k - n] % pk
-                    * ppow[v] % pk
-                )
-                s += t * t % pk
-            out.append(s % pk)
-        return out
-
-    if seq is SequenceId.D:
-        out = []
-        for n in range(count):
-            s = 0
-            ufn = uf[n]
-            vfn = vf[n]
-            for k in range(n + 1):
-                v = vfn - vf[k] - vf[n - k]
-                if v >= k_exp:
-                    continue
-                cnk = ufn * iu[k] % pk * iu[n - k] % pk * ppow[v] % pk
-                s += cnk * cnk % pk * c2[k] % pk * c2[n - k] % pk
-            out.append(s % pk)
-        return out
-
-    if seq is SequenceId.A:
-        out = []
-        for n in range(count):
-            s = 0
-            ufn = uf[n]
-            vfn = vf[n]
-            for k in range(n + 1):
-                v = vf[n + k] - 2 * vf[k] - vf[n - k]
-                if v >= k_exp:
-                    continue
-                t = (
-                    ufn * iu[k] % pk * iu[n - k] % pk
-                    * uf[n + k] % pk * iu[n] % pk * iu[k] % pk
-                    * ppow[v] % pk
-                )
-                s += t * t % pk
-            out.append(s % pk)
-        return out
-
-    raise AssertionError(f"unhandled sequence {seq}")
+    c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
+    p = m.p
+    # (n+1)^3 = scales[n] * units[n] with units[n] prime to p
+    scales, units = [], []
+    for j in range(1, count):
+        scale = 1
+        while j % p == 0:
+            j //= p
+            scale *= p**3
+        scales.append(scale)
+        units.append(j**3)
+    work = m.pk * prod(scales)
+    inverses = batch_invert(units, work)
+    terms = [1]
+    prev = 0
+    for n in range(count - 1):
+        num = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * terms[n] - e * n**3 * prev
+        prev = terms[n]
+        # num is (n+1)^3 a_{n+1} to a precision that covers scales[n]
+        terms.append(num % work // scales[n] * inverses[n] % work)
+    return [a % m.pk for a in terms]

@@ -7,14 +7,12 @@ from supercong.arith import (
     Modulus,
     ValUnit,
     batch_invert,
-    binomial_vu,
     factorial_table,
     inv,
     is_prime,
     jacobi,
     primes_in,
     sqrt_mod_pk,
-    to_residue,
 )
 
 
@@ -109,13 +107,13 @@ def test_factorial_table_random_against_bigint():
 def test_binomial_vu_examples():
     m = Modulus.make(3, 3)
     table = factorial_table(8, m)
-    assert binomial_vu(0, 0, table) == ValUnit(0, 1)
-    assert binomial_vu(4, 2, table) == ValUnit(1, 2)  # 6 = 3 * 2
+    assert table.binomial(0, 0) == ValUnit(0, 1)
+    assert table.binomial(4, 2) == ValUnit(1, 2)  # 6 = 3 * 2
     m7 = Modulus.make(7, 3)
     t7 = factorial_table(8, m7)
-    assert binomial_vu(8, 4, t7) == ValUnit(1, 10)  # 70 = 7 * 10
+    assert t7.binomial(8, 4) == ValUnit(1, 10)  # 70 = 7 * 10
     with pytest.raises(ValueError):
-        binomial_vu(3, 5, table)
+        table.binomial(3, 5)
 
 
 def test_binomial_vu_random_against_comb():
@@ -127,15 +125,15 @@ def test_binomial_vu_random_against_comb():
         n = rng.randint(0, 2000)
         r = rng.randint(0, n)
         table = factorial_table(n, m)
-        vu = binomial_vu(n, r, table)
-        assert to_residue(vu, m) == math.comb(n, r) % m.pk
+        vu = table.binomial(n, r)
+        assert vu.residue(m) == math.comb(n, r) % m.pk
 
 
 def test_to_residue():
     m = Modulus.make(3, 3)
-    assert to_residue(ValUnit(0, 5), m) == 5
-    assert to_residue(ValUnit(3, 2), m) == 0
-    assert to_residue(ValUnit(1, 2), m) == 6
+    assert ValUnit(0, 5).residue(m) == 5
+    assert ValUnit(3, 2).residue(m) == 0
+    assert ValUnit(1, 2).residue(m) == 6
 
 
 def test_valunit_mul_against_bigint():

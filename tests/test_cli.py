@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from supercong.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, emit_report, exit_code_for, main
 from supercong.report import Report, Row
 
@@ -99,6 +101,37 @@ def test_config_file(tmp_path, capsys):
     ])
     data = json.loads(out)
     assert data["run"]["max_p"] == 40
+
+
+def test_config_never_overrides_explicit_default_valued_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_p = 13\n")
+    code, out, _ = run_cli(capsys, [
+        "--config", str(cfg), "verify", "congruences",
+        "--theorem", "T1.29", "--max-p", "200", "--format", "json",
+    ])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["run"]["max_p"] == 200
+    assert max(r["p"] for r in data["rows"]) > 13
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("bogus_key = 1\n", "bogus_key"),
+    ("max_p = 30\nmax_pp = 40\n", "max_pp"),
+    ("max_p\n", "key = value"),
+    ("max_p = abc\n", "abc"),
+    ("format = xml\n", "xml"),
+], ids=["unknown-key", "misspelt-key", "no-equals", "bad-int", "bad-choice"])
+def test_config_errors_are_usage_errors(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, [
+        "--config", str(cfg), "verify", "congruences", "--theorem", "T1.29", "--max-p", "20",
+    ])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert needle in err
 
 
 def test_emit_report_round_trip():

@@ -175,15 +175,6 @@ def test_gamma2_transform_identity_matrix_trivial():
         assert _close(g2m, g2)
 
 
-def test_symmetric_residue_formatting():
-    from supercong.arith import Modulus, symmetric_residue
-
-    m = Modulus.make(5, 2)
-    assert symmetric_residue(24, m) == -1
-    assert symmetric_residue(12, m) == 12
-    assert symmetric_residue(13, m) == -12
-
-
 def test_identity_suite_deterministic():
     a = identity_suite(3, 192, seed=9)
     b = identity_suite(3, 192, seed=9)

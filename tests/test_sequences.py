@@ -1,17 +1,39 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.arith import Modulus, factorial_table, primes_in
 from supercong.sequences import (
     ALL_SEQUENCES,
+    RECURRENCES,
     SequenceId,
     alternate_formulas,
     exact_term,
     exact_terms,
-    table_size_for,
     terms_mod,
 )
+
+ORACLE_COUNT = 201
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """a_0..a_200 of every family from the defining sums."""
+    return {seq: exact_terms(seq, ORACLE_COUNT) for seq in ALL_SEQUENCES}
+
+
+def recurrence_mismatches(seq, terms):
+    """Indices n where terms break (n+1)^3 a_{n+1} = P(n) a_n - Q(n) a_{n-1}."""
+    c, alpha, beta, e = RECURRENCES[seq]
+    bad = []
+    for n in range(len(terms) - 1):
+        prev = terms[n - 1] if n else 0
+        rhs = c * (2 * n + 1) * (alpha * n * n + alpha * n + beta) * terms[n] - e * n**3 * prev
+        if (n + 1) ** 3 * terms[n + 1] != rhs:
+            bad.append(n)
+    return bad
 
 
 def test_exact_small_values():
@@ -57,9 +79,8 @@ def test_terms_mod_matches_exact():
         p = rng.choice(primes_in(3, 60))
         k = rng.randint(1, 3)
         m = Modulus.make(p, k)
-        table = factorial_table(table_size_for(count), m)
         for seq in ALL_SEQUENCES:
-            got = terms_mod(seq, count, m, table)
+            got = terms_mod(seq, count, m)
             assert got == [a % m.pk for a in exact[seq]], (seq, p, k)
 
 
@@ -76,6 +97,31 @@ def test_terms_mod_validation():
     m = Modulus.make(5, 3)
     with pytest.raises(ValueError):
         terms_mod(SequenceId.CB3, 0, m)
-    small = factorial_table(4, m)
-    with pytest.raises(ValueError):
-        terms_mod(SequenceId.CB6, 3, m, small)
+
+
+def test_recurrences_reproduce_exact_terms(oracle):
+    assert set(RECURRENCES) == set(ALL_SEQUENCES)
+    for seq in ALL_SEQUENCES:
+        assert oracle[seq][0] == 1
+        assert recurrence_mismatches(seq, oracle[seq]) == [], seq
+
+
+def test_recurrence_check_rejects_wrong_coefficient(oracle, monkeypatch):
+    row = RECURRENCES[SequenceId.A]
+    monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(beta=row.beta + 1))
+    assert recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
+    m = Modulus.make(7, 3)
+    assert terms_mod(SequenceId.A, 7, m) != [a % m.pk for a in oracle[SequenceId.A][:7]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seq=st.sampled_from(ALL_SEQUENCES),
+    p=st.sampled_from(primes_in(3, 97)),
+    k=st.integers(1, 4),
+    count=st.integers(1, ORACLE_COUNT - 1),
+)
+def test_terms_mod_matches_exact_property(oracle, seq, p, k, count):
+    # count > p and count > p^2 (small p) make the recurrence divide by p
+    m = Modulus.make(p, k)
+    assert terms_mod(seq, count, m) == [a % m.pk for a in oracle[seq][:count]]
