@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import congruence, highprec, qseries
-from .quadforms import FormSpec, lemma23_check, represent
+from .quadforms import lemma23_trials
 from .report import Report, Row
 from .sequences import SequenceId, exact_term
 
@@ -180,28 +180,12 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_verify_lemma23(args) -> int:
-    import random
-
-    from .arith import Modulus, is_prime, jacobi
-
-    rng = random.Random(args.seed)
-    forms = congruence.catalog_forms()
     report = Report()
-    trials = 0
-    while trials < args.trials:
-        form = rng.choice(forms)
-        p = rng.randrange(3, 10000)
-        if not is_prime(p) or (2 * form.a * form.d) % p == 0:
-            continue
-        rep = represent(p, form)
-        if rep is None:
-            continue
-        res = lemma23_check(rep, Modulus.make(p, 4))
-        detail = f"c*p={form.c}*{p}=({form.a},{form.d}) x={res.x} y={res.y}"
+    for form, res in lemma23_trials(congruence.catalog_forms(), args.trials, args.seed):
+        detail = f"c*p={form.c}*{res.p}=({form.a},{form.d}) x={res.x} y={res.y}"
         if not res.ok:
             detail += f" diffs=({res.diff_linear},{res.diff_square})"
-        report.add(Row(f"expansion@p={p}", p, "pass" if res.ok else "fail", detail))
-        trials += 1
+        report.add(Row(f"expansion@p={res.p}", res.p, "pass" if res.ok else "fail", detail))
     report.sort()
     print(emit_report(report, args.format,
                       {"command": "verify lemma23", "trials": args.trials}), end="")

@@ -12,13 +12,29 @@ constructions, and the identity checks the verification suite runs (the six
 generating-function identities, the cubic relation between t and j(2tau),
 and the third-order differential equation satisfied by the V generating
 function).
+
+A generating-function identity sum a_n x(q)^n = G(q) is checked without
+composing.  The family's row of sequences.RECURRENCES is the operator
+
+    L = theta^3 - c x (2 theta + 1)(alpha theta^2 + alpha theta + beta)
+        + e x^2 (theta + 1)^3,        theta = x d/dx,
+
+and f(x) = sum a_n x^n is its only power-series solution with f(0) = 1,
+since x = 0 is a point of maximal unipotent monodromy: L x^m = m^3 x^m +
+O(x^(m+1)).  Pulled back along x(q) = +-q + ..., theta_x = (x / theta_q x)
+theta_q, so G = f(x(q)) through q^N exactly when G_0 = 1 and L_q G vanishes
+through q^N, and the first nonzero coefficient of L_q G sits at the first
+mismatch.  That costs one division and five products of length N+1 instead
+of the N powers of x that composing needs.  The same call checks that the
+defining sums obey the recurrence, so the statement proved is still about
+the sums; `compose` stays as the literal-definition oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .sequences import SequenceId, exact_terms
+from .sequences import RECURRENCES, SequenceId, exact_terms
 
 
 def _norm(c):
@@ -158,6 +174,13 @@ class QSeries:
             if e:
                 base = base * base
         return result
+
+    def theta(self) -> "QSeries":
+        """q d/dq, for series with an integral leading exponent."""
+        if self.off24 % 24:
+            raise ValueError("theta needs an integral leading exponent")
+        off = self.off24 // 24
+        return QSeries(self.off24, [(off + i) * c for i, c in enumerate(self.coeffs)])
 
     def first_nonzero(self) -> int | None:
         """Index (from the offset) of the first nonzero known coefficient."""
@@ -380,22 +403,52 @@ def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
     raise ValueError(f"unknown hauptmodul tag {tag!r}")
 
 
-def genfun_identity_check(tag: str, nterms: int) -> int | None:
-    """Compose the paired sequence into the Hauptmodul and compare.
+def _check_recurrence_link(seq: SequenceId, a: list[int]) -> None:
+    """Raise unless a_0 = 1 and a_0..a_N obey the family's RECURRENCES row."""
+    c, alpha, beta, e = RECURRENCES[seq]
+    if a[0] != 1:
+        raise ArithmeticError(f"{seq.value}: a_0 = {a[0]}, not 1; build is broken")
+    prev = 0
+    for n in range(len(a) - 1):
+        rhs = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * a[n] - e * n**3 * prev
+        if (n + 1) ** 3 * a[n + 1] != rhs:
+            raise ArithmeticError(
+                f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
+        prev = a[n]
 
-    Returns None on agreement through q^nterms, else the first mismatching
-    exponent.
+
+def genfun_identity_check(tag: str, nterms: int) -> int | None:
+    """Check sum a_n x^n = G, the paired family in the Hauptmodul, exactly.
+
+    Applies the family's recurrence operator, pulled back to q, to the stated
+    weight-2 form G (see the module docstring).  Returns None on agreement
+    through q^nterms, else the first mismatching exponent.  Raises
+    ArithmeticError when the defining sums do not obey the recurrence.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
-    inner = hauptmodul_q(tag, nterms)
     seq = HAUPTMODUL_SEQUENCE[tag]
-    outer = exact_terms(seq, nterms + 1)
+    _check_recurrence_link(seq, exact_terms(seq, nterms + 1))
+    x = hauptmodul_q(tag, nterms + 1)  # known through q^(nterms+1)
     if tag == "s":
-        inner = -inner
-    lhs = compose(outer, inner).truncate(nterms + 1)
-    rhs = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
-    return first_mismatch(lhs, rhs)
+        x = -x
+    g = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
+    if g.coeff_at(0) != 1:
+        return 0
+    r = x / x.theta()  # 1 + O(q): theta_x = r theta_q
+    d1 = r * g.theta()
+    d2 = r * d1.theta()
+    d3 = r * d2.theta()
+    c, alpha, beta, e = RECURRENCES[seq]
+    # L_q G = d3 + x (-c (2a d3 + 3a d2 + (a+2b) d1 + b G) + e x (d3 + 3 d2 + 3 d1 + G))
+    inner = (d3.scale(2 * alpha) + d2.scale(3 * alpha) + d1.scale(alpha + 2 * beta)
+             + g.scale(beta)).scale(-c)
+    if e:
+        inner = inner + x * (d3 + d2.scale(3) + d1.scale(3) + g).scale(e)
+    lg = d3 + x * inner
+    if lg.off24 != 0 or lg.length <= nterms:
+        raise ArithmeticError(f"L_q G for {tag!r} does not cover q^0..q^{nterms}")
+    return lg.truncate(nterms + 1).first_nonzero()
 
 
 def j_2tau_q(nterms: int) -> QSeries:

@@ -10,9 +10,10 @@ the degree-4 expansions of x + y*sqrt(-d) and its square.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-from .arith import Modulus, inv, sqrt_mod_pk
+from .arith import Modulus, inv, is_prime, sqrt_mod_pk
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,28 @@ def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
     diff1 = (a_val - rhs1) % pk
     diff2 = (a_val * a_val - rhs2) % pk
     return Lemma23Result(diff1 == 0 and diff2 == 0, p, u.form, x, y, diff1, diff2)
+
+
+def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
+                   ) -> list[tuple[FormSpec, Lemma23Result]]:
+    """Run lemma23_check mod p^4 on `trials` seeded random (form, p) cases.
+
+    Each case draws a form from `forms` and then p from [3, 10^4); draws with
+    p composite, p dividing 2*a*d*c, or c*p not represented by the form are
+    skipped and do not count.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < trials:
+        form = rng.choice(forms)
+        p = rng.randrange(3, 10_000)
+        if not is_prime(p) or (2 * form.a * form.d * form.c) % p == 0:
+            continue
+        rep = represent(p, form)
+        if rep is None:
+            continue
+        out.append((form, lemma23_check(rep, Modulus.make(p, 4))))
+    return out
 
 
 def rhs_quadratic(rep: QuadRep, template: tuple[int, int, int, int], m: Modulus) -> int:

@@ -5,10 +5,9 @@ lines; the whole suite is the exit condition for the artifact.
 """
 
 import os
-import random
 from fractions import Fraction
 
-from supercong.arith import Modulus, is_prime, primes_in
+from supercong.arith import primes_in
 from supercong.congruence import (
     QF,
     Branch,
@@ -31,7 +30,7 @@ from supercong.qseries import (
     v_ode_check,
     weber_f_2tau_pow24_q,
 )
-from supercong.quadforms import lemma23_check, represent
+from supercong.quadforms import lemma23_trials, represent
 from supercong.sequences import ALL_SEQUENCES, alternate_formulas, exact_term
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -105,22 +104,7 @@ def test_criterion_4_cm_certification():
 
 
 def test_criterion_5_lemma23_random():
-    rng = random.Random(99)
-    forms = catalog_forms()
-    bad = []
-    done = 0
-    while done < 100:
-        form = rng.choice(forms)
-        p = rng.randrange(3, 10_000)
-        if not is_prime(p) or (2 * form.a * form.d * form.c) % p == 0:
-            continue
-        rep = represent(p, form)
-        if rep is None:
-            continue
-        res = lemma23_check(rep, Modulus.make(p, 4))
-        if not res.ok:
-            bad.append((form, p))
-        done += 1
+    bad = [(form, res.p) for form, res in lemma23_trials(catalog_forms(), 100, 99) if not res.ok]
     assert _announce(5, "padic-expansion-mod-p4", not bad, "(100 random cases)"), bad
 
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.qseries import (
+    HAUPTMODUL_SEQUENCE,
     QSeries,
     compose,
     e2_q,
@@ -22,7 +25,9 @@ from supercong.qseries import (
     v_ode_check,
     weber_f_2tau_pow24_q,
 )
-from supercong.sequences import SequenceId, exact_terms
+from supercong.sequences import RECURRENCES, SequenceId, exact_terms
+
+TAGS = ("t", "u", "s", "w", "v", "h")
 
 
 def test_eta_pentagonal():
@@ -161,6 +166,58 @@ def test_genfun_identities_to_200():
         assert genfun_identity_check(tag, 200) is None, tag
 
 
+def _composed(tag, nterms):
+    """The literal sum a_n x^n through q^nterms, with x = -s for V."""
+    x = hauptmodul_q(tag, nterms)
+    if tag == "s":
+        x = -x
+    return compose(exact_terms(HAUPTMODUL_SEQUENCE[tag], nterms + 1), x).truncate(nterms + 1)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_compose_oracle_matches_genfun_rhs(tag):
+    assert first_mismatch(_composed(tag, 60), genfun_rhs_q(tag, 61).truncate(61)) is None
+
+
+@pytest.mark.parametrize("k", [0, 1, 23, 60])
+def test_genfun_check_reports_perturbed_coefficient(monkeypatch, k):
+    import supercong.qseries as qs
+
+    real = qs.genfun_rhs_q
+
+    def perturbed(tag, nterms):
+        g = real(tag, nterms)
+        return QSeries(g.off24, [c + 1 if i == k else c for i, c in enumerate(g.coeffs)])
+
+    monkeypatch.setattr(qs, "genfun_rhs_q", perturbed)
+    for tag in TAGS:
+        assert qs.genfun_identity_check(tag, 60) == k, tag
+        assert first_mismatch(_composed(tag, 60), perturbed(tag, 61).truncate(61)) == k, tag
+
+
+def test_genfun_check_rejects_corrupted_exact_term(monkeypatch):
+    import supercong.qseries as qs
+
+    real = exact_terms
+
+    def corrupted(seq, count):
+        vals = real(seq, count)
+        if seq is SequenceId.D and count > 30:
+            vals[30] += 1
+        return vals
+
+    monkeypatch.setattr(qs, "exact_terms", corrupted)
+    with pytest.raises(ArithmeticError, match="D: .* n = 29"):
+        qs.genfun_identity_check("v", 40)
+
+
+def test_genfun_check_rejects_corrupted_recurrence_row(monkeypatch):
+    row = RECURRENCES[SequenceId.T]
+    monkeypatch.setitem(RECURRENCES, SequenceId.T, row._replace(e=row.e + 1))
+    with pytest.raises(ArithmeticError, match="T: .* n = 1"):
+        genfun_identity_check("w", 20)
+
+
 def test_genfun_cb3_matches_quoted_quotient_at_50():
     inner = hauptmodul_q("t", 50)
     outer = [comb(2 * n, n) ** 3 for n in range(51)]
@@ -229,3 +286,48 @@ def test_v_ode_negative_control(monkeypatch):
 
     monkeypatch.setattr(qs, "exact_terms", corrupted)
     assert qs.v_ode_check(20) is not None
+
+
+# -- ring laws, up to truncation ---------------------------------------------
+
+
+def _series(lead=st.integers(-5, 5)):
+    return st.builds(
+        lambda off, head, tail: QSeries(24 * off, [head] + tail),
+        st.integers(-2, 2), lead, st.lists(st.integers(-5, 5), max_size=7))
+
+
+def _agree(a, b):
+    """Same leading exponent, and equal wherever both are known."""
+    n = min(a.length, b.length)
+    return a.off24 == b.off24 and a.coeffs[:n] == b.coeffs[:n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_series(), b=_series(), c=_series())
+def test_qseries_ring_laws(a, b, c):
+    assert _agree(a + b, b + a)
+    assert _agree(a * b, b * a)
+    assert _agree((a + b) + c, a + (b + c))
+    assert _agree((a * b) * c, a * (b * c))
+    assert _agree(a * (b + c), a * b + a * c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_series(), b=_series(lead=st.sampled_from([1, -1])))
+def test_qseries_division_undoes_multiplication(a, b):
+    back = (a * b) / b
+    assert _agree(back, a)
+    assert all(isinstance(x, int) for x in back.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_series(), b=_series())
+def test_qseries_theta_is_a_derivation(a, b):
+    assert _agree((a * b).theta(), a.theta() * b + a * b.theta())
+
+
+def test_theta_needs_integral_offset():
+    assert QSeries(-24, [1, 2, 3]).theta().coeffs == [-1, 0, 3]
+    with pytest.raises(ValueError):
+        QSeries(12, [1]).theta()

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from supercong.arith import Modulus, is_prime, jacobi, primes_in, sqrt_mod_pk
+from supercong.arith import Modulus, jacobi, primes_in, sqrt_mod_pk
 from supercong.congruence import catalog_forms
 from supercong.quadforms import (
     FormSpec,
     QuadRep,
     lemma23_check,
+    lemma23_trials,
     padic_root_select,
     represent,
     rhs_quadratic,
@@ -78,21 +79,10 @@ def test_lemma23_examples():
 
 
 def test_lemma23_random_catalog_forms():
-    rng = random.Random(41)
     forms = catalog_forms()
     assert len(forms) >= 15
-    done = 0
-    while done < 100:
-        form = rng.choice(forms)
-        p = rng.randrange(3, 10_000)
-        if not is_prime(p) or (2 * form.a * form.d * form.c) % p == 0:
-            continue
-        rep = represent(p, form)
-        if rep is None:
-            continue
-        res = lemma23_check(rep, Modulus.make(p, 4))
-        assert res.ok, (form, p, res)
-        done += 1
+    for form, res in lemma23_trials(forms, 100, 41):
+        assert res.ok, (form, res.p, res)
 
 
 def test_rhs_quadratic():
