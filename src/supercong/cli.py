@@ -1,9 +1,23 @@
 """Batch entry point: congruence sweeps, q-series identities, CM certification.
 
-Exit codes: 0 when every proven-status check passed, 1 on any failure
-(conjectural/cited failures only count under --include-conjectural-strict),
-2 on usage errors, which include a --config file with an unknown key, a line
-without "=", or a value the flag's type or choices reject.
+Each verify subcommand takes only the flags it reads (`all` takes their union):
+
+    congruences  --format --min-p --max-p --theorem --workers
+                 --include-conjectural --include-conjectural-strict
+    qseries      --format --terms           cm       --format --digits
+    identities   --format --samples --prec  lemma23  --format --trials --seed
+
+A --config file of `key = value` lines is shared by all of them: a key is a
+one-value verify flag with "_" for "-" (`max_p = 500`) and must belong to some
+subcommand; each subcommand takes only its own keys.
+
+Skipped congruence rows give one of four reasons: predicate, divides-m,
+branch-anomaly or representability-anomaly; the two anomalies gate like a
+failure.  Exit codes read typed row status, never `detail`: 0 when nothing
+gates, 1 on a gating failure (conjectural/cited rows only gate under
+--include-conjectural-strict), 2 on usage errors, which include a foreign
+flag, a --config file with an unknown key, a line without "=", or a value the
+flag's type or choices reject.
 """
 
 from __future__ import annotations
@@ -50,16 +64,8 @@ def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["spec_id", "p", "outcome", "lhs", "rhs", "x", "y"])
-        for r in report.rows:
-            writer.writerow([
-                r.spec_id,
-                "" if r.p is None else r.p,
-                r.outcome,
-                "" if r.lhs is None else r.lhs,
-                "" if r.rhs is None else r.rhs,
-                "" if r.x is None else r.x,
-                "" if r.y is None else r.y,
-            ])
+        for r in report.rows:  # csv writes None as an empty field
+            writer.writerow([r.spec_id, r.p, r.outcome, r.lhs, r.rhs, r.x, r.y])
         return buf.getvalue()
     if fmt == "table":
         lines = [f"{'spec':<24}{'p':>6}  {'outcome':<8}detail"]
@@ -73,14 +79,15 @@ def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
 
 
 def exit_code_for(report: Report, strict_conjectural: bool = False) -> int:
-    """Exit code as a pure function of the outcome rows and the strict flag.
+    """Exit code as a pure function of the typed rows and the strict flag.
 
-    Failures on rows marked conjectural/cited never gate unless strict;
-    representability anomalies always do.
+    Failures of conjectural or cited rows only gate when strict; failures of
+    proven rows and of rows without a catalog status always do, and so do
+    anomaly skips.
     """
     fails = report.failures()
     if not strict_conjectural:
-        fails = [r for r in fails if not r.detail.startswith("conjectural")]
+        fails = [r for r in fails if r.status in (None, "proven")]
     return EXIT_FAIL if fails or report.anomalies() else EXIT_OK
 
 
@@ -101,107 +108,103 @@ def _cmd_sequence(args) -> int:
     return EXIT_OK
 
 
-def _mark_conjectural(report: Report) -> None:
-    status = {s.id: s.status for s in congruence.catalog()}
-    for i, row in enumerate(report.rows):
-        if row.outcome == "fail" and status.get(row.spec_id) != "proven":
-            report.rows[i] = Row(
-                row.spec_id, row.p, row.outcome,
-                f"conjectural {row.detail}".strip(), row.lhs, row.rhs, row.x, row.y,
-            )
-
-
-def _cmd_verify_congruences(args) -> int:
-    if args.theorem:
-        ids = []
-        for tid in args.theorem:
-            congruence.lookup(tid)  # raises KeyError for unknown ids
-            ids.append(tid)
-    else:
-        statuses = ("proven", "conjectural", "cited") if args.include_conjectural else ("proven",)
-        ids = congruence.catalog_ids(statuses)
+def _verify_congruences(args) -> tuple[Report, dict]:
+    statuses = ("proven", "conjectural", "cited") if args.include_conjectural else ("proven",)
+    ids = args.theorem or congruence.catalog_ids(statuses)  # sweep rejects unknown ids
     report = congruence.sweep(ids, args.min_p, args.max_p, workers=args.workers)
-    _mark_conjectural(report)
-    config = {
+    return report, {
         "command": "verify congruences", "ids": ids,
         "min_p": args.min_p, "max_p": args.max_p, "workers": args.workers,
     }
-    print(emit_report(report, args.format, config), end="")
-    return exit_code_for(report, args.include_conjectural_strict)
 
 
-def _cmd_verify_qseries(args) -> int:
+def _mismatch_row(name: str, miss: int | None, where: str) -> Row:
+    return Row(name, None, "pass") if miss is None else Row(name, None, "fail", f"{where}^{miss}")
+
+
+def _verify_qseries(args) -> tuple[Report, dict]:
     report = Report()
     for tag in QSERIES_CHECKS:
         miss = qseries.genfun_identity_check(tag, args.terms)
-        detail = "" if miss is None else f"first mismatch at q^{miss}"
-        report.add(Row(f"genfun-{tag}", None, "pass" if miss is None else "fail", detail))
+        report.add(_mismatch_row(f"genfun-{tag}", miss, "first mismatch at q"))
     for tag in ("u", "s", "w"):
         a = qseries.hauptmodul_q(tag, args.terms)
         b = qseries.hauptmodul_alt_q(tag, args.terms)
-        miss = qseries.first_mismatch(a, b)
-        detail = "" if miss is None else f"first mismatch at q^{miss}"
-        report.add(Row(f"dual-{tag}", None, "pass" if miss is None else "fail", detail))
-    miss = qseries.t_j_relation_check(args.terms)
-    report.add(Row("t-j-cubic", None, "pass" if miss is None else "fail",
-                   "" if miss is None else f"nonzero at q^{miss}"))
-    miss = qseries.v_ode_check(args.terms)
-    report.add(Row("v-ode", None, "pass" if miss is None else "fail",
-                   "" if miss is None else f"nonzero at s^{miss}"))
-    report.sort()
-    print(emit_report(report, args.format, {"command": "verify qseries", "terms": args.terms}), end="")
-    return exit_code_for(report)
+        report.add(_mismatch_row(f"dual-{tag}", qseries.first_mismatch(a, b),
+                                 "first mismatch at q"))
+    report.add(_mismatch_row("t-j-cubic", qseries.t_j_relation_check(args.terms), "nonzero at q"))
+    report.add(_mismatch_row("v-ode", qseries.v_ode_check(args.terms), "nonzero at s"))
+    return report, {"command": "verify qseries", "terms": args.terms}
 
 
-def _cmd_verify_cm(args) -> int:
-    report = Report()
-    for target in highprec.cm_table():
-        res = highprec.cm_check(target, args.digits)
-        report.add(Row(res.name, None, "pass" if res.ok else "fail",
-                       f"residual={res.residual:.2e}"))
-    for res in highprec.class_invariant_check(args.digits):
-        report.add(Row(res.name, None, "pass" if res.ok else "fail",
-                       f"residual={res.residual:.2e}"))
-    report.sort()
-    print(emit_report(report, args.format, {"command": "verify cm", "digits": args.digits}), end="")
-    return exit_code_for(report)
+def _check_rows(results, label: str) -> list[Row]:
+    return [Row(r.name, None, "pass" if r.ok else "fail", f"{label}={r.residual:.2e}")
+            for r in results]
 
 
-def _cmd_verify_identities(args) -> int:
-    report = Report()
-    for res in highprec.identity_suite(args.samples, args.prec):
-        report.add(Row(res.name, None, "pass" if res.ok else "fail",
-                       f"max residual={res.residual:.2e}"))
-    report.sort()
-    print(emit_report(report, args.format,
-                      {"command": "verify identities", "samples": args.samples,
-                       "prec": args.prec}), end="")
-    return exit_code_for(report)
+def _verify_cm(args) -> tuple[Report, dict]:
+    results = [highprec.cm_check(target, args.digits) for target in highprec.cm_table()]
+    results += highprec.class_invariant_check(args.digits)
+    return Report(_check_rows(results, "residual")), {"command": "verify cm", "digits": args.digits}
 
 
-def _cmd_verify_lemma23(args) -> int:
+def _verify_identities(args) -> tuple[Report, dict]:
+    rows = _check_rows(highprec.identity_suite(args.samples, args.prec), "max residual")
+    return Report(rows), {"command": "verify identities", "samples": args.samples, "prec": args.prec}
+
+
+def _verify_lemma23(args) -> tuple[Report, dict]:
     report = Report()
     for form, res in lemma23_trials(congruence.catalog_forms(), args.trials, args.seed):
         detail = f"c*p={form.c}*{res.p}=({form.a},{form.d}) x={res.x} y={res.y}"
         if not res.ok:
             detail += f" diffs=({res.diff_linear},{res.diff_square})"
         report.add(Row(f"expansion@p={res.p}", res.p, "pass" if res.ok else "fail", detail))
-    report.sort()
-    print(emit_report(report, args.format,
-                      {"command": "verify lemma23", "trials": args.trials}), end="")
-    return exit_code_for(report)
+    return report, {"command": "verify lemma23", "trials": args.trials, "seed": args.seed}
 
 
-def _cmd_verify_all(args) -> int:
+# Each verify subcommand, its report builder, and the only flags it reads;
+# `verify all` runs them in this order and takes the union of their flags.
+VERIFY_COMMANDS = {
+    "congruences": (_verify_congruences, (
+        "format", "min_p", "max_p", "theorem",
+        "include_conjectural", "include_conjectural_strict", "workers",
+    )),
+    "qseries": (_verify_qseries, ("format", "terms")),
+    "cm": (_verify_cm, ("format", "digits")),
+    "identities": (_verify_identities, ("format", "samples", "prec")),
+    "lemma23": (_verify_lemma23, ("format", "trials", "seed")),
+}
+
+# argparse keywords of every verify flag, by dest; the option is --dest with "-" for "_".
+VERIFY_FLAGS = {
+    "format": {"choices": ("table", "json", "csv"), "default": "table"},
+    "min_p": {"type": int, "default": 5},
+    "max_p": {"type": int, "default": 200},
+    "theorem": {"action": "append"},
+    "include_conjectural": {"action": "store_true"},
+    "include_conjectural_strict": {"action": "store_true"},
+    "workers": {"type": int, "default": 1},
+    "terms": {"type": int, "default": 64},
+    "digits": {"type": int, "default": 40},
+    "samples": {"type": int, "default": 12},
+    "prec": {"type": int, "default": 256},
+    "trials": {"type": int, "default": 25},
+    "seed": {"type": int, "default": 20240},
+}
+
+
+def _cmd_verify(args) -> int:
+    """Build, sort and print each named report; exit with the worst code."""
+    names = list(VERIFY_COMMANDS) if args.what == "all" else [args.what]
+    strict = getattr(args, "include_conjectural_strict", False)
     codes = []
-    for fn in (
-        _cmd_verify_congruences,
-        _cmd_verify_qseries,
-        _cmd_verify_cm,
-        _cmd_verify_identities,
-        _cmd_verify_lemma23,
-    ):
-        codes.append(fn(args))
+    for name in names:
+        build, _ = VERIFY_COMMANDS[name]
+        report, config = build(args)
+        report.sort()
+        print(emit_report(report, args.format, config), end="")
+        codes.append(exit_code_for(report, strict))
     return max(codes)
 
 
@@ -219,32 +222,35 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _set_config_defaults(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Make the config values the defaults of `parser`'s one-value options.
+def _config_defaults(config: dict[str, str]) -> dict:
+    """The config values as verify-flag defaults.
 
-    Each value is converted and checked with the option's own type and
-    choices; an explicit flag still wins over a default.
+    A key must name a one-value flag of some verify subcommand; its value is
+    converted and checked with that flag's type and choices.
     """
-    options = {
-        a.dest: a for a in parser._actions
-        if a.option_strings and a.nargs is None and a.default is not None
-    }
+    known = [k for k, kw in VERIFY_FLAGS.items() if "action" not in kw]
     defaults = {}
     for key, value in config.items():
-        action = options.get(key)
-        if action is None:
-            raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(options))}")
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(known))}")
+        convert = VERIFY_FLAGS[key].get("type", str)
         try:
-            defaults[key] = action.type(value) if action.type else value
+            defaults[key] = convert(value)
         except ValueError:
-            raise ValueError(f"{key} = {value!r}: not a valid {action.type.__name__}") from None
-        if action.choices and defaults[key] not in action.choices:
-            raise ValueError(f"{key} = {value!r}: choose from {', '.join(action.choices)}")
-    parser.set_defaults(**defaults)
+            raise ValueError(f"{key} = {value!r}: not a valid {convert.__name__}") from None
+        choices = VERIFY_FLAGS[key].get("choices")
+        if choices and defaults[key] not in choices:
+            raise ValueError(f"{key} = {value!r}: choose from {', '.join(choices)}")
+    return defaults
 
 
 def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
-    """The supercong parser; `config` values become defaults of the verify flags."""
+    """The supercong parser; `config` values become defaults of the verify flags.
+
+    Each verify subcommand takes only its own flags and its own config keys,
+    so an explicit flag always wins and a foreign flag is a usage error.
+    """
+    defaults = _config_defaults(config or {})
     parser = argparse.ArgumentParser(prog="supercong")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,26 +264,13 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     p_verify = sub.add_parser("verify", help="run verification suites")
     vsub = p_verify.add_subparsers(dest="what", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--min-p", dest="min_p", type=int, default=5)
-        p.add_argument("--max-p", dest="max_p", type=int, default=200)
-        p.add_argument("--theorem", action="append", default=None)
-        p.add_argument("--include-conjectural", action="store_true")
-        p.add_argument("--include-conjectural-strict", action="store_true")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--terms", type=int, default=64)
-        p.add_argument("--digits", type=int, default=40)
-        p.add_argument("--samples", type=int, default=12)
-        p.add_argument("--prec", type=int, default=256)
-        p.add_argument("--trials", type=int, default=25)
-        p.add_argument("--seed", type=int, default=20240)
-
-    for name in ("congruences", "qseries", "cm", "identities", "lemma23", "all"):
+    commands = {name: flags for name, (_, flags) in VERIFY_COMMANDS.items()}
+    commands["all"] = tuple(dict.fromkeys(f for flags in commands.values() for f in flags))
+    for name, flags in commands.items():
         p = vsub.add_parser(name)
-        common(p)
-        if config:
-            _set_config_defaults(p, config)
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **VERIFY_FLAGS[dest])
+        p.set_defaults(**{f: defaults[f] for f in flags if f in defaults})
     return parser
 
 
@@ -297,15 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list(args)
         if args.command == "sequence":
             return _cmd_sequence(args)
-        dispatch = {
-            "congruences": _cmd_verify_congruences,
-            "qseries": _cmd_verify_qseries,
-            "cm": _cmd_verify_cm,
-            "identities": _cmd_verify_identities,
-            "lemma23": _cmd_verify_lemma23,
-            "all": _cmd_verify_all,
-        }
-        return dispatch[args.what](args)
+        return _cmd_verify(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,14 @@ from fractions import Fraction
 
 from .arith import FactorialTable, Modulus, factorial_table, inv, jacobi, primes_in
 from .quadforms import FormSpec, QuadRep, represent, rhs_quadratic
-from .report import Report, Row
+from .report import (
+    SKIP_BRANCH_ANOMALY,
+    SKIP_DIVIDES_M,
+    SKIP_PREDICATE,
+    SKIP_REPRESENTABILITY_ANOMALY,
+    Report,
+    Row,
+)
 from .sequences import SequenceId, terms_mod
 
 
@@ -490,28 +497,39 @@ def rhs_value(
 
 
 def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row:
-    """Outcome of one (congruence, prime) check; every failure is data."""
+    """Outcome of one (congruence, prime) check; every failure is data.
+
+    The row carries the spec's catalog status; the detail of a failing row
+    that is not proven starts with "conjectural".
+    """
+    def skip(reason: str) -> Row:
+        return Row(spec.id, p, "skip", reason, status=spec.status)
+
     if spec.m % p == 0:
-        return Row(spec.id, p, "skip", "divides-m")
+        return skip(SKIP_DIVIDES_M)
     if not spec.qualifies(p):
-        return Row(spec.id, p, "skip", "predicate")
+        return skip(SKIP_PREDICATE)
     branch = spec.match_branch(p)
     if branch is None:
-        return Row(spec.id, p, "skip", "branch-anomaly")
+        return skip(SKIP_BRANCH_ANOMALY)
     rep = None
     if branch.rep is not None:
         rep = represent(p, branch.rep)
         if rep is None:
-            return Row(spec.id, p, "skip", "representability-anomaly")
+            return skip(SKIP_REPRESENTABILITY_ANOMALY)
     if ctx is None:
         ctx = PrimeContext(p)
     lhs = lhs_sum(spec, p, ctx)
     rhs = rhs_value(spec, branch, p, rep, ctx)
     outcome = "pass" if lhs == rhs else "fail"
-    detail = "" if outcome == "pass" else f"lhs-rhs={(lhs - rhs) % p ** spec.mod_exp}"
+    detail = ""
+    if outcome == "fail":
+        detail = f"lhs-rhs={(lhs - rhs) % p ** spec.mod_exp}"
+        if spec.status != "proven":
+            detail = f"conjectural {detail}"
     return Row(
         spec.id, p, outcome, detail, lhs, rhs,
-        rep.x if rep else None, rep.y if rep else None,
+        rep.x if rep else None, rep.y if rep else None, spec.status,
     )
 
 

@@ -320,6 +320,8 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if prec < 64:
+        raise ValueError("prec must be >= 64: the tolerance 2^(-prec/2) would mean nothing")
     rng = random.Random(seed)
     worst: dict[str, float] = {}
 

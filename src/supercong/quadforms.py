@@ -146,6 +146,8 @@ def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
     p composite, p dividing 2*a*d*c, or c*p not represented by the form are
     skipped and do not count.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     out = []
     while len(out) < trials:

@@ -4,6 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The closed set of skip reasons of a congruence row.  The two anomalies mean
+# that a catalog claim broke at that prime, so they gate the exit code.
+SKIP_PREDICATE = "predicate"
+SKIP_DIVIDES_M = "divides-m"
+SKIP_BRANCH_ANOMALY = "branch-anomaly"
+SKIP_REPRESENTABILITY_ANOMALY = "representability-anomaly"
+ANOMALIES = frozenset({SKIP_BRANCH_ANOMALY, SKIP_REPRESENTABILITY_ANOMALY})
+
 
 @dataclass(frozen=True)
 class Row:
@@ -15,6 +23,7 @@ class Row:
     rhs: int | None = None
     x: int | None = None
     y: int | None = None
+    status: str | None = None  # catalog status of a congruence row, else None
 
     def sort_key(self):
         return (self.spec_id, self.p if self.p is not None else -1)
@@ -43,4 +52,4 @@ class Report:
         return [r for r in self.rows if r.outcome == "fail"]
 
     def anomalies(self) -> list[Row]:
-        return [r for r in self.rows if r.outcome == "skip" and "anomaly" in r.detail]
+        return [r for r in self.rows if r.outcome == "skip" and r.detail in ANOMALIES]

@@ -169,9 +169,82 @@ def test_exit_code_logic():
     bad.add(Row("T", 5, "fail", "lhs-rhs=1"))
     assert exit_code_for(bad) == EXIT_FAIL
     conj = Report()
-    conj.add(Row("C", 5, "fail", "conjectural lhs-rhs=1"))
+    conj.add(Row("C", 5, "fail", "conjectural lhs-rhs=1", status="conjectural"))
     assert exit_code_for(conj) == EXIT_OK
     assert exit_code_for(conj, strict_conjectural=True) == EXIT_FAIL
     anom = Report()
     anom.add(Row("T", 5, "skip", "representability-anomaly"))
     assert exit_code_for(anom) == EXIT_FAIL
+
+
+# -- the typed contract: exit codes read row status, never detail text ------------
+
+
+def test_proven_failure_gates_whatever_its_detail_says():
+    rep = Report([Row("T", 5, "fail", "conjectural lhs-rhs=1", status="proven")])
+    assert exit_code_for(rep) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("status", ["conjectural", "cited"])
+def test_non_proven_failure_gates_only_when_strict(status):
+    rep = Report([Row("C", 5, "fail", "lhs-rhs=1", status=status)])
+    assert exit_code_for(rep) == EXIT_OK
+    assert exit_code_for(rep, strict_conjectural=True) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("reason", ["branch-anomaly", "representability-anomaly"])
+def test_anomaly_skips_gate(reason):
+    for status in ("proven", "conjectural", None):
+        rep = Report([Row("T", 5, "skip", reason, status=status)])
+        assert rep.anomalies() == rep.rows
+        assert exit_code_for(rep) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("detail", ["predicate", "divides-m", "anomaly", "not-an-anomaly"])
+def test_other_skips_do_not_gate(detail):
+    rep = Report([Row("T", 5, "skip", detail, status="proven")])
+    assert rep.anomalies() == []
+    assert exit_code_for(rep) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cm", "--max-p", "7"],
+    ["verify", "cm", "--seed", "3"],
+    ["verify", "identities", "--seed", "3"],
+    ["verify", "qseries", "--theorem", "T1.29"],
+    ["verify", "lemma23", "--digits", "30"],
+    ["verify", "congruences", "--terms", "16"],
+])
+def test_foreign_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("digits = 25\nmax_p = 7\n")
+    code, out, _ = run_cli(capsys, ["--config", str(cfg), "verify", "cm", "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["run"] == {"command": "verify cm", "digits": 25}
+
+
+def test_verify_lemma23_json_records_seed(capsys):
+    code, out, _ = run_cli(capsys, [
+        "verify", "lemma23", "--trials", "3", "--seed", "7", "--format", "json",
+    ])
+    assert code == EXIT_OK
+    assert json.loads(out)["run"] == {"command": "verify lemma23", "trials": 3, "seed": 7}
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "identities", "--samples", "1", "--prec", "4"], "prec"),
+    (["verify", "lemma23", "--trials", "-3"], "trials"),
+    (["verify", "lemma23", "--trials", "0"], "trials"),
+])
+def test_meaningless_sizes_are_usage_errors(capsys, argv, needle):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert needle in err

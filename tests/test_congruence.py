@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from supercong import congruence
 from supercong.arith import jacobi, primes_in
 from supercong.congruence import (
     QF,
@@ -15,6 +16,7 @@ from supercong.congruence import (
     PrimeContext,
     PrimePredicate,
     catalog,
+    catalog_ids,
     lhs_sum,
     lookup,
     rhs_value,
@@ -255,3 +257,17 @@ def test_report_anomaly_accounting():
     report2 = Report()
     report2.add(row)
     assert report2.anomalies() == [row]
+
+
+@pytest.mark.parametrize("status", ["proven", "conjectural", "cited"])
+def test_verify_types_failing_rows(monkeypatch, status):
+    # rows carry the catalog status; only non-proven failures get the prefix
+    spec = lookup(catalog_ids((status,))[0])
+    rows = [verify(spec, p) for p in primes_in(5, 300)]
+    assert {r.status for r in rows} == {status}
+    ok = next(r for r in rows if r.outcome == "pass" and r.lhs != 0)
+    monkeypatch.setattr(congruence, "rhs_value", lambda *args: 0)
+    row = verify(spec, ok.p)
+    assert row.outcome == "fail" and row.status == status
+    want = f"lhs-rhs={row.lhs % ok.p ** spec.mod_exp}"
+    assert row.detail == (want if status == "proven" else f"conjectural {want}")

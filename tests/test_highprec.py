@@ -179,3 +179,10 @@ def test_identity_suite_deterministic():
     a = identity_suite(3, 192, seed=9)
     b = identity_suite(3, 192, seed=9)
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
+
+
+@pytest.mark.parametrize("prec", [4, 63])
+def test_identity_suite_rejects_meaningless_prec(prec):
+    # at prec 4 the tolerance 2^-2 passes nearly anything
+    with pytest.raises(ValueError, match="prec"):
+        identity_suite(1, prec)

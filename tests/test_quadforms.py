@@ -114,3 +114,9 @@ def test_representability_matches_residue_classes_for_intro_forms():
         assert (represent(p, FormSpec(1, 4, 1)) is not None) == (p % 4 == 1)
         assert (represent(p, FormSpec(1, 3, 1)) is not None) == (p % 3 == 1)
         assert (represent(p, FormSpec(1, 2, 1)) is not None) == (p % 8 in (1, 3))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_lemma23_trials_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        lemma23_trials(catalog_forms(), trials, seed=1)
