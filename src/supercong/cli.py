@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-QSERIES_CHECKS = ("t", "u", "s", "w", "v", "h")
+QSERIES_CHECKS = tuple(qseries.HAUPTMODUL_SEQUENCE)
 
 
 def _report_payload(report: Report, config: dict) -> dict:

@@ -557,6 +557,8 @@ def sweep(
     """
     if lo > hi:
         raise ValueError("empty prime range")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     for sid in spec_ids:
         lookup(sid)
     primes = [p for p in primes_in(max(lo, 3), hi)]

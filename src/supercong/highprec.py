@@ -2,8 +2,10 @@
 the six Hauptmoduls at points of the upper half-plane.
 
 Values are mpmath complex numbers; every function takes the working precision
-in bits explicitly.  CM points are carried exactly (rational + rational
-multiple of sqrt(-D)) and realized to floating point only at evaluation time.
+in bits explicitly.  Hauptmoduls other than u are evaluated from
+qseries.ETA_QUOTIENTS, the eta-exponent table the exact layer expands.  CM
+points are carried exactly (rational + rational multiple of sqrt(-D)) and
+realized to floating point only at evaluation time.
 The eta series is truncated from a per-point tail bound: with |q| =
 exp(-2*pi*Im(tau)), terms beyond |q|^E < 2^-(prec+guard) cannot move the
 result at working precision.
@@ -15,9 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 from mpmath import mp
+
+from .qseries import ETA_QUOTIENTS
 
 _GUARD_BITS = 32
 
@@ -88,31 +93,21 @@ def gamma2_j(tau: mpmath.mpc, prec: int) -> tuple[mpmath.mpc, mpmath.mpc]:
         return g2, g2**3
 
 
-def _eta_quotient(tau, prec, num: list[int], den: list[int], power: int):
-    with mp.workprec(prec + _GUARD_BITS):
-        val = mpmath.mpc(1)
-        for mult in num:
-            val *= eta_num(mult * tau, prec)
-        for mult in den:
-            val /= eta_num(mult * tau, prec)
-        return val**power
-
-
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    if tag == "t":
-        return _eta_quotient(tau, prec, [1, 4], [2, 2], 24)
+    """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS), gamma2 or j."""
     if tag == "u":
         with mp.workprec(prec + _GUARD_BITS):
             f24 = weber(tau, "f2", prec) ** 24
             return f24 / (f24 + 64) ** 2
-    if tag == "s":
-        return _eta_quotient(tau, prec, [4], [1], 8)
-    if tag == "w":
-        return _eta_quotient(tau, prec, [1, 8], [2, 4], 8)
-    if tag == "v":
-        return _eta_quotient(tau, prec, [1, 3, 4, 12], [2, 2, 6, 6], 6)
-    if tag == "h":
-        return _eta_quotient(tau, prec, [1, 6], [2, 3], 12)
+    if tag in ETA_QUOTIENTS:
+        exps, power = ETA_QUOTIENTS[tag]
+        with mp.workprec(prec + _GUARD_BITS):
+            eta = {m: eta_num(m * tau, prec) for m in exps}
+            val = mpmath.mpc(1)
+            for m, e in exps.items():  # numerator factors first
+                for _ in range(abs(e)):
+                    val = val * eta[m] if e > 0 else val / eta[m]
+            return val**power
     if tag == "gamma2":
         return gamma2_j(tau, prec)[0]
     if tag == "j":
@@ -188,23 +183,28 @@ class CheckResult:
     residual: float
 
 
-def cm_check(target: CMTarget, digits: int, work_digits: int | None = None) -> CheckResult:
-    """Evaluate the target's function at its CM point and compare exactly.
-
-    Real targets must also have a vanishing imaginary part at tolerance.
-    """
+def _certify(name: str, digits: int, work_digits: int | None, evaluate) -> CheckResult:
+    """Check max(|Re v - expected|, |Im v|) < 10^-digits for (v, expected) =
+    evaluate(prec), run at the working precision of work_digits digits."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
     if work_digits is None:
         work_digits = max(digits + 20, 80)
     prec = int(work_digits * 3.33) + 8
     with mp.workprec(prec):
-        tau = target.point.to_mpc(prec)
-        val = hauptmodul_value(target.fn, tau, prec)
-        expect = mpmath.mpf(target.expected.numerator) / target.expected.denominator
-        residual = max(abs(mpmath.re(val) - expect), abs(mpmath.im(val)))
-        tol = mpmath.mpf(10) ** (-digits)
-        return CheckResult(target.name, residual < tol, float(residual))
+        val, expected = evaluate(prec)
+        residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val)))
+        return CheckResult(name, residual < mpmath.mpf(10) ** (-digits), float(residual))
+
+
+def _cm_value(target: CMTarget, prec: int):
+    val = hauptmodul_value(target.fn, target.point.to_mpc(prec), prec)
+    return val, mpmath.mpf(target.expected.numerator) / target.expected.denominator
+
+
+def cm_check(target: CMTarget, digits: int, work_digits: int | None = None) -> CheckResult:
+    """Evaluate the target's function at its CM point and compare exactly."""
+    return _certify(target.name, digits, work_digits, partial(_cm_value, target))
 
 
 @dataclass(frozen=True)
@@ -241,25 +241,16 @@ CLASS_INVARIANTS = [
 ]
 
 
+def _class_invariant(which: str, n: int, power: int, closed: SurdValue, prec: int):
+    tau = mpmath.mpc(0, mpmath.sqrt(n))
+    g = mpmath.mpf(2) ** mpmath.mpf("-0.25") * weber(tau, which, prec)
+    return g**power, closed.to_mpf(prec)
+
+
 def class_invariant_check(digits: int, work_digits: int | None = None) -> list[CheckResult]:
-    if digits < 10:
-        raise ValueError("digits must be >= 10")
-    if work_digits is None:
-        work_digits = max(digits + 20, 80)
-    prec = int(work_digits * 3.33) + 8
-    out = []
-    with mp.workprec(prec):
-        tol = mpmath.mpf(10) ** (-digits)
-        quarter = mpmath.mpf(2) ** mpmath.mpf("-0.25")
-        for name, which, n, power, closed in CLASS_INVARIANTS:
-            tau = mpmath.mpc(0, mpmath.sqrt(n))
-            g = quarter * weber(tau, which, prec)
-            val = g**power
-            residual = max(
-                abs(mpmath.re(val) - closed.to_mpf(prec)), abs(mpmath.im(val))
-            )
-            out.append(CheckResult(f"{name}^{power}={closed}", residual < tol, float(residual)))
-    return out
+    return [_certify(f"{name}^{power}={closed}", digits, work_digits,
+                     partial(_class_invariant, which, n, power, closed))
+            for name, which, n, power, closed in CLASS_INVARIANTS]
 
 
 # -- random-sample identity suite -------------------------------------------

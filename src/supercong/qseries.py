@@ -1,17 +1,20 @@
-"""Truncated q-expansions with exact rational coefficients.
+"""Truncated q-expansions with exact integer coefficients.
 
 A QSeries is q^(off24/24) * sum(coeffs[i] * q^i); offsets are kept as integer
 multiples of 1/24, which is exactly the granularity eta quotients need.
-Coefficients are ints whenever possible and Fractions otherwise; arithmetic
-is exact, and truncation is pessimistic (an operation's result is only as
-long as it is provably correct).
+Every series here is integral, so coefficients are ints and a division whose
+quotient is not integral raises ArithmeticError.  Arithmetic is exact, and
+truncation is pessimistic (an operation's result is only as long as it is
+provably correct).
 
 On top of the core algebra: the eta expansion, the weight-2 Eisenstein
 series, the six Hauptmoduls t/u/s/w/v/h with their alternative product
 constructions, and the identity checks the verification suite runs (the six
 generating-function identities, the cubic relation between t and j(2tau),
 and the third-order differential equation satisfied by the V generating
-function).
+function).  Every Hauptmodul but u and its paired weight-2 form are eta
+quotients prod eta(m tau)^(e_m), each stated once as an exponent vector in
+ETA_QUOTIENTS or WEIGHT2_FORMS; highprec evaluates the same table.
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -32,23 +35,18 @@ the sums; `compose` stays as the literal-definition oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .sequences import RECURRENCES, SequenceId, exact_terms
-
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class QSeries:
     __slots__ = ("off24", "coeffs")
 
-    def __init__(self, off24: int, coeffs: list):
+    def __init__(self, off24: int, coeffs: list[int]):
         self.off24 = off24
-        self.coeffs = [_norm(c) for c in coeffs]
+        self.coeffs = coeffs
 
     # -- structure ---------------------------------------------------------
 
@@ -56,23 +54,16 @@ class QSeries:
     def length(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def offset(self) -> Fraction:
-        return Fraction(self.off24, 24)
-
-    def coeff(self, n: int) -> Fraction | int:
-        """Coefficient of q^(off24/24 + n); n may be negative (then 0)."""
+    def coeff_at(self, exponent: int) -> int:
+        """Coefficient of q^exponent for integer-offset series (0 below the offset)."""
+        if self.off24 % 24:
+            raise ValueError("coeff_at needs an integral leading exponent")
+        n = exponent - self.off24 // 24
         if n < 0:
             return 0
         if n >= len(self.coeffs):
-            raise IndexError(f"coefficient q^{n} beyond truncation {len(self.coeffs)}")
+            raise IndexError(f"coefficient q^{exponent} beyond truncation {len(self.coeffs)}")
         return self.coeffs[n]
-
-    def coeff_at(self, exponent: int) -> Fraction | int:
-        """Coefficient of q^exponent for integer-offset series."""
-        if self.off24 % 24:
-            raise ValueError("coeff_at needs an integral leading exponent")
-        return self.coeff(exponent - self.off24 // 24)
 
     def truncate(self, length: int) -> "QSeries":
         return QSeries(self.off24, self.coeffs[:length])
@@ -146,16 +137,19 @@ class QSeries:
         n = min(len(self.coeffs), len(other.coeffs))
         if n == 0 or not other.coeffs[0]:
             raise ZeroDivisionError("division by a series with zero leading coefficient")
-        b0 = Fraction(other.coeffs[0])
+        b0 = other.coeffs[0]
         a, b = self.coeffs, other.coeffs
-        out: list = []
+        out: list[int] = []
         for i in range(n):
             acc = a[i]
             for j in range(1, i + 1):
                 bj = b[j]
                 if bj:
                     acc = acc - bj * out[i - j]
-            out.append(_norm(acc / b0))
+            quot, rem = divmod(acc, b0)
+            if rem:
+                raise ArithmeticError(f"quotient is not integral at q^{i} of the truncation")
+            out.append(quot)
         return QSeries(self.off24 - other.off24, out)
 
     def inverse(self) -> "QSeries":
@@ -165,15 +159,17 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        result = QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
+        if e == 0:
+            return QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
+        result = None  # binary powering that starts from the base, not from 1
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def theta(self) -> "QSeries":
         """q d/dq, for series with an integral leading exponent."""
@@ -236,11 +232,11 @@ def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSerie
         # (1 + q^e)^power = sum_j C(power, j) q^(e*j)
         fac = [0] * nterms
         fac[0] = 1
-        coef = Fraction(1)
+        coef = 1
         j = 1
         while e * j < nterms:
-            coef = coef * Fraction(power - j + 1, j)
-            fac[e * j] = _norm(coef)
+            coef = coef * (power - j + 1) // j  # j C(power, j) = C(power, j-1) (power-j+1)
+            fac[e * j] = coef
             j += 1
         acc = [0] * nterms
         for i in range(nterms):
@@ -308,8 +304,45 @@ def compose(outer: list, inner: QSeries) -> QSeries:
 # -- Hauptmoduls and generating-function identities -------------------------
 
 
-def _eta_pows(nterms: int, *mults: int) -> dict[int, QSeries]:
-    return {mm: eta_q(mm, nterms) for mm in set(mults)}
+# Hauptmodul tag -> ({m: e_m}, power): the Hauptmodul is
+# (prod eta(m tau)^(e_m))^power, numerator factors listed first.  u is not an
+# eta-quotient power and is built from Weber's f2 instead.
+ETA_QUOTIENTS = {
+    "t": ({1: 1, 4: 1, 2: -2}, 24),
+    "s": ({4: 1, 1: -1}, 8),
+    "w": ({1: 1, 8: 1, 2: -1, 4: -1}, 8),
+    "v": ({1: 1, 3: 1, 4: 1, 12: 1, 2: -2, 6: -2}, 6),
+    "h": ({1: 1, 6: 1, 2: -1, 3: -1}, 12),
+}
+
+# Hauptmodul tag -> {m: e_m} of the paired weight-2 form; u's is 2E2(2tau) - E2(tau).
+WEIGHT2_FORMS = {
+    "t": {2: 20, 1: -8, 4: -8},
+    "s": {1: 8, 2: -4},
+    "w": {2: 6, 4: 6, 1: -4, 8: -4},
+    "v": {2: 10, 6: 10, 1: -4, 3: -4, 4: -4, 12: -4},
+    "h": {2: 7, 3: 7, 1: -5, 6: -5},
+}
+
+# pairing of hauptmoduls with sequence families; V composes into -s
+HAUPTMODUL_SEQUENCE = {
+    "t": SequenceId.CB3,
+    "u": SequenceId.CB4,
+    "s": SequenceId.V,
+    "w": SequenceId.T,
+    "v": SequenceId.D,
+    "h": SequenceId.A,
+}
+
+
+def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
+    """prod eta(m tau)^(e_m): numerator and denominator multiplied out, one division.
+
+    Needs at least one positive and one negative exponent.
+    """
+    num = reduce(mul, (eta_q(m, nterms) ** e for m, e in exps.items() if e > 0))
+    den = reduce(mul, (eta_q(m, nterms) ** -e for m, e in exps.items() if e < 0))
+    return num / den
 
 
 def weber_f2_pow24_q(nterms: int) -> QSeries:
@@ -323,28 +356,16 @@ def weber_f_2tau_pow24_q(nterms: int) -> QSeries:
 
 
 def hauptmodul_q(tag: str, nterms: int) -> QSeries:
-    """Canonical eta-quotient construction; all six are q + O(q^2)."""
+    """Canonical construction; all six are q + O(q^2)."""
     if nterms < 2:
         raise ValueError("need at least 2 terms")
-    if tag == "t":
-        e = _eta_pows(nterms, 1, 2, 4)
-        return ((e[1] * e[4]) / (e[2] * e[2])) ** 24
     if tag == "u":
         f24 = weber_f2_pow24_q(nterms)
         return f24 / (f24.add_const(64) ** 2)
-    if tag == "s":
-        e = _eta_pows(nterms, 1, 4)
-        return (e[4] / e[1]) ** 8
-    if tag == "w":
-        e = _eta_pows(nterms, 1, 2, 4, 8)
-        return ((e[1] * e[8]) / (e[2] * e[4])) ** 8
-    if tag == "v":
-        e = _eta_pows(nterms, 1, 2, 3, 4, 6, 12)
-        return ((e[1] * e[3] * e[4] * e[12]) / (e[2] * e[2] * e[6] * e[6])) ** 6
-    if tag == "h":
-        e = _eta_pows(nterms, 1, 2, 3, 6)
-        return ((e[1] * e[6]) / (e[2] * e[3])) ** 12
-    raise ValueError(f"unknown hauptmodul tag {tag!r}")
+    if tag not in ETA_QUOTIENTS:
+        raise ValueError(f"unknown hauptmodul tag {tag!r}")
+    exps, power = ETA_QUOTIENTS[tag]
+    return eta_quotient_q(exps, nterms) ** power
 
 
 def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
@@ -357,9 +378,8 @@ def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
     w:  the quotient f2(4tau)^8 / f2(tau)^8 built from (1+q^n) products.
     """
     if tag == "u":
-        e = _eta_pows(nterms, 1, 2)
-        den = e2_q(2, nterms).scale(2) - e2_q(1, nterms)
-        return ((e[1] * e[1] * e[2] * e[2]) / den) ** 4
+        e1, e2 = eta_q(1, nterms), eta_q(2, nterms)
+        return ((e1 * e1 * e2 * e2) / genfun_rhs_q("u", nterms)) ** 4
     if tag == "s":
         prod = one_plus_q_product(1, 1, 8, nterms) * one_plus_q_product(2, 2, 8, nterms)
         return prod.shift24(24)
@@ -370,37 +390,13 @@ def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
     raise ValueError(f"no alternative construction for {tag!r}")
 
 
-# pairing of hauptmoduls with sequence families; V composes into -s
-HAUPTMODUL_SEQUENCE = {
-    "t": SequenceId.CB3,
-    "u": SequenceId.CB4,
-    "s": SequenceId.V,
-    "w": SequenceId.T,
-    "v": SequenceId.D,
-    "h": SequenceId.A,
-}
-
-
 def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
     """Stated weight-2 form equal to the composed generating function."""
-    if tag == "t":
-        e = _eta_pows(nterms, 1, 2, 4)
-        return (e[2] ** 20) / (e[1] ** 8 * e[4] ** 8)
     if tag == "u":
         return e2_q(2, nterms).scale(2) - e2_q(1, nterms)
-    if tag == "s":
-        e = _eta_pows(nterms, 1, 2)
-        return e[1] ** 8 / e[2] ** 4
-    if tag == "w":
-        e = _eta_pows(nterms, 1, 2, 4, 8)
-        return (e[2] ** 6 * e[4] ** 6) / (e[1] ** 4 * e[8] ** 4)
-    if tag == "v":
-        e = _eta_pows(nterms, 1, 2, 3, 4, 6, 12)
-        return (e[2] ** 10 * e[6] ** 10) / (e[1] ** 4 * e[3] ** 4 * e[4] ** 4 * e[12] ** 4)
-    if tag == "h":
-        e = _eta_pows(nterms, 1, 2, 3, 6)
-        return (e[2] ** 7 * e[3] ** 7) / (e[1] ** 5 * e[6] ** 5)
-    raise ValueError(f"unknown hauptmodul tag {tag!r}")
+    if tag not in WEIGHT2_FORMS:
+        raise ValueError(f"unknown hauptmodul tag {tag!r}")
+    return eta_quotient_q(WEIGHT2_FORMS[tag], nterms)
 
 
 def _check_recurrence_link(seq: SequenceId, a: list[int]) -> None:

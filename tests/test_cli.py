@@ -242,6 +242,9 @@ def test_verify_lemma23_json_records_seed(capsys):
     (["verify", "identities", "--samples", "1", "--prec", "4"], "prec"),
     (["verify", "lemma23", "--trials", "-3"], "trials"),
     (["verify", "lemma23", "--trials", "0"], "trials"),
+    (["verify", "congruences", "--theorem", "T1.29", "--max-p", "30", "--workers", "-5",
+      "--format", "json"], "workers"),
+    (["verify", "congruences", "--max-p", "30", "--workers", "0"], "workers"),
 ])
 def test_meaningless_sizes_are_usage_errors(capsys, argv, needle):
     code, out, err = run_cli(capsys, argv)

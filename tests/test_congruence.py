@@ -224,6 +224,12 @@ def test_sweep_deterministic_across_workers():
     assert seq.summary()["fail"] == 0
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_sweep_rejects_no_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        sweep(["T1.29"], 5, 30, workers=workers)
+
+
 def test_verify_detects_corruption():
     spec = lookup("T1.29")
     bad_branch = Branch(

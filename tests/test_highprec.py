@@ -19,6 +19,7 @@ from supercong.highprec import (
     identity_suite,
     weber,
 )
+from supercong.qseries import HAUPTMODUL_SEQUENCE, QSeries, hauptmodul_q
 
 PREC = 280
 
@@ -186,3 +187,40 @@ def test_identity_suite_rejects_meaningless_prec(prec):
     # at prec 4 the tolerance 2^-2 passes nearly anything
     with pytest.raises(ValueError, match="prec"):
         identity_suite(1, prec)
+
+
+# -- the exact and the numeric layer evaluate the same functions ---------------
+
+CROSS_TAUS = (("0.1", "1"), ("-0.37", "1.2"))
+
+
+def _q_sum(series: QSeries, tau) -> mpmath.mpc:
+    """The truncated q-expansion summed at q = exp(2 pi i tau), by Horner."""
+    q = mpmath.expjpi(2 * tau)
+    total = mpmath.mpc(0)
+    for c in reversed(series.coeffs):
+        total = total * q + c
+    return total * q ** (series.off24 // 24)
+
+
+def _digits_of_agreement(series: QSeries, tag: str, re: str, im: str) -> float:
+    with mp.workprec(256):
+        tau = mpmath.mpc(re, im)
+        exact = hauptmodul_value(tag, tau, 256)
+        return float(-mpmath.log10(abs(_q_sum(series, tau) - exact) / abs(exact)))
+
+
+@pytest.mark.parametrize("tag", list(HAUPTMODUL_SEQUENCE))
+def test_q_expansion_matches_numeric_value(tag):
+    # |q| <= exp(-2 pi), so 80 terms leave a tail far below 10^-50
+    series = hauptmodul_q(tag, 80)
+    for re, im in CROSS_TAUS:
+        assert _digits_of_agreement(series, tag, re, im) >= 50, (tag, re, im)
+
+
+@pytest.mark.parametrize("tag", list(HAUPTMODUL_SEQUENCE))
+def test_q_expansion_match_detects_a_wrong_coefficient(tag):
+    series = hauptmodul_q(tag, 80)
+    bumped = QSeries(series.off24, [c + (i == 10) for i, c in enumerate(series.coeffs)])
+    for re, im in CROSS_TAUS:
+        assert _digits_of_agreement(bumped, tag, re, im) < 50, (tag, re, im)

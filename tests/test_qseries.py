@@ -1,7 +1,6 @@
 """Exact q-expansion algebra and the generating-function identity checks."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -68,14 +67,32 @@ def test_add_and_mul_polynomials():
 
 
 def test_division_and_exactness():
-    num = QSeries(0, [1, 0, 0, 0])
-    den = QSeries(0, [2, 1, 0, 0])
-    q = num / den
-    assert q.coeffs == [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)]
-    back = q * den
-    assert back.coeffs == [1, 0, 0, 0]
+    num = QSeries(0, [1, 0, 0, 0, 0])
+    q = num / QSeries(0, [1, 1, 0, 0, 0])  # 1/(1+q)
+    assert q.coeffs == [1, -1, 1, -1, 1]
+    assert (q * QSeries(0, [1, 1, 0, 0, 0])).coeffs == [1, 0, 0, 0, 0]
+    inv_sq = num / QSeries(0, [1, -2, 1, 0, 0])  # (1-q)^-2
+    assert inv_sq.coeffs == [1, 2, 3, 4, 5]
+    assert (QSeries(0, [1, -1, 0, 0, 0]) ** -2).coeffs == inv_sq.coeffs
     with pytest.raises(ZeroDivisionError):
         num / QSeries(0, [0, 1])
+
+
+@pytest.mark.parametrize("num, den, at", [
+    ([1, 0, 0, 0], [2, 1, 0, 0], 0),  # 1/(2+q)
+    ([2, 1, 0], [2, 0, 0], 1),        # (2+q)/2
+    ([3, 3, 3, 4], [3, 0, 0, 0], 3),
+])
+def test_non_integral_quotient_raises(num, den, at):
+    with pytest.raises(ArithmeticError, match=rf"not integral at q\^{at} "):
+        QSeries(0, num) / QSeries(0, den)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 24])
+def test_one_plus_q_product_negative_power_is_inverse(k):
+    prod = one_plus_q_product(1, 1, -k, 40) * one_plus_q_product(1, 1, k, 40)
+    assert prod.off24 == 0
+    assert prod.coeffs == [1] + [0] * 39
 
 
 def test_e2_values():
