@@ -6,9 +6,14 @@ in bits explicitly.  Hauptmoduls other than u are evaluated from
 qseries.ETA_QUOTIENTS, the eta-exponent table the exact layer expands.  CM
 points are carried exactly (rational + rational multiple of sqrt(-D)) and
 realized to floating point only at evaluation time.
-The eta series is truncated from a per-point tail bound: with |q| =
-exp(-2*pi*Im(tau)), terms beyond |q|^E < 2^-(prec+guard) cannot move the
-result at working precision.
+eta_num first moves tau toward the fundamental domain: T steps centre it,
+and an S step, carrying the multiplier 1/sqrt(-i tau), follows only while
+|tau|^2 < 1/2, so every S step at least doubles Im(tau) and the reduced
+point has Im(tau) >= 1/2.  The pentagonal series is then summed there and
+truncated from a per-point tail bound: with |q| = exp(-2*pi*Im(tau)), terms
+beyond |q|^E < 2^-(prec+guard) cannot move the result at working precision.
+Truncation and rounding together stay near (S steps + 4K + 1) * 2^-(prec+32)
+relative, for K pentagonal pairs (K <= 6 at prec 256, <= 12 at prec 1024).
 """
 
 from __future__ import annotations
@@ -52,23 +57,73 @@ class QuadraticPoint:
         return num
 
 
-def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """eta(tau) via the sparse pentagonal-number series, rigorously truncated."""
-    b = mpmath.im(tau)
-    if b <= 0:
-        raise ValueError("eta needs Im(tau) > 0")
+def _eta_series(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
+    """eta(tau) = e^(pi i tau/12) * sum_k (-1)^k q^(k(3k-1)/2), q = e^(2 pi i tau),
+    summed at tau itself, with the tail bound read off at Im(tau).
+
+    The pentagonal powers q^(k(3k-1)/2) and q^(k(3k+1)/2) are stepped by
+    running products with q^k and q^(2k+1), four multiplications per k and
+    no powers, in fixed point: Gaussian integers scaled by 2^work.  Every
+    power has modulus below 1, so each product adds at most about 2^-work
+    absolute error.  This is the fast path's series and, called on an
+    unreduced tau, the tests' oracle.
+    """
     work = prec + _GUARD_BITS
+
+    def mul(x, y):
+        return ((x[0] * y[0] - x[1] * y[1]) >> work, (x[0] * y[1] + x[1] * y[0]) >> work)
+
     with mp.workprec(work):
-        two_pi_b = 2 * mpmath.pi * b
-        bound = int(mpmath.ceil(work * mpmath.ln(2) / two_pi_b)) + 2
-        q = mpmath.expjpi(2 * tau)
-        s = mpmath.mpc(1)
+        bound = math.ceil(work * math.log(2) / (2 * math.pi * float(mpmath.im(tau)))) + 2
+        q_mp = mpmath.expjpi(2 * tau)
+        q = (int(mpmath.ldexp(q_mp.real, work)), int(mpmath.ldexp(q_mp.imag, work)))
+        q2 = mul(q, q)
+        lo, q_k, q_2k1 = q, q, mul(q2, q)  # q^(k(3k-1)/2), q^k, q^(2k+1) at k = 1
+        re, im = 1 << work, 0
         k = 1
         while k * (3 * k - 1) // 2 <= bound:
+            hi = mul(lo, q_k)  # q^(k(3k+1)/2)
             sign = -1 if k % 2 else 1
-            s += sign * (q ** (k * (3 * k - 1) // 2) + q ** (k * (3 * k + 1) // 2))
+            re += sign * (lo[0] + hi[0])
+            im += sign * (lo[1] + hi[1])
+            lo = mul(hi, q_2k1)
+            q_k = mul(q_k, q)
+            q_2k1 = mul(q_2k1, q2)
             k += 1
+        s = mpmath.mpc(mpmath.ldexp(re, -work), mpmath.ldexp(im, -work))
         return mpmath.expjpi(tau / 12) * s
+
+
+def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
+    """eta(tau), summed after moving tau toward the fundamental domain.
+
+    T steps centre tau (|Re tau| <= 1/2) using eta(tau + n) = zeta24^n eta(tau);
+    an S step, eta(tau) = eta(-1/tau) / sqrt(-i tau), follows only while
+    |tau|^2 < 1/2, so each one at least doubles Im(tau) and the loop stops
+    after at most log2(1/Im tau) + 1 of them, at Im(tau) >= 1/2.  (The
+    textbook rule |tau| >= 1 would let rounding flip a point of the unit
+    circle under S forever.)  The T shifts, mod 24, go back into the argument
+    of the series, whose q is 1-periodic, so they cost no extra exponential.
+
+    Error: truncation at the reduced point is below 2^-(prec+32) relative
+    (there |sum - 1| < 0.05); with rounding, the total is about
+    (S steps + 4K + 1) * 2^-(prec+32) relative, for K pentagonal pairs summed.
+    """
+    if mpmath.im(tau) <= 0:
+        raise ValueError("eta needs Im(tau) > 0")
+    with mp.workprec(prec + _GUARD_BITS):
+        shift, scale = 0, 1
+        while True:
+            n = int(mpmath.nint(tau.real))
+            tau -= n
+            shift += n
+            # a float test suffices: near |tau|^2 = 1/2 either choice keeps
+            # the doubling of Im(tau) and the bound Im(tau) >= 1/2, to 1e-15
+            if float(tau.real) ** 2 + float(tau.imag) ** 2 >= 0.5:
+                break
+            scale *= mpmath.sqrt(mpmath.mpc(tau.imag, -tau.real))  # sqrt(-i tau)
+            tau = -1 / tau
+        return _eta_series(tau + shift % 24, prec) / scale
 
 
 def weber(tau: mpmath.mpc, which: str, prec: int) -> mpmath.mpc:
@@ -297,8 +352,8 @@ def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, prec):
         - c * a
         + 3 * c0 * (a - 1)
         + r * 3 * (a * a - 1) // 2
-    )
-    with mp.workprec(prec):
+    ) % 24  # zeta24^24 = 1; unreduced, expo reaches about 10^7
+    with mp.workprec(prec + _GUARD_BITS):
         zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
         return jacobi(a, c0) * zeta24**expo * mpmath.sqrt(c * tau + d) * eta_num(tau, prec)
 

@@ -1,12 +1,16 @@
 """Numeric certification of CM values, Weber class invariants, and the
 transformation identities, at controlled precision."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from supercong import highprec
 from supercong.highprec import (
     CMTarget,
     QuadraticPoint,
@@ -44,6 +48,105 @@ def test_eta_functional_equations():
         # modulus is 1-periodic with period 24 in the prefactor
         e24 = eta_num(tau + 24, PREC)
         assert _close(abs(e24), abs(e))
+
+
+# -- the reduced eta against the unreduced series -------------------------------
+
+
+def _rel_err(tau, prec=256, oracle_prec=384) -> mpmath.mpf:
+    with mp.workprec(oracle_prec + 32):
+        exact = highprec._eta_series(tau, oracle_prec)
+        return abs(eta_num(tau, prec) - exact) / abs(exact)
+
+
+def _gamma_tau(tau_re, tau_im, a, b, c, d):
+    with mp.workprec(416):
+        tau = mpmath.mpc(tau_re, tau_im)
+        return (a * tau + b) / (c * tau + d)
+
+
+@st.composite
+def _sl2_point(draw):
+    c = draw(st.integers(1, 30))
+    d = draw(st.integers(-30, 30).filter(lambda d: math.gcd(c, d) == 1))
+    a = pow(d, -1, c) + c * draw(st.integers(-2, 2))
+    b = (a * d - 1) // c
+    tau_re = draw(st.integers(-1000, 1000)) / 1000
+    tau_im = draw(st.integers(600, 1600)) / 1000
+    return tau_re, tau_im, a, b, c, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=_sl2_point())
+def test_eta_num_matches_unreduced_series(point):
+    assert _rel_err(_gamma_tau(*point)) < mpmath.mpf(2) ** -250, point
+
+
+@pytest.mark.parametrize("point, im", [
+    (("0.1", "0.65", 23, 22, 24, 23), 7.3e-4),  # Gamma_0(4) image, as deep as the suite goes
+    (("0.25", "0.9", 151, 61, 250, 101), 1.2e-5),
+])
+def test_eta_num_matches_unreduced_series_near_the_real_line(point, im):
+    a, b, c, d = point[2:]
+    assert a * d - b * c == 1
+    tau = _gamma_tau(*point)
+    assert abs(mpmath.im(tau) / im - 1) < 0.05
+    assert _rel_err(tau) < mpmath.mpf(2) ** -250
+
+
+@pytest.mark.parametrize("point, prec", [
+    (lambda: mpmath.mpc(0, 1), 256),  # i
+    (lambda: mpmath.mpc(0.5, mpmath.sqrt(3) / 2), 256),  # rho and its mirror image
+    (lambda: mpmath.mpc(-0.5, mpmath.sqrt(3) / 2), 256),
+    (lambda: mpmath.mpc(-0.2, mpmath.sqrt(24) / 5), 256),  # on |tau| = 1
+    (lambda: mpmath.mpc(0.5, 1 / mpmath.sqrt(6)), 274),  # S then T give -1/5 + i sqrt(24)/5
+])
+def test_eta_num_terminates_on_the_domain_boundary(point, prec):
+    with mp.workprec(prec + 32):
+        tau = point()
+    assert _rel_err(tau, prec) < mpmath.mpf(2) ** -250
+
+
+def _reduced_eta(s_factor, keep_shift: bool):
+    """eta_num's reduction loop with the S factor and the T-shift fold replaceable."""
+
+    def eta(tau, prec):
+        with mp.workprec(prec + 32):
+            shift, scale = 0, 1
+            while True:
+                n = int(mpmath.nint(tau.real))
+                tau -= n
+                shift += n
+                if float(tau.real) ** 2 + float(tau.imag) ** 2 >= 0.5:
+                    break
+                scale *= s_factor(tau)
+                tau = -1 / tau
+            return highprec._eta_series(tau + keep_shift * (shift % 24), prec) / scale
+
+    return eta
+
+
+ETA_MUTANTS = {
+    "S factor sqrt(i tau)": _reduced_eta(lambda t: mpmath.sqrt(1j * t), True),
+    "T shift dropped": _reduced_eta(lambda t: mpmath.sqrt(-1j * t), False),
+    "S factor left out": _reduced_eta(lambda t: 1, True),
+}
+
+
+def test_reduced_eta_builder_reproduces_eta_num():
+    correct = _reduced_eta(lambda t: mpmath.sqrt(-1j * t), True)
+    tau = _gamma_tau("0.1", "0.65", 23, 22, 24, 23)
+    assert correct(tau, 256) == eta_num(tau, 256)
+
+
+@pytest.mark.parametrize("name", list(ETA_MUTANTS))
+def test_wrong_reduction_is_caught(monkeypatch, name):
+    # eta-shift and eta-inversion partly test the reduction against its own
+    # rules; the closed-form Gamma_0(4) multiplier and the CM table do not
+    monkeypatch.setattr(highprec, "eta_num", ETA_MUTANTS[name])
+    rows = {r.name: r for r in identity_suite(6, 256, seed=4)}
+    assert not rows["eta-gamma0(4)"].ok, name
+    assert any(not cm_check(target, 60).ok for target in cm_table()), name
 
 
 def test_eta_at_i_is_real():
