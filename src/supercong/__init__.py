@@ -3,14 +3,12 @@ eta-quotient generating-function identities, and CM values of Hauptmoduls."""
 
 __version__ = "0.1.0"
 
-from .arith import Modulus, ValUnit, factorial_table, jacobi, primes_in
+from .arith import Modulus, jacobi, primes_in
 from .congruence import CongruenceSpec, catalog, lookup, sweep, verify
-from .sequences import SequenceId, exact_term, terms_mod
+from .sequences import SequenceId, exact_term, scaled_terms_mod
 
 __all__ = [
     "Modulus",
-    "ValUnit",
-    "factorial_table",
     "jacobi",
     "primes_in",
     "CongruenceSpec",
@@ -20,6 +18,6 @@ __all__ = [
     "verify",
     "SequenceId",
     "exact_term",
-    "terms_mod",
+    "scaled_terms_mod",
     "__version__",
 ]

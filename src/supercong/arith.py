@@ -1,16 +1,13 @@
-"""Exact modular arithmetic mod p^k with p-adic valuation tracking.
+"""Exact modular arithmetic mod p^k: primes, Jacobi symbols, inverses and
+Hensel-lifted square roots.
 
-Everything downstream (sequence recurrences mod p^k, quadratic-form and
-binomial right-hand sides, Hensel-lifted square roots) sits on top of this
-module.  Residues are plain Python ints in [0, p^k); the only wrapper type is
-ValUnit, which keeps a number in the form p^v * u with u a unit, so that
-binomial coefficients whose factorials contain powers of p can be divided
-exactly.
+Residues are plain Python ints in [0, p^k).  The sweep only ever divides by
+p-adic units (its factorials stop below p), so no valuation tracking is
+needed anywhere downstream.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set for all n < 2^64.
@@ -91,104 +88,6 @@ def inv(a: int, m: Modulus) -> int:
     if a % m.p == 0:
         raise ValueError(f"{a} is not invertible modulo {m.p}^{m.k}")
     return pow(a, -1, m.pk)
-
-
-def batch_invert(values: list[int], modulus: int) -> list[int]:
-    """Invert many units mod `modulus` with a single modular inversion."""
-    n = len(values)
-    prefix = [1] * (n + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v % modulus
-    acc = pow(prefix[n], -1, modulus)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = acc * prefix[i] % modulus
-        acc = acc * values[i] % modulus
-    return out
-
-
-@dataclass(frozen=True)
-class ValUnit:
-    """A p-adic number p^v * u with explicit valuation v and unit u mod p^k."""
-
-    v: int
-    u: int
-
-    def mul(self, other: "ValUnit", m: Modulus) -> "ValUnit":
-        return ValUnit(self.v + other.v, self.u * other.u % m.pk)
-
-    def residue(self, m: Modulus) -> int:
-        if self.v >= m.k:
-            return 0
-        return self.u * m.p**self.v % m.pk
-
-
-class FactorialTable:
-    """n! = p^vals[n] * units[n] for n = 0..N, all units reduced mod p^k.
-
-    Built in one incremental pass that strips powers of p from each
-    multiplier, so units stay invertible; inv_units holds their inverses
-    (batch-inverted).  Instances are immutable after construction and safe
-    to share across threads/processes.
-    """
-
-    __slots__ = ("m", "vals", "units", "inv_units", "_ppow")
-
-    def __init__(self, n_max: int, m: Modulus):
-        if n_max < 0:
-            raise ValueError("table size must be >= 0")
-        p, pk = m.p, m.pk
-        vals = [0] * (n_max + 1)
-        units = [1] * (n_max + 1)
-        v = 0
-        u = 1
-        for i in range(1, n_max + 1):
-            j = i
-            while j % p == 0:
-                j //= p
-                v += 1
-            u = u * j % pk
-            vals[i] = v
-            units[i] = u
-        self.m = m
-        self.vals = vals
-        self.units = units
-        self.inv_units = batch_invert(units, pk)
-        self._ppow = [p**e for e in range(m.k)]
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-    def __getitem__(self, n: int) -> ValUnit:
-        return ValUnit(self.vals[n], self.units[n])
-
-    def binomial(self, n: int, r: int) -> ValUnit:
-        if r < 0 or r > n:
-            raise ValueError(f"binomial({n},{r}) out of range")
-        v = self.vals[n] - self.vals[r] - self.vals[n - r]
-        pk = self.m.pk
-        u = self.units[n] * self.inv_units[r] % pk * self.inv_units[n - r] % pk
-        return ValUnit(v, u)
-
-    def binomial_residue(self, n: int, r: int) -> int:
-        """C(n,r) mod p^k, the fast path behind the InvBinomSq right-hand side."""
-        v = self.vals[n] - self.vals[r] - self.vals[n - r]
-        if v >= self.m.k:
-            return 0
-        pk = self.m.pk
-        return (
-            self._ppow[v]
-            * self.units[n]
-            % pk
-            * self.inv_units[r]
-            % pk
-            * self.inv_units[n - r]
-            % pk
-        )
-
-
-def factorial_table(n_max: int, m: Modulus) -> FactorialTable:
-    return FactorialTable(n_max, m)
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

@@ -18,7 +18,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import FactorialTable, Modulus, factorial_table, inv, jacobi, primes_in
+from .arith import Modulus, inv, jacobi, primes_in
 from .quadforms import FormSpec, QuadRep, represent, rhs_quadratic
 from .report import (
     SKIP_BRANCH_ANOMALY,
@@ -28,7 +28,7 @@ from .report import (
     Report,
     Row,
 )
-from .sequences import SequenceId, terms_mod
+from .sequences import SequenceId, scaled_terms_mod
 
 
 # -- predicate / template / character types ----------------------------------
@@ -426,29 +426,47 @@ def catalog_forms() -> list[FormSpec]:
 
 
 class PrimeContext:
-    """Shared per-prime state: factorial table and family term cache."""
+    """Shared per-prime state mod p^3: factorials and the family term cache.
+
+    Every index here is below p, so every factorial is a p-adic unit: the
+    terms are generated without division, and lhs_sum inverts once per row.
+    """
 
     def __init__(self, p: int):
         self.p = p
         self.m3 = Modulus.make(p, 3)
-        self._table: FactorialTable | None = None
+        self._table: list[int] | None = None
         self._terms: dict[SequenceId, list[int]] = {}
 
     @property
-    def table(self) -> FactorialTable:
-        """0!..(p-1)!, all that the InvBinomSq right-hand side reads (top < p)."""
+    def table(self) -> list[int]:
+        """n! mod p^3 for n < p."""
         if self._table is None:
-            self._table = factorial_table(self.p - 1, self.m3)
+            pk = self.m3.pk
+            table = [1] * self.p
+            for n in range(1, self.p):
+                table[n] = table[n - 1] * n % pk
+            self._table = table
         return self._table
 
+    def binomial(self, n: int, r: int) -> int:
+        """C(n, r) mod p^3 for 0 <= r <= n < p, with one inversion."""
+        table = self.table
+        return table[n] * inv(table[r] * table[n - r], self.m3) % self.m3.pk
+
     def terms(self, seq: SequenceId) -> list[int]:
+        """a_n (n!)^3 mod p^3 for n < p."""
         if seq not in self._terms:
-            self._terms[seq] = terms_mod(seq, self.p, self.m3)
+            self._terms[seq] = scaled_terms_mod(seq, self.p, self.m3.pk)
         return self._terms[seq]
 
 
 def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> int:
-    """sum_{k<=limit} a_k m^-k mod p^mod_exp."""
+    """sum_{k<=L} a_k m^-k mod p^mod_exp, from the projective terms x_k = a_k (k!)^3.
+
+    Z_0 = 0, Z_{k+1} = k^3 m Z_k + x_k gives Z_{L+1} = (L!)^3 m^L times the
+    sum, so one inversion finishes it.
+    """
     if ctx is None:
         ctx = PrimeContext(p)
     m3 = ctx.m3
@@ -458,13 +476,11 @@ def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> in
         raise ValueError(f"p={p} divides m for {spec.id}")
     terms = ctx.terms(spec.sequence)
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
-    w = inv(mm, m3)
-    acc = 0
-    wk = 1
+    z = 0
     for k in range(limit + 1):
-        acc = (acc + terms[k] * wk) % pk
-        wk = wk * w % pk
-    return acc % p**spec.mod_exp
+        z = (k * k * k * mm * z + terms[k]) % pk
+    scale = pow(ctx.table[limit], 3, pk) * pow(mm, limit, pk)
+    return z * inv(scale, m3) % p**spec.mod_exp
 
 
 def rhs_value(
@@ -490,7 +506,7 @@ def rhs_value(
         bottom = rhs.bottom.eval(p)
         if not (0 <= bottom <= top < p):
             raise ValueError(f"binomial arguments out of range at p={p}")
-        b = ctx.table.binomial_residue(top, bottom) % me.pk
+        b = ctx.binomial(top, bottom) % me.pk
         rho = rhs.rho.numerator * inv(rhs.rho.denominator, me) % me.pk
         val = rho * p * p % me.pk * pow(inv(b, me), 2, me.pk) % me.pk
     return sign * val % me.pk

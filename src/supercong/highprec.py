@@ -239,8 +239,11 @@ class CheckResult:
 
 
 def _certify(name: str, digits: int, work_digits: int | None, evaluate) -> CheckResult:
-    """Check max(|Re v - expected|, |Im v|) < 10^-digits for (v, expected) =
-    evaluate(prec), run at the working precision of work_digits digits."""
+    """Check max(|Re v - expected|, |Im v|) < 10^-digits * min(1, |expected|)
+    for (v, expected) = evaluate(prec), run at the working precision of
+    work_digits digits.  The bound is relative below |expected| = 1, so a small
+    value still agrees to `digits` significant digits; the reported residual
+    is the absolute one."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
     if work_digits is None:
@@ -249,7 +252,8 @@ def _certify(name: str, digits: int, work_digits: int | None, evaluate) -> Check
     with mp.workprec(prec):
         val, expected = evaluate(prec)
         residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val)))
-        return CheckResult(name, residual < mpmath.mpf(10) ** (-digits), float(residual))
+        bound = mpmath.mpf(10) ** (-digits) * min(1, abs(expected))
+        return CheckResult(name, residual < bound, float(residual))
 
 
 def _cm_value(target: CMTarget, prec: int):

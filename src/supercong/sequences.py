@@ -2,17 +2,16 @@
 
 Two independent generators.  The defining sums give exact big-integer terms:
 the oracle, also used by the q-series layer.  One table of three-term
-recurrences gives the terms mod p^k that the prime sweep needs (a_0..a_{p-1}
-at every qualifying prime), in O(count) steps for every family.
+recurrences gives what the prime sweep needs, the projective terms
+a_n (n!)^3 mod p^3 for n < p at every qualifying prime, in O(count)
+multiplications and no division for every family.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import comb, prod
+from math import comb
 from typing import NamedTuple
-
-from .arith import Modulus, batch_invert
 
 
 class SequenceId(str, Enum):
@@ -128,33 +127,21 @@ def alternate_formulas(seq: SequenceId, n: int) -> list[int]:
     return [exact_term(seq, n)]
 
 
-def terms_mod(seq: SequenceId, count: int, m: Modulus) -> list[int]:
-    """a_0..a_{count-1} reduced mod p^k, from the family's RECURRENCES row.
+def scaled_terms_mod(seq: SequenceId, count: int, modulus: int) -> list[int]:
+    """x_n = a_n (n!)^3 mod `modulus` for n < count, from the family's RECURRENCES row.
 
-    Each step divides by (n+1)^3.  For n+1 < p that divisor is a unit; each
-    factor p of n+1 instead costs three p-adic digits, so the loop runs mod
-    p^(k + 3 v_p((count-1)!)) and every term is still exact mod p^k.
+    The row multiplied through by (n!)^3 reads
+    x_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) x_n - e n^6 x_{n-1}, x_0 = 1.
+    It never divides, so every term is exact for any count and any modulus.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
-    p = m.p
-    # (n+1)^3 = scales[n] * units[n] with units[n] prime to p
-    scales, units = [], []
-    for j in range(1, count):
-        scale = 1
-        while j % p == 0:
-            j //= p
-            scale *= p**3
-        scales.append(scale)
-        units.append(j**3)
-    work = m.pk * prod(scales)
-    inverses = batch_invert(units, work)
-    terms = [1]
+    terms = [1 % modulus]
     prev = 0
     for n in range(count - 1):
-        num = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * terms[n] - e * n**3 * prev
-        prev = terms[n]
-        # num is (n+1)^3 a_{n+1} to a precision that covers scales[n]
-        terms.append(num % work // scales[n] * inverses[n] % work)
-    return [a % m.pk for a in terms]
+        cur = terms[n]
+        terms.append((c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
+                      - e * n**6 * prev) % modulus)
+        prev = cur
+    return terms

@@ -1,13 +1,11 @@
-import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong.arith import (
     Modulus,
-    ValUnit,
-    batch_invert,
-    factorial_table,
     inv,
     is_prime,
     jacobi,
@@ -66,96 +64,6 @@ def test_inv():
         inv(3, m)
 
 
-def test_batch_invert():
-    m = Modulus.make(7, 3)
-    vals = [1, 2, 5, 6, 10, 12, 341]
-    out = batch_invert(vals, m.pk)
-    for v, w in zip(vals, out):
-        assert v * w % m.pk == 1
-
-
-def test_factorial_table_values():
-    m = Modulus.make(3, 3)
-    table = factorial_table(10, m)
-    assert table[0] == ValUnit(0, 1)
-    assert table[3] == ValUnit(1, 2)  # 3! = 6 = 3 * 2
-    m5 = Modulus.make(5, 3)
-    t5 = factorial_table(12, m5)
-    ten = t5[10]
-    assert ten.v == 2
-    assert ten.u == math.factorial(10) // 25 % 125 == 27
-
-
-def test_factorial_table_random_against_bigint():
-    rng = random.Random(11)
-    for _ in range(25):
-        p = rng.choice(primes_in(3, 60))
-        k = rng.randint(1, 3)
-        m = Modulus.make(p, k)
-        n_max = rng.randint(5, 200)
-        table = factorial_table(n_max, m)
-        n = rng.randint(0, n_max)
-        f = math.factorial(n)
-        v = 0
-        while f % p == 0:
-            f //= p
-            v += 1
-        assert table[n].v == v
-        assert table[n].u == f % m.pk
-
-
-def test_binomial_vu_examples():
-    m = Modulus.make(3, 3)
-    table = factorial_table(8, m)
-    assert table.binomial(0, 0) == ValUnit(0, 1)
-    assert table.binomial(4, 2) == ValUnit(1, 2)  # 6 = 3 * 2
-    m7 = Modulus.make(7, 3)
-    t7 = factorial_table(8, m7)
-    assert t7.binomial(8, 4) == ValUnit(1, 10)  # 70 = 7 * 10
-    with pytest.raises(ValueError):
-        table.binomial(3, 5)
-
-
-def test_binomial_vu_random_against_comb():
-    rng = random.Random(3)
-    for _ in range(60):
-        p = rng.choice(primes_in(3, 100))
-        k = rng.randint(1, 3)
-        m = Modulus.make(p, k)
-        n = rng.randint(0, 2000)
-        r = rng.randint(0, n)
-        table = factorial_table(n, m)
-        vu = table.binomial(n, r)
-        assert vu.residue(m) == math.comb(n, r) % m.pk
-
-
-def test_to_residue():
-    m = Modulus.make(3, 3)
-    assert ValUnit(0, 5).residue(m) == 5
-    assert ValUnit(3, 2).residue(m) == 0
-    assert ValUnit(1, 2).residue(m) == 6
-
-
-def test_valunit_mul_against_bigint():
-    rng = random.Random(5)
-    for _ in range(500):
-        p = rng.choice(primes_in(3, 50))
-        k = rng.randint(1, 4)
-        m = Modulus.make(p, k)
-        a = rng.randint(1, 10**6)
-        b = rng.randint(1, 10**6)
-
-        def split(n):
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            return ValUnit(v, n % m.pk)
-
-        prod = split(a).mul(split(b), m)
-        assert prod.residue(m) == a * b % m.pk
-
-
 def test_sqrt_mod_pk():
     m = Modulus.make(7, 2)
     assert sqrt_mod_pk(4, m) == 2
@@ -184,6 +92,22 @@ def test_sqrt_mod_pk_random():
             assert r * r % m.pk == a % m.pk
             assert r <= m.pk - r
         count += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(primes_in(3, 500)), k=st.integers(1, 4), a=st.integers(1, 500**4))
+def test_sqrt_mod_pk_property(p, k, a):
+    m = Modulus.make(p, k)
+    a %= m.pk
+    if a % p == 0:
+        a += 1
+    r = sqrt_mod_pk(a, m)
+    # Euler's criterion, independent of the Jacobi routine sqrt_mod_pk uses
+    non_residue = pow(a, (p - 1) // 2, p) == p - 1
+    assert (r is None) == non_residue
+    if r is not None:
+        assert r * r % m.pk == a
+        assert 0 <= r <= m.pk - r
 
 
 def test_primes_in():

@@ -13,6 +13,7 @@ from supercong.congruence import (
     Branch,
     CharSpec,
     CongruenceSpec,
+    InvBinomSq,
     PrimeContext,
     PrimePredicate,
     catalog,
@@ -25,7 +26,7 @@ from supercong.congruence import (
 )
 from supercong.quadforms import QuadRep, represent
 from supercong.report import Report
-from supercong.sequences import SequenceId, exact_terms
+from supercong.sequences import RECURRENCES, SequenceId, exact_terms
 
 
 def oracle_lhs_fraction(spec, p):
@@ -140,6 +141,57 @@ def test_lhs_sum_against_oracle():
             continue
         assert lhs_sum(spec, p) == oracle_lhs_fraction(spec, p), (spec.id, p)
         checked += 1
+
+
+def recurrence_lhs(spec, p):
+    """sum a_k m^-k mod p^3 from exact terms of the recurrence, each division checked."""
+    c, alpha, beta, e = RECURRENCES[spec.sequence]
+    limit = (p - 1) // 2 if spec.limit == "half" else p - 1
+    terms, prev = [1], 0
+    for n in range(limit):
+        q, r = divmod(c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * terms[n]
+                      - e * n**3 * prev, (n + 1) ** 3)
+        assert r == 0
+        prev = terms[n]
+        terms.append(q)
+    pk = p**3
+    w = pow(spec.m, -1, pk)
+    return sum(a % pk * pow(w, k, pk) for k, a in enumerate(terms)) % pk
+
+
+def test_lhs_sum_against_recurrence_oracle_near_1100():
+    # the first proven row of each family, at its first qualifying prime in [1100, 1130]
+    checked = set()
+    for spec in catalog():
+        if spec.status != "proven" or spec.sequence in checked:
+            continue
+        p = next(p for p in primes_in(1100, 1130) if spec.qualifies(p) and spec.m % p)
+        assert lhs_sum(spec, p) == recurrence_lhs(spec, p), (spec.id, p)
+        checked.add(spec.sequence)
+    assert checked == set(SequenceId)
+
+
+def test_prime_context_table_is_factorials():
+    for p in (3, 5, 97, 1109):
+        table = PrimeContext(p).table
+        assert table == [math.factorial(n) % p**3 for n in range(p)]
+
+
+def test_invbinomsq_binomials_match_comb():
+    contexts = {}
+    checked = 0
+    for spec in catalog():
+        for branch in spec.branches:
+            if not isinstance(branch.rhs, InvBinomSq):
+                continue
+            for p in primes_in(5, 2000):
+                if not spec.qualifies(p) or spec.match_branch(p) is not branch:
+                    continue
+                ctx = contexts.setdefault(p, PrimeContext(p))
+                top, bottom = branch.rhs.top.eval(p), branch.rhs.bottom.eval(p)
+                assert ctx.binomial(top, bottom) == math.comb(top, bottom) % p**3
+                checked += 1
+    assert checked == 1085
 
 
 def test_lhs_sum_frozen_examples():

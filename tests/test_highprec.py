@@ -236,6 +236,17 @@ def test_cm_check_detects_perturbation():
     assert 1e-31 < res.residual < 1e-29
 
 
+def test_cm_check_is_relative_for_small_values():
+    # u(sqrt(-58)/2) = 1/396^4 ~ 4.1e-11: a relative error of 1e-50 leaves an
+    # absolute residual of ~4e-61, under 10^-60, yet only 50 digits agree
+    base = next(t for t in cm_table() if t.expected == Fraction(1, 396**4))
+    perturbed = CMTarget(base.name, base.fn, base.point,
+                         base.expected * (1 + Fraction(1, 10**50)))
+    res = cm_check(perturbed, 60, work_digits=80)
+    assert not res.ok
+    assert 1e-61 < res.residual < 1e-60
+
+
 def test_cm_check_stability_under_higher_precision():
     for target in cm_table()[::6]:
         r80 = cm_check(target, 60, work_digits=80)

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.arith import Modulus, factorial_table, primes_in
+from supercong.arith import primes_in
 from supercong.sequences import (
     ALL_SEQUENCES,
     RECURRENCES,
@@ -12,7 +13,7 @@ from supercong.sequences import (
     alternate_formulas,
     exact_term,
     exact_terms,
-    terms_mod,
+    scaled_terms_mod,
 )
 
 ORACLE_COUNT = 201
@@ -22,6 +23,13 @@ ORACLE_COUNT = 201
 def oracle():
     """a_0..a_200 of every family from the defining sums."""
     return {seq: exact_terms(seq, ORACLE_COUNT) for seq in ALL_SEQUENCES}
+
+
+@pytest.fixture(scope="module")
+def scaled_oracle(oracle):
+    """a_n (n!)^3 for n <= 200, exact."""
+    return {seq: [a * math.factorial(n) ** 3 for n, a in enumerate(oracle[seq])]
+            for seq in ALL_SEQUENCES}
 
 
 def recurrence_mismatches(seq, terms):
@@ -64,39 +72,37 @@ def test_all_formulas_agree_to_100():
 
 
 def test_terms_mod_examples():
-    m = Modulus.make(3, 3)
-    assert terms_mod(SequenceId.CB3, 3, m) == [1, 8, 0]  # 216 = 8 * 27
-    m5 = Modulus.make(5, 3)
-    assert terms_mod(SequenceId.A, 3, m5) == [1, 5, 73]
-    assert terms_mod(SequenceId.CB3, 1, m5) == [1]
+    assert scaled_terms_mod(SequenceId.CB3, 3, 27) == [1, 8, 0]  # 216 * 2!^3 = 64 * 27
+    assert scaled_terms_mod(SequenceId.A, 3, 125) == [1, 5, 84]  # 73 * 8 = 584
+    assert scaled_terms_mod(SequenceId.CB3, 1, 125) == [1]
+    assert scaled_terms_mod(SequenceId.A, 3, 1) == [0, 0, 0]
 
 
-def test_terms_mod_matches_exact():
+def test_terms_mod_matches_exact(scaled_oracle):
     rng = random.Random(23)
-    count = 300
-    exact = {seq: exact_terms(seq, count) for seq in ALL_SEQUENCES}
+    count = ORACLE_COUNT
     for _ in range(10):
         p = rng.choice(primes_in(3, 60))
-        k = rng.randint(1, 3)
-        m = Modulus.make(p, k)
+        modulus = p ** rng.randint(1, 3)
         for seq in ALL_SEQUENCES:
-            got = terms_mod(seq, count, m)
-            assert got == [a % m.pk for a in exact[seq]], (seq, p, k)
+            got = scaled_terms_mod(seq, count, modulus)
+            assert got == [x % modulus for x in scaled_oracle[seq]], (seq, modulus)
 
 
 def test_cb3_upper_range_valuations():
     # C(2k,k)^3 has p-valuation >= 3 for (p+1)/2 <= k <= p-1
     for p in primes_in(3, 60):
-        m = Modulus.make(p, 3)
-        table = factorial_table(2 * p, m)
         for k in range((p + 1) // 2, p):
-            assert 3 * table.binomial(2 * k, k).v >= 3
+            b, v = math.comb(2 * k, k), 0
+            while b % p == 0:
+                b //= p
+                v += 1
+            assert 3 * v >= 3
 
 
 def test_terms_mod_validation():
-    m = Modulus.make(5, 3)
     with pytest.raises(ValueError):
-        terms_mod(SequenceId.CB3, 0, m)
+        scaled_terms_mod(SequenceId.CB3, 0, 125)
 
 
 def test_recurrences_reproduce_exact_terms(oracle):
@@ -106,22 +112,24 @@ def test_recurrences_reproduce_exact_terms(oracle):
         assert recurrence_mismatches(seq, oracle[seq]) == [], seq
 
 
-def test_recurrence_check_rejects_wrong_coefficient(oracle, monkeypatch):
+def test_recurrence_check_rejects_wrong_coefficient(oracle, scaled_oracle, monkeypatch):
     row = RECURRENCES[SequenceId.A]
     monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(beta=row.beta + 1))
     assert recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
-    m = Modulus.make(7, 3)
-    assert terms_mod(SequenceId.A, 7, m) != [a % m.pk for a in oracle[SequenceId.A][:7]]
+    expected = [x % 343 for x in scaled_oracle[SequenceId.A][:7]]
+    assert scaled_terms_mod(SequenceId.A, 7, 343) != expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seq=st.sampled_from(ALL_SEQUENCES),
-    p=st.sampled_from(primes_in(3, 97)),
-    k=st.integers(1, 4),
+    modulus=st.one_of(
+        st.builds(pow, st.sampled_from(primes_in(3, 97)), st.integers(1, 4)),
+        st.integers(1, 10**12),
+    ),
     count=st.integers(1, ORACLE_COUNT - 1),
 )
-def test_terms_mod_matches_exact_property(oracle, seq, p, k, count):
-    # count > p and count > p^2 (small p) make the recurrence divide by p
-    m = Modulus.make(p, k)
-    assert terms_mod(seq, count, m) == [a % m.pk for a in oracle[seq][:count]]
+def test_terms_mod_matches_exact_property(scaled_oracle, seq, modulus, count):
+    # count > p (small p) and composite moduli: the kernel never divides
+    got = scaled_terms_mod(seq, count, modulus)
+    assert got == [x % modulus for x in scaled_oracle[seq][:count]]
