@@ -1,11 +1,14 @@
 """Catalog of the verified congruences and the prime-sweep harness.
 
-Each catalog row states: a sequence family, the denominator base m (terms are
+Each catalog row states: a sequence family, the denominator m (terms are
 a_k / m^k), the summation limit (half = (p-1)/2, full = p-1), the modulus
 exponent, a predicate selecting the qualifying primes, and one or more
 branches.  A branch refines the predicate, optionally names the binary
 quadratic form giving x and y, and carries the right-hand-side template plus
-a quadratic-character prefactor.
+a quadratic-character prefactor.  A row whose m is a certified CM value also
+carries its CM point tau = re + im*sqrt(-d): m = 1/x(tau) for the Hauptmodul
+x paired with the family (qseries.HAUPTMODUL_SEQUENCE, with its sign), and
+highprec.cm_table derives its targets from these rows.
 
 Statuses: "proven" rows form the default verification gate; "conjectural"
 and "cited" rows are swept separately (a failure there points at a catalog
@@ -15,7 +18,7 @@ encoding bug, not at the underlying mathematics).
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Modulus, inv, jacobi, primes_in
@@ -122,17 +125,13 @@ class CongruenceSpec:
     id: str
     status: str  # proven | conjectural | cited
     sequence: SequenceId
-    m_base: int
-    m_cubed: bool
+    m: int
     limit: str  # half | full
     mod_exp: int
     predicate: PrimePredicate
     branches: tuple[Branch, ...]
     source: str
-
-    @property
-    def m(self) -> int:
-        return self.m_base**3 if self.m_cubed else self.m_base
+    tau: tuple[Fraction, Fraction, int] | None = None  # CM point (re, im, d)
 
     def qualifies(self, p: int) -> bool:
         return self.predicate.holds(p)
@@ -174,143 +173,153 @@ def _merge(*preds: PrimePredicate) -> PrimePredicate:
 
 def _simple(
     spec_id, status, seq, m, limit, pred, form, rhs=QF4, char=CharSpec(), source="",
-    m_cubed=False, mod_exp=3,
+    tau=None,
 ):
     branch = Branch(_ALWAYS, form, rhs, char)
-    return CongruenceSpec(
-        spec_id, status, seq, m, m_cubed, limit, mod_exp, pred, (branch,), source
-    )
+    return CongruenceSpec(spec_id, status, seq, m, limit, 3, pred, (branch,), source, tau)
+
+
+def _chi(u: int) -> CharSpec:
+    return CharSpec(jacobi_factors=(u,))
 
 
 _PARITY2 = CharSpec(parity_factors=(2,))
 
 
 def _build_catalog() -> list[CongruenceSpec]:
-    S = SequenceId
+    S, F = SequenceId, Fraction
     rows: list[CongruenceSpec] = []
     add = rows.append
 
-    # central binomial cubes, half sums
+    # central binomial cubes, half sums; CM points of t
     p7 = _rc(7, 1, 2, 4)
     x7 = FormSpec(1, 7, 1)
-    add(_simple("T1.1", "proven", S.CB3, 1, "half", p7, x7, source="Thm 1.1"))
+    t7 = (F(3, 8), F(1, 8), 7)
+    add(_simple("T1.1", "proven", S.CB3, 1, "half", p7, x7, source="Thm 1.1", tau=t7))
     add(_simple("T1.1-b", "proven", S.CB3, 4096, "half", p7, x7, char=_PARITY2,
-                source="Thm 1.1"))
+                source="Thm 1.1", tau=(F(0), F(1, 2), 7)))
     p3 = _rc(3, 1)
     x3 = FormSpec(1, 3, 1)
-    add(_simple("T1.2", "proven", S.CB3, 16, "half", p3, x3, source="Thm 1.2"))
+    add(_simple("T1.2", "proven", S.CB3, 16, "half", p3, x3, source="Thm 1.2",
+                tau=(F(3, 4), F(1, 4), 3)))
     add(_simple("T1.2-b", "proven", S.CB3, 256, "half", p3, x3, char=_PARITY2,
-                source="Thm 1.2"))
+                source="Thm 1.2", tau=(F(0), F(1, 2), 3)))
     p4 = _rc(4, 1)
     x4 = FormSpec(1, 4, 1)
-    add(_simple("T1.3", "proven", S.CB3, -8, "half", p4, x4, source="Thm 1.3"))
+    add(_simple("T1.3", "proven", S.CB3, -8, "half", p4, x4, source="Thm 1.3",
+                tau=(F(1, 2), F(1, 2), 1)))
     p8 = _rc(8, 1, 3)
     x2 = FormSpec(1, 2, 1)
     add(_simple("T1.4", "proven", S.CB3, -64, "half", p8, x2, char=_PARITY2,
-                source="Thm 1.4"))
+                source="Thm 1.4", tau=(F(1, 2), F(1, 2), 2)))
 
-    # C(2k,k)^2 C(4k,2k), full sums
-    add(_simple("T1.5", "proven", S.CB4, 256, "full", p8, x2, source="Thm 1.5"))
-    add(_simple("T1.6", "proven", S.CB4, -144, "full", p3, x3, source="Thm 1.6"))
-    add(_simple("T1.7", "proven", S.CB4, 648, "full", p4, x4, source="Thm 1.7"))
-    add(_simple("T1.8", "proven", S.CB4, 81, "full", p7, x7, source="Thm 1.8"))
-    add(_simple("T1.8-b", "proven", S.CB4, -3969, "full", p7, x7, source="Thm 1.8"))
-    add(_simple("T1.9", "proven", S.CB4, 28**4, "full", p8, x2, source="Thm 1.9"))
+    # C(2k,k)^2 C(4k,2k), full sums; CM points of u
+    u2 = (F(0), F(1, 2), 2)
+    add(_simple("T1.5", "proven", S.CB4, 256, "full", p8, x2, source="Thm 1.5", tau=u2))
+    add(_simple("T1.6", "proven", S.CB4, -144, "full", p3, x3, source="Thm 1.6",
+                tau=(F(1, 2), F(1, 2), 3)))
+    add(_simple("T1.7", "proven", S.CB4, 648, "full", p4, x4, source="Thm 1.7",
+                tau=(F(1, 4), F(1, 4), 1)))
+    add(_simple("T1.8", "proven", S.CB4, 81, "full", p7, x7, source="Thm 1.8",
+                tau=(F(1, 4), F(1, 4), 7)))
+    add(_simple("T1.8-b", "proven", S.CB4, -3969, "full", p7, x7, source="Thm 1.8",
+                tau=(F(1, 2), F(1, 2), 7)))
+    add(_simple("T1.9", "proven", S.CB4, 28**4, "full", p8, x2, source="Thm 1.9",
+                tau=(F(0), F(3, 2), 2)))
     add(CongruenceSpec(
-        "T1.10", "proven", S.CB4, -12288, False, "full", 3, p4,
+        "T1.10", "proven", S.CB4, -12288, "full", 3, p4,
         (
             Branch(_rc(12, 1), FormSpec(1, 9, 1), QF4),
             Branch(_rc(12, 5), FormSpec(1, 9, 2), QF_M2),
         ),
-        "Thm 1.10",
+        "Thm 1.10", (F(1, 2), F(3, 2), 1),
     ))
     add(CongruenceSpec(
-        "T1.10-b", "proven", S.CB4, -6635520, False, "full", 3, p4,
+        "T1.10-b", "proven", S.CB4, -6635520, "full", 3, p4,
         (
             Branch(_rc(20, 1, 9), FormSpec(1, 25, 1), QF4),
             Branch(_rc(20, 13, 17), FormSpec(1, 25, 2), QF_M2),
         ),
-        "Thm 1.10",
+        "Thm 1.10", (F(1, 2), F(5, 2), 1),
     ))
     for suffix, mm, dmm in (("", -1024, 5), ("-b", -82944, 13), ("-c", -(14112**2), 37)):
         add(CongruenceSpec(
-            f"T1.11{suffix}", "proven", S.CB4, mm, False, "full", 3, _jc((-dmm, 1)),
+            f"T1.11{suffix}", "proven", S.CB4, mm, "full", 3, _jc((-dmm, 1)),
             (
                 Branch(_jc((-1, 1)), FormSpec(1, dmm, 1), QF4),
                 Branch(_jc((-1, -1)), FormSpec(1, dmm, 2), QF_M2),
             ),
-            "Thm 1.11",
+            "Thm 1.11", (F(1, 2), F(1, 2), dmm),
         ))
     for suffix, mm, dmm, unit in (
         ("", 48**2, 3, 2), ("-b", 12**4, 5, -2), ("-c", 1584**2, 11, 2),
         ("-d", 396**4, 29, -2),
     ):
         add(CongruenceSpec(
-            f"T1.12{suffix}", "proven", S.CB4, mm, False, "full", 3, _jc((-2 * dmm, 1)),
+            f"T1.12{suffix}", "proven", S.CB4, mm, "full", 3, _jc((-2 * dmm, 1)),
             (
                 Branch(_jc((unit, 1)), FormSpec(1, 2 * dmm, 1), QF4),
                 Branch(_jc((unit, -1)), FormSpec(2, dmm, 1), QF_M8),
             ),
-            "Thm 1.12",
+            "Thm 1.12", (F(0), F(1, 2), 2 * dmm),
         ))
 
-    # C(2k,k) C(3k,k) C(6k,3k), full sums; bases stored uncubed
-    def cb6(spec_id, base, pred, form, char_u, rhs=QF4, source=""):
-        return CongruenceSpec(
-            spec_id, "proven", S.CB6, base, True, "full", 3, pred,
-            (Branch(_ALWAYS, form, rhs, CharSpec(jacobi_factors=(char_u,))),),
-            source,
-        )
+    # C(2k,k) C(3k,k) C(6k,3k), full sums; each m is j(tau) for class number one
+    add(_simple("T1.13", "proven", S.CB6, 12**3, "full", p4, x4, char=_chi(-3),
+                source="Thm 1.13"))
+    add(_simple("T1.13-b", "proven", S.CB6, 66**3, "full", p4, x4, char=_chi(33),
+                source="Thm 1.13"))
+    add(_simple("T1.14", "proven", S.CB6, 54000, "full", p3, x3, char=_chi(5),
+                source="Thm 1.14"))
+    add(_simple("T1.15", "proven", S.CB6, 20**3, "full", p8, x2, char=_chi(-5),
+                source="Thm 1.15"))
+    add(_simple("T1.16", "proven", S.CB6, -15**3, "full", p7, x7, char=_chi(-15),
+                source="Thm 1.16"))
+    add(_simple("T1.16-b", "proven", S.CB6, 255**3, "full", p7, x7, char=_chi(-255),
+                source="Thm 1.16"))
+    add(_simple("T1.17", "proven", S.CB6, -12288000, "full", p3, FormSpec(1, 27, 4),
+                rhs=QF1, char=_chi(10), source="Thm 1.17"))
+    add(_simple("T1.18", "proven", S.CB6, -32**3, "full", _rc(11, 1, 3, 4, 5, 9),
+                FormSpec(1, 11, 4), rhs=QF1, char=_chi(-2), source="Thm 1.18"))
+    add(_simple("T1.19", "proven", S.CB6, -96**3, "full", _jc((-19, 1)),
+                FormSpec(1, 19, 4), rhs=QF1, char=_chi(-6), source="Thm 1.19"))
+    add(_simple("T1.20", "proven", S.CB6, -960**3, "full", _jc((-43, 1)),
+                FormSpec(1, 43, 4), rhs=QF1, char=_chi(-15), source="Thm 1.20"))
+    add(_simple("T1.21", "proven", S.CB6, -5280**3, "full", _jc((-67, 1)),
+                FormSpec(1, 67, 4), rhs=QF1, char=_chi(-330), source="Thm 1.21"))
+    add(_simple("T1.22", "proven", S.CB6, -640320**3, "full", _jc((-163, 1)),
+                FormSpec(1, 163, 4), rhs=QF1, char=_chi(-10005), source="Thm 1.22"))
 
-    add(cb6("T1.13", 12, p4, x4, -3, source="Thm 1.13"))
-    add(cb6("T1.13-b", 66, p4, x4, 33, source="Thm 1.13"))
-    add(CongruenceSpec(
-        "T1.14", "proven", S.CB6, 54000, False, "full", 3, p3,
-        (Branch(_ALWAYS, x3, QF4, CharSpec(jacobi_factors=(5,))),),
-        "Thm 1.14",
-    ))
-    add(cb6("T1.15", 20, p8, x2, -5, source="Thm 1.15"))
-    add(cb6("T1.16", -15, p7, x7, -15, source="Thm 1.16"))
-    add(cb6("T1.16-b", 255, p7, x7, -255, source="Thm 1.16"))
-    add(CongruenceSpec(
-        "T1.17", "proven", S.CB6, -12288000, False, "full", 3, p3,
-        (Branch(_ALWAYS, FormSpec(1, 27, 4), QF1, CharSpec(jacobi_factors=(10,))),),
-        "Thm 1.17",
-    ))
-    add(cb6("T1.18", -32, _rc(11, 1, 3, 4, 5, 9), FormSpec(1, 11, 4), -2, rhs=QF1,
-            source="Thm 1.18"))
-    add(cb6("T1.19", -96, _jc((-19, 1)), FormSpec(1, 19, 4), -6, rhs=QF1,
-            source="Thm 1.19"))
-    add(cb6("T1.20", -960, _jc((-43, 1)), FormSpec(1, 43, 4), -15, rhs=QF1,
-            source="Thm 1.20"))
-    add(cb6("T1.21", -5280, _jc((-67, 1)), FormSpec(1, 67, 4), -330, rhs=QF1,
-            source="Thm 1.21"))
-    add(cb6("T1.22", -640320, _jc((-163, 1)), FormSpec(1, 163, 4), -10005, rhs=QF1,
-            source="Thm 1.22"))
-
-    # Apery-like families
-    add(_simple("T1.23", "proven", S.V, 8, "full", p4, x4, source="Thm 1.23"))
-    add(_simple("T1.23-b", "proven", S.V, -16, "full", p4, x4, source="Thm 1.23"))
-    add(_simple("T1.24", "proven", S.T, -4, "full", p8, x2, source="Thm 1.24"))
-    add(_simple("T1.25", "proven", S.T, 1, "full", p7, x7, source="Thm 1.25"))
-    add(_simple("T1.25-b", "proven", S.T, 16, "full", p7, x7, source="Thm 1.25"))
-    add(_simple("T1.26", "proven", S.D, 8, "full", _rc(8, 1), x2, source="Thm 1.26"))
-    add(_simple("T1.27", "proven", S.D, -2, "full", _rc(12, 1), x3, source="Thm 1.27"))
+    # Apery-like families; CM points of s (m = -1/s), w, v and h
+    s1, s2 = (F(-1, 4), F(1, 4), 1), (F(0), F(1, 2), 1)
+    add(_simple("T1.23", "proven", S.V, 8, "full", p4, x4, source="Thm 1.23", tau=s1))
+    add(_simple("T1.23-b", "proven", S.V, -16, "full", p4, x4, source="Thm 1.23", tau=s2))
+    add(_simple("T1.24", "proven", S.T, -4, "full", p8, x2, source="Thm 1.24",
+                tau=(F(1, 2), F(1, 4), 2)))
+    w7 = (F(5, 16), F(1, 16), 7)
+    add(_simple("T1.25", "proven", S.T, 1, "full", p7, x7, source="Thm 1.25", tau=w7))
+    add(_simple("T1.25-b", "proven", S.T, 16, "full", p7, x7, source="Thm 1.25",
+                tau=(F(1, 8), F(1, 8), 7)))
+    add(_simple("T1.26", "proven", S.D, 8, "full", _rc(8, 1), x2, source="Thm 1.26",
+                tau=(F(1, 6), F(1, 6), 2)))
+    add(_simple("T1.27", "proven", S.D, -2, "full", _rc(12, 1), x3, source="Thm 1.27",
+                tau=(F(1, 2), F(1, 6), 3)))
     add(_simple("T1.27-b", "proven", S.D, -32, "full", _rc(24, 1), x3,
-                source="Thm 1.27"))
+                source="Thm 1.27", tau=(F(1, 2), F(1, 3), 3)))
     add(CongruenceSpec(
-        "T1.28", "proven", S.D, -8, False, "full", 3, _rc(24, 1, 5),
+        "T1.28", "proven", S.D, -8, "full", 3, _rc(24, 1, 5),
         (
             Branch(_rc(24, 1), FormSpec(1, 6, 1), QF4),
             Branch(_rc(24, 5), FormSpec(2, 3, 1), QF8),
         ),
-        "Thm 1.28",
+        "Thm 1.28", (F(1, 2), F(1, 6), 6),
     ))
-    add(_simple("T1.29", "proven", S.A, -1, "full", p3, x3, source="Thm 1.29"))
+    add(_simple("T1.29", "proven", S.A, -1, "full", p3, x3, source="Thm 1.29",
+                tau=(F(1, 2), F(1, 6), 3)))
 
     # cited rows: proved elsewhere, swept to validate the encoding
     add(CongruenceSpec(
-        "I1.2", "cited", S.CB3, 64, False, "half", 3, _ALWAYS,
+        "I1.2", "cited", S.CB3, 64, "half", 3, _ALWAYS,
         (
             Branch(_rc(4, 1), x4, QF4),
             Branch(_rc(4, 3), None,
@@ -321,7 +330,7 @@ def _build_catalog() -> list[CongruenceSpec]:
     add(_simple("I1.3", "cited", S.CB3, -512, "half", p4, x4,
                 char=CharSpec(parity_factors=(4,)), source="(1.3)"))
     add(CongruenceSpec(
-        "R20.1", "cited", S.T, 4, False, "full", 3, _ALWAYS,
+        "R20.1", "cited", S.T, 4, "full", 3, _ALWAYS,
         (
             Branch(_rc(4, 1), x4, QF4),
             Branch(_rc(4, 3), None,
@@ -330,62 +339,44 @@ def _build_catalog() -> list[CongruenceSpec]:
         "[20]",
     ))
     add(CongruenceSpec(
-        "R20.2", "cited", S.T, 1, False, "full", 2, _rc(7, 1, 2, 3, 4, 5, 6),
+        "R20.2", "cited", S.T, 1, "full", 2, _rc(7, 1, 2, 3, 4, 5, 6),
         (
             Branch(_rc(7, 1, 2, 4), x7, QF_P2),
             Branch(_rc(7, 3, 5, 6), None, ZeroRhs()),
         ),
-        "[20]",
+        "[20]", w7,
     ))
-    add(_simple("R9.2", "cited", S.A, 1, "full", p8, x2, source="(9.4)"))
+    add(_simple("R9.2", "cited", S.A, 1, "full", p8, x2, source="(9.4)",
+                tau=(F(1, 3), F(1, 6), 2)))
 
     # conjectural rows (explicit right-hand sides only)
-    third7 = InvBinomSq(Fraction(-11), FloorExpr(3, 0, 7), FloorExpr(1, 0, 7))
+    for suffix, cls, rho in (("-b", 3, Fraction(-11)), ("-c", 5, Fraction(-11, 16)),
+                             ("-d", 6, Fraction(-11, 4))):
+        add(CongruenceSpec(
+            f"I1.1{suffix}", "conjectural", S.CB3, 1, "full", 3, _rc(7, cls),
+            (Branch(_ALWAYS, None, InvBinomSq(rho, FloorExpr(3, 0, 7), FloorExpr(1, 0, 7))),),
+            "(1.1)", t7,
+        ))
+    for suffix, cls, rho in (("-b", 5, Fraction(1, 3)), ("-c", 7, Fraction(-3, 2))):
+        add(CongruenceSpec(
+            f"I1.4{suffix}", "conjectural", S.CB4, 256, "full", 3, _rc(8, cls),
+            (Branch(_ALWAYS, None, InvBinomSq(rho, FloorExpr(1, 0, 4), FloorExpr(1, 0, 8))),),
+            "(1.4)", u2,
+        ))
     add(CongruenceSpec(
-        "I1.1-b", "conjectural", S.CB3, 1, False, "full", 3, _rc(7, 3),
-        (Branch(_ALWAYS, None, third7),), "(1.1)",
-    ))
-    add(CongruenceSpec(
-        "I1.1-c", "conjectural", S.CB3, 1, False, "full", 3, _rc(7, 5),
-        (Branch(_ALWAYS, None,
-                InvBinomSq(Fraction(-11, 16), FloorExpr(3, 0, 7), FloorExpr(1, 0, 7))),),
-        "(1.1)",
-    ))
-    add(CongruenceSpec(
-        "I1.1-d", "conjectural", S.CB3, 1, False, "full", 3, _rc(7, 6),
-        (Branch(_ALWAYS, None,
-                InvBinomSq(Fraction(-11, 4), FloorExpr(3, 0, 7), FloorExpr(1, 0, 7))),),
-        "(1.1)",
-    ))
-    add(CongruenceSpec(
-        "I1.4-b", "conjectural", S.CB4, 256, False, "full", 3, _rc(8, 5),
-        (Branch(_ALWAYS, None,
-                InvBinomSq(Fraction(1, 3), FloorExpr(1, 0, 4), FloorExpr(1, 0, 8))),),
-        "(1.4)",
-    ))
-    add(CongruenceSpec(
-        "I1.4-c", "conjectural", S.CB4, 256, False, "full", 3, _rc(8, 7),
-        (Branch(_ALWAYS, None,
-                InvBinomSq(Fraction(-3, 2), FloorExpr(1, 0, 4), FloorExpr(1, 0, 8))),),
-        "(1.4)",
-    ))
-    add(CongruenceSpec(
-        "I1.5-b", "conjectural", S.CB6, 12, True, "full", 3, _rc(4, 3),
+        "I1.5-b", "conjectural", S.CB6, 12**3, "full", 3, _rc(4, 3),
         (Branch(_ALWAYS, None,
                 InvBinomSq(Fraction(5, 12), FloorExpr(1, -3, 2), FloorExpr(1, -3, 4)),
-                CharSpec(jacobi_factors=(-3,))),),
+                _chi(-3)),),
         "(1.5)",
     ))
     p3mod4_not3 = _merge(_rc(4, 3), _rc(3, 1, 2))
     squares_rhs = InvBinomSq(Fraction(3, 4), FloorExpr(1, -3, 2), FloorExpr(1, -3, 4))
-    add(CongruenceSpec(
-        "C22.29", "conjectural", S.V, 8, False, "full", 3, p3mod4_not3,
-        (Branch(_ALWAYS, None, squares_rhs),), "Conj 22.29",
-    ))
-    add(CongruenceSpec(
-        "C22.29-b", "conjectural", S.V, -16, False, "full", 3, p3mod4_not3,
-        (Branch(_ALWAYS, None, squares_rhs),), "Conj 22.29",
-    ))
+    for suffix, mm, tau in (("", 8, s1), ("-b", -16, s2)):
+        add(CongruenceSpec(
+            f"C22.29{suffix}", "conjectural", S.V, mm, "full", 3, p3mod4_not3,
+            (Branch(_ALWAYS, None, squares_rhs),), "Conj 22.29", tau,
+        ))
     return rows
 
 
@@ -490,9 +481,10 @@ def rhs_value(
     rep: QuadRep | None,
     ctx: PrimeContext | None = None,
 ) -> int:
+    """The branch's right-hand side mod p^mod_exp, computed mod p^3 and reduced."""
     if ctx is None:
         ctx = PrimeContext(p)
-    me = Modulus.make(p, spec.mod_exp)
+    m3 = ctx.m3
     rhs = branch.rhs
     if isinstance(rhs, ZeroRhs):
         return 0
@@ -500,16 +492,15 @@ def rhs_value(
     if isinstance(rhs, QF):
         if rep is None:
             raise ValueError("quadratic template needs a representation")
-        val = rhs_quadratic(rep, rhs.template(), me)
+        val = rhs_quadratic(rep, rhs.template(), m3)
     else:
         top = rhs.top.eval(p)
         bottom = rhs.bottom.eval(p)
         if not (0 <= bottom <= top < p):
             raise ValueError(f"binomial arguments out of range at p={p}")
-        b = ctx.binomial(top, bottom) % me.pk
-        rho = rhs.rho.numerator * inv(rhs.rho.denominator, me) % me.pk
-        val = rho * p * p % me.pk * pow(inv(b, me), 2, me.pk) % me.pk
-    return sign * val % me.pk
+        rho = rhs.rho.numerator * inv(rhs.rho.denominator, m3)
+        val = rho * p * p * pow(inv(ctx.binomial(top, bottom), m3), 2, m3.pk)
+    return sign * val % p**spec.mod_exp
 
 
 def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row:

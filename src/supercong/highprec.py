@@ -5,7 +5,9 @@ Values are mpmath complex numbers; every function takes the working precision
 in bits explicitly.  Hauptmoduls other than u are evaluated from
 qseries.ETA_QUOTIENTS, the eta-exponent table the exact layer expands.  CM
 points are carried exactly (rational + rational multiple of sqrt(-D)) and
-realized to floating point only at evaluation time.
+realized to floating point only at evaluation time.  The CM targets are the
+congruence catalog's own: a row with CM point tau and denominator m claims
+x(tau) = sign/m for its family's Hauptmodul x and qseries.HAUPTMODUL_SIGN.
 eta_num first moves tau toward the fundamental domain: T steps centre it,
 and an S step, carrying the multiplier 1/sqrt(-i tau), follows only while
 |tau|^2 < 1/2, so every S step at least doubles Im(tau) and the reduced
@@ -27,9 +29,11 @@ from functools import partial
 import mpmath
 from mpmath import mp
 
-from .qseries import ETA_QUOTIENTS
+from .congruence import CongruenceSpec, catalog
+from .qseries import ETA_QUOTIENTS, HAUPTMODUL_SEQUENCE, HAUPTMODUL_SIGN
 
 _GUARD_BITS = 32
+_FAMILY_HAUPTMODUL = {seq: tag for tag, seq in HAUPTMODUL_SEQUENCE.items()}
 
 
 @dataclass(frozen=True)
@@ -178,57 +182,21 @@ class CMTarget:
     expected: Fraction
 
 
-def _q(a, b=1):
-    return Fraction(a, b)
+def cm_target(spec: CongruenceSpec) -> CMTarget | None:
+    """The CM value a catalog row claims, or None for a row without a CM point."""
+    if spec.tau is None:
+        return None
+    fn = _FAMILY_HAUPTMODUL[spec.sequence]
+    point = QuadraticPoint(*spec.tau)
+    return CMTarget(f"{fn}({point.label()})", fn, point, Fraction(HAUPTMODUL_SIGN[fn], spec.m))
 
 
 def cm_table() -> list[CMTarget]:
-    """Every exact CM value certified by the suite."""
-    rows = [
-        # t on Gamma_0(4)+
-        ("t", _q(3, 8), _q(1, 8), 7, _q(1)),
-        ("t", _q(0), _q(1, 2), 7, _q(1, 4096)),
-        ("t", _q(3, 4), _q(1, 4), 3, _q(1, 16)),
-        ("t", _q(0), _q(1, 2), 3, _q(1, 256)),
-        ("t", _q(1, 2), _q(1, 2), 1, _q(-1, 8)),
-        ("t", _q(1, 2), _q(1, 2), 2, _q(-1, 64)),
-        # u on Gamma_0(2)+
-        ("u", _q(0), _q(1, 2), 2, _q(1, 256)),
-        ("u", _q(1, 2), _q(1, 2), 3, _q(-1, 144)),
-        ("u", _q(1, 4), _q(1, 4), 1, _q(1, 648)),
-        ("u", _q(1, 2), _q(1, 2), 7, _q(-1, 3969)),
-        ("u", _q(1, 4), _q(1, 4), 7, _q(1, 81)),
-        ("u", _q(1, 2), _q(3, 2), 1, _q(-1, 12288)),
-        ("u", _q(1, 2), _q(5, 2), 1, _q(-1, 6635520)),
-        ("u", _q(1, 2), _q(1, 2), 5, _q(-1, 1024)),
-        ("u", _q(1, 2), _q(1, 2), 13, _q(-1, 82944)),
-        ("u", _q(1, 2), _q(1, 2), 37, _q(-1, 14112 * 14112)),
-        ("u", _q(0), _q(1, 2), 6, _q(1, 48 * 48)),
-        ("u", _q(0), _q(1, 2), 10, _q(1, 12**4)),
-        ("u", _q(0), _q(3, 2), 2, _q(1, 28**4)),
-        ("u", _q(0), _q(1, 2), 22, _q(1, 1584 * 1584)),
-        ("u", _q(0), _q(1, 2), 58, _q(1, 396**4)),
-        # s on Gamma_0(4)
-        ("s", _q(0), _q(1, 2), 1, _q(1, 16)),
-        ("s", _q(-1, 4), _q(1, 4), 1, _q(-1, 8)),
-        # w on Gamma_0(8)+
-        ("w", _q(1, 2), _q(1, 4), 2, _q(-1, 4)),
-        ("w", _q(5, 16), _q(1, 16), 7, _q(1)),
-        ("w", _q(1, 8), _q(1, 8), 7, _q(1, 16)),
-        # v on Gamma_0(12)+
-        ("v", _q(1, 6), _q(1, 6), 2, _q(1, 8)),
-        ("v", _q(1, 2), _q(1, 6), 3, _q(-1, 2)),
-        ("v", _q(1, 2), _q(1, 3), 3, _q(-1, 32)),
-        ("v", _q(1, 2), _q(1, 6), 6, _q(-1, 8)),
-        # h on Gamma_0(6)+
-        ("h", _q(1, 3), _q(1, 6), 2, _q(1)),
-        ("h", _q(1, 2), _q(1, 6), 3, _q(-1)),
-    ]
-    out = []
-    for fn, re, im, d, expected in rows:
-        pt = QuadraticPoint(re, im, d)
-        out.append(CMTarget(f"{fn}({pt.label()})", fn, pt, expected))
-    return out
+    """Every exact CM value the catalog claims, once each, in catalog order.
+
+    Rows that share a point and agree on m give one target; rows that
+    disagree give two, and at least one of them fails certification."""
+    return list(dict.fromkeys(t for t in map(cm_target, catalog()) if t is not None))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ On top of the core algebra: the eta expansion, the weight-2 Eisenstein
 series, the six Hauptmoduls t/u/s/w/v/h with their alternative product
 constructions, and the identity checks the verification suite runs (the six
 generating-function identities, the cubic relation between t and j(2tau),
-and the third-order differential equation satisfied by the V generating
-function).  Every Hauptmodul but u and its paired weight-2 form are eta
-quotients prod eta(m tau)^(e_m), each stated once as an exponent vector in
-ETA_QUOTIENTS or WEIGHT2_FORMS; highprec evaluates the same table.
+and the third-order differential equation of the V generating function,
+which is V's RECURRENCES row in s = -x).  Every Hauptmodul but u and its
+paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
+once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
+evaluates the same table.
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -324,7 +325,7 @@ WEIGHT2_FORMS = {
     "h": {2: 7, 3: 7, 1: -5, 6: -5},
 }
 
-# pairing of hauptmoduls with sequence families; V composes into -s
+# pairing of hauptmoduls with sequence families
 HAUPTMODUL_SEQUENCE = {
     "t": SequenceId.CB3,
     "u": SequenceId.CB4,
@@ -333,6 +334,9 @@ HAUPTMODUL_SEQUENCE = {
     "v": SequenceId.D,
     "h": SequenceId.A,
 }
+
+# the family's generating function composes into x = sign * Hauptmodul: V into -s
+HAUPTMODUL_SIGN = {"t": 1, "u": 1, "s": -1, "w": 1, "v": 1, "h": 1}
 
 
 def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
@@ -399,18 +403,27 @@ def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
     return eta_quotient_q(WEIGHT2_FORMS[tag], nterms)
 
 
-def _check_recurrence_link(seq: SequenceId, a: list[int]) -> None:
-    """Raise unless a_0 = 1 and a_0..a_N obey the family's RECURRENCES row."""
+def _recurrence_break(seq: SequenceId, a: list[int]) -> int | None:
+    """First n < len(a) - 1 at which a_(n-1), a_n, a_(n+1) break the family's
+    RECURRENCES row, or None."""
     c, alpha, beta, e = RECURRENCES[seq]
-    if a[0] != 1:
-        raise ArithmeticError(f"{seq.value}: a_0 = {a[0]}, not 1; build is broken")
     prev = 0
     for n in range(len(a) - 1):
         rhs = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * a[n] - e * n**3 * prev
         if (n + 1) ** 3 * a[n + 1] != rhs:
-            raise ArithmeticError(
-                f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
+            return n
         prev = a[n]
+    return None
+
+
+def _check_recurrence_link(seq: SequenceId, a: list[int]) -> None:
+    """Raise unless a_0 = 1 and a_0..a_N obey the family's RECURRENCES row."""
+    if a[0] != 1:
+        raise ArithmeticError(f"{seq.value}: a_0 = {a[0]}, not 1; build is broken")
+    n = _recurrence_break(seq, a)
+    if n is not None:
+        raise ArithmeticError(
+            f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
 
 
 def genfun_identity_check(tag: str, nterms: int) -> int | None:
@@ -425,9 +438,7 @@ def genfun_identity_check(tag: str, nterms: int) -> int | None:
         raise ValueError("nterms must be >= 10")
     seq = HAUPTMODUL_SEQUENCE[tag]
     _check_recurrence_link(seq, exact_terms(seq, nterms + 1))
-    x = hauptmodul_q(tag, nterms + 1)  # known through q^(nterms+1)
-    if tag == "s":
-        x = -x
+    x = hauptmodul_q(tag, nterms + 1).scale(HAUPTMODUL_SIGN[tag])  # through q^(nterms+1)
     g = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
     if g.coeff_at(0) != 1:
         return 0
@@ -474,48 +485,18 @@ def t_j_relation_check(nterms: int) -> int | None:
     return rel.off24 // 24 + idx
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_diff(a: list) -> list:
-    return [i * a[i] for i in range(1, len(a))]
-
-
 def v_ode_check(nterms: int) -> int | None:
     """Third-order ODE for Y(s) = sum V_n (-s)^n, cleared of denominators:
 
         s^2 (16s+1)^2 Y''' + 3 s (32s+1)(16s+1) Y''
             + (1792 s^2 + 112 s + 1) Y' + 8 (32s+1) Y = 0
 
-    Verified coefficientwise through s^nterms; returns the first failing
-    degree or None.
+    Its left side times s is the operator of V's RECURRENCES row pulled back
+    to s = -x (the tests pin this), and that operator's coefficient of
+    s^(n+1) is, up to sign, the recurrence at n.  So the ODE is checked as
+    the row on the defining sums; returns the first failing degree <= nterms
+    or None.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
-    v = exact_terms(SequenceId.V, nterms + 4)
-    y = [(-1) ** n * v[n] for n in range(len(v))]
-    y1 = _poly_diff(y)
-    y2 = _poly_diff(y1)
-    y3 = _poly_diff(y2)
-    total = [0] * (nterms + 6)
-
-    def _acc(poly: list, coef: list) -> None:
-        for i, c in enumerate(_poly_mul(coef, poly)):
-            if i < len(total):
-                total[i] += c
-
-    _acc(y3, [0, 0, 1, 32, 256])           # s^2 (16s+1)^2
-    _acc(y2, [0, 3, 144, 1536])            # 3 s (32s+1)(16s+1)
-    _acc(y1, [1, 112, 1792])
-    _acc(y, [8, 256])                      # 8 (32s+1)
-    for i in range(nterms + 1):
-        if total[i]:
-            return i
-    return None
+    return _recurrence_break(SequenceId.V, exact_terms(SequenceId.V, nterms + 2))

@@ -31,30 +31,8 @@ def _v_central_squares(n: int) -> int:
     return sum(comb(2 * k, k) ** 2 * comb(2 * n - 2 * k, n - k) ** 2 for k in range(n + 1))
 
 
-def _v_binom16(n: int) -> int:
-    return sum(
-        comb(n, k) * comb(n + k, k) * (-1) ** k * comb(2 * k, k) ** 2 * 16 ** (n - k)
-        for k in range(n + 1)
-    )
-
-
-def _v_cube_binom(n: int) -> int:
-    return sum(
-        comb(2 * k, k) ** 3 * comb(k, n - k) * (-16) ** (n - k)
-        for k in range(n + 1)
-        if n - k <= k
-    )
-
-
 def _t_main(n: int) -> int:
     return sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2 for k in range(n + 1))
-
-
-def _t_quadruple(n: int) -> int:
-    return sum(
-        comb(2 * k, k) ** 2 * comb(4 * k, 2 * k) * comb(n + 2 * k, 4 * k) * 4 ** (n - 2 * k)
-        for k in range(n // 2 + 1)
-    )
 
 
 def _d_main(n: int) -> int:
@@ -76,14 +54,6 @@ _CANONICAL = {
     SequenceId.D: _d_main,
     SequenceId.A: _a_main,
 }
-
-# Every defining summation stated for the family; first entry is canonical
-# for V/T, redundant expressions serve as cross-checks.
-_ALL_FORMULAS = {
-    SequenceId.V: (_v_binom16, _v_central_squares, _v_cube_binom),
-    SequenceId.T: (_t_main, _t_quadruple),
-}
-
 
 class Recurrence(NamedTuple):
     """(n+1)^3 a_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) a_n - e n^3 a_{n-1}."""
@@ -117,14 +87,6 @@ def exact_term(seq: SequenceId, n: int) -> int:
 
 def exact_terms(seq: SequenceId, count: int) -> list[int]:
     return [exact_term(seq, n) for n in range(count)]
-
-
-def alternate_formulas(seq: SequenceId, n: int) -> list[int]:
-    """Value of every stated defining formula for the family at index n."""
-    seq = SequenceId(seq)
-    if seq in _ALL_FORMULAS:
-        return [f(n) for f in _ALL_FORMULAS[seq]]
-    return [exact_term(seq, n)]
 
 
 def scaled_terms_mod(seq: SequenceId, count: int, modulus: int) -> list[int]:

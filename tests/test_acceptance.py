@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is the exit condition for the artifact.
 """
 
+import dataclasses
 import os
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from supercong.arith import primes_in
 from supercong.congruence import (
     QF,
     Branch,
-    CongruenceSpec,
     catalog,
     catalog_forms,
     lookup,
@@ -31,7 +31,9 @@ from supercong.qseries import (
     weber_f_2tau_pow24_q,
 )
 from supercong.quadforms import lemma23_trials, represent
-from supercong.sequences import ALL_SEQUENCES, alternate_formulas, exact_term
+from supercong.sequences import ALL_SEQUENCES, exact_term
+
+from sequence_formulas import alternate_formulas
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -123,10 +125,7 @@ def test_criterion_6_property_suites():
 
     for spec_id in ("T1.1", "T1.2", "T1.3", "T1.4"):
         spec = lookup(spec_id)
-        full = CongruenceSpec(
-            spec.id, spec.status, spec.sequence, spec.m_base, spec.m_cubed,
-            "full", spec.mod_exp, spec.predicate, spec.branches, spec.source,
-        )
+        full = dataclasses.replace(spec, limit="full")
         for p in primes_in(5, 500):
             if spec.m % p == 0 or not spec.qualifies(p):
                 continue
@@ -162,10 +161,7 @@ def test_criterion_7_negative_controls():
     spec = lookup("T1.29")
     bad_branch = Branch(spec.branches[0].condition, spec.branches[0].rep,
                         QF(4, -2, -2, 4), spec.branches[0].character)
-    corrupt = CongruenceSpec(
-        "T1.29-corrupt", spec.status, spec.sequence, spec.m_base, spec.m_cubed,
-        spec.limit, spec.mod_exp, spec.predicate, (bad_branch,), spec.source,
-    )
+    corrupt = dataclasses.replace(spec, id="T1.29-corrupt", branches=(bad_branch,))
     detected.append(verify(corrupt, 7).outcome == "fail")
 
     # perturbed CM target -> detected residual

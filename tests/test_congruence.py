@@ -1,6 +1,7 @@
 """Catalog encoding checks and the sweep harness, cross-validated against an
 independent big-integer oracle."""
 
+import dataclasses
 import math
 import random
 
@@ -65,7 +66,7 @@ def test_lookup_examples():
     t122 = lookup("T1.22")
     assert t122.sequence is SequenceId.CB6
     assert t122.m == -(640320**3)
-    assert t122.m_cubed and t122.m_base == -640320
+    assert t122.tau is None  # CB6's m is j(tau), which has no CM target yet
     assert t122.predicate.jacobi_conditions == ((-163, 1),)
     b = t122.branches[0]
     assert (b.rep.a, b.rep.d, b.rep.c) == (1, 163, 4)
@@ -250,10 +251,7 @@ def test_half_vs_full_cb3():
                 continue
             ctx = PrimeContext(p)
             half = lhs_sum(spec, p, ctx)
-            full_spec = CongruenceSpec(
-                spec.id, spec.status, spec.sequence, spec.m_base, spec.m_cubed,
-                "full", spec.mod_exp, spec.predicate, spec.branches, spec.source,
-            )
+            full_spec = dataclasses.replace(spec, limit="full")
             assert lhs_sum(full_spec, p, ctx) == half, (spec_id, p)
 
 
@@ -288,10 +286,7 @@ def test_verify_detects_corruption():
         spec.branches[0].condition, spec.branches[0].rep,
         QF(4, -1, -1, 4), spec.branches[0].character,
     )
-    bad = CongruenceSpec(
-        "T1.29-corrupt", spec.status, spec.sequence, spec.m_base, spec.m_cubed,
-        spec.limit, spec.mod_exp, spec.predicate, (bad_branch,), spec.source,
-    )
+    bad = dataclasses.replace(spec, id="T1.29-corrupt", branches=(bad_branch,))
     p = 7
     assert spec.qualifies(p)
     assert verify(spec, p).outcome == "pass"
@@ -307,7 +302,7 @@ def test_report_anomaly_accounting():
 
     impossible = Branch(PrimePredicate(), FormSpec(1, 7, 3), QF(4, -2, -1, 4))
     fake = CongruenceSpec(
-        "fake", "proven", SequenceId.CB3, 1, False, "half", 3,
+        "fake", "proven", SequenceId.CB3, 1, "half", 3,
         PrimePredicate(residue_classes=(((1, 2, 4), 7),)), (impossible,), "",
     )
     row = verify(fake, 11)

@@ -1,6 +1,7 @@
 """Numeric certification of CM values, Weber class invariants, and the
 transformation identities, at controlled precision."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ from supercong.highprec import (
     class_invariant_check,
     cm_check,
     cm_table,
+    cm_target,
     eta_num,
     gamma2_j,
     hauptmodul_value,
     identity_suite,
     weber,
 )
+from supercong.congruence import catalog, lookup
 from supercong.qseries import HAUPTMODUL_SEQUENCE, QSeries, hauptmodul_q
 
 PREC = 280
@@ -253,6 +256,33 @@ def test_cm_check_stability_under_higher_precision():
         r160 = cm_check(target, 60, work_digits=160)
         assert r80.ok and r160.ok
         assert abs(r80.residual - r160.residual) < 1e-60
+
+
+def test_catalog_cm_points():
+    # every row of a family paired with a Hauptmodul states its CM point,
+    # except three cited rows whose points are not certified yet
+    paired = set(HAUPTMODUL_SEQUENCE.values())
+    missing = [s.id for s in catalog() if s.sequence in paired and s.tau is None]
+    assert missing == ["I1.2", "I1.3", "R20.1"]
+    points = {}
+    for spec in catalog():
+        points.setdefault((spec.sequence, spec.m), set()).add(spec.tau)
+    assert all(len(taus) == 1 for taus in points.values()), points
+
+
+def test_cm_table_is_derived_from_catalog():
+    table = cm_table()
+    assert len(table) == 32 == len({t.name for t in table})
+    assert [t.name for t in table[:2]] == ["t(3/8 + 1/8*sqrt(-7))", "t(1/2*sqrt(-7))"]
+    assert cm_target(lookup("T1.23")) == next(t for t in table if t.fn == "s")
+    assert cm_target(lookup("T1.23")).expected == Fraction(-1, 8)  # V pairs with -s
+    assert cm_target(lookup("I1.2")) is None
+
+
+def test_cm_target_detects_wrong_m():
+    spec = lookup("T1.8")
+    assert cm_check(cm_target(spec), 60).ok
+    assert not cm_check(cm_target(dataclasses.replace(spec, m=82)), 60).ok
 
 
 def test_class_invariants():

@@ -1,5 +1,6 @@
 """Exact q-expansion algebra and the generating-function identity checks."""
 
+import math
 import random
 from math import comb
 
@@ -290,19 +291,43 @@ def test_v_ode_low_order_balance():
     assert -v[1] + 8 * v[0] == 0
 
 
+# The ODE of Y(s) = sum V_n (-s)^n as stated: the polynomial coefficients
+# (ascending in s) of Y, Y', Y'' and Y'''.
+V_ODE = ([8, 256], [1, 112, 1792], [0, 3, 144, 1536], [0, 0, 1, 32, 256])
+
+
+def test_v_recurrence_row_is_the_stated_ode():
+    # s * ODE equals V's RECURRENCES operator pulled back to s = -x,
+    #   theta^3 + c s (2 theta + 1)(alpha theta^2 + alpha theta + beta) + e s^2 (theta + 1)^3;
+    # compared on s^k, and s^0..s^3 already fix an operator of order 3
+    c, alpha, beta, e = RECURRENCES[SequenceId.V]
+    for k in range(12):
+        ode = {}
+        for j, poly in enumerate(V_ODE):
+            for i, coef in enumerate(poly):
+                power = k - j + 1 + i
+                ode[power] = ode.get(power, 0) + math.perm(k, j) * coef
+        row = {k: k**3, k + 1: c * (2 * k + 1) * (alpha * k * (k + 1) + beta),
+               k + 2: e * (k + 1) ** 3}
+        nonzero = {pw: v for pw, v in ode.items() if v}
+        assert nonzero == {pw: v for pw, v in row.items() if v}, k
+
+
 def test_v_ode_negative_control(monkeypatch):
     import supercong.qseries as qs
 
     real = exact_terms
+    # V_k first enters the recurrence at n = k - 1
+    for corrupt, nterms in ((2, 20), (7, 20), (50, 60)):
 
-    def corrupted(seq, count):
-        vals = real(seq, count)
-        if seq is SequenceId.V and count > 2:
-            vals[2] += 1
-        return vals
+        def corrupted(seq, count):
+            vals = real(seq, count)
+            if seq is SequenceId.V and count > corrupt:
+                vals[corrupt] += 1
+            return vals
 
-    monkeypatch.setattr(qs, "exact_terms", corrupted)
-    assert qs.v_ode_check(20) is not None
+        monkeypatch.setattr(qs, "exact_terms", corrupted)
+        assert qs.v_ode_check(nterms) == corrupt - 1
 
 
 # -- ring laws, up to truncation ---------------------------------------------

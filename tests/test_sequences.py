@@ -10,11 +10,12 @@ from supercong.sequences import (
     ALL_SEQUENCES,
     RECURRENCES,
     SequenceId,
-    alternate_formulas,
     exact_term,
     exact_terms,
     scaled_terms_mod,
 )
+
+from sequence_formulas import alternate_formulas
 
 ORACLE_COUNT = 201
 
