@@ -73,7 +73,7 @@ def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
             pcol = "" if r.p is None else str(r.p)
             lines.append(f"{r.spec_id:<24}{pcol:>6}  {r.outcome:<8}{r.detail}")
         s = report.summary()
-        lines.append(f"summary: pass={s['pass']} fail={s['fail']} skip={s['skip']}")
+        lines.append(" ".join(["summary:"] + [f"{k}={v}" for k, v in s.items()]))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -83,12 +83,12 @@ def exit_code_for(report: Report, strict_conjectural: bool = False) -> int:
 
     Failures of conjectural or cited rows only gate when strict; failures of
     proven rows and of rows without a catalog status always do, and so do
-    anomaly skips.
+    anomaly skips and error rows, whatever their status.
     """
     fails = report.failures()
     if not strict_conjectural:
         fails = [r for r in fails if r.status in (None, "proven")]
-    return EXIT_FAIL if fails or report.anomalies() else EXIT_OK
+    return EXIT_FAIL if fails or report.anomalies() or "error" in report.summary() else EXIT_OK
 
 
 def _cmd_list(args) -> int:

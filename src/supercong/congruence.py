@@ -547,7 +547,13 @@ def _sweep_chunk(args) -> list[Row]:
     for p in primes:
         ctx = PrimeContext(p)
         for spec in specs:
-            rows.append(verify(spec, p, ctx))
+            try:
+                rows.append(verify(spec, p, ctx))
+            except Exception as exc:  # one broken (spec, p) pair must not lose the sweep
+                import traceback  # imported here, so runs without an error never load it
+                traceback.print_exc()
+                rows.append(Row(spec.id, p, "error", f"{type(exc).__name__}: {exc}",
+                                status=spec.status))
     return rows
 
 

@@ -15,7 +15,8 @@ and the third-order differential equation of the V generating function,
 which is V's RECURRENCES row in s = -x).  Every Hauptmodul but u and its
 paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
 once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
-evaluates the same table.
+evaluates the same table.  Eta quotients and (1+q^e) products come from one
+Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor.
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -36,7 +37,6 @@ the sums; `compose` stays as the literal-definition oracle.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import mul
 
 from .sequences import RECURRENCES, SequenceId, exact_terms
@@ -219,38 +219,27 @@ def eta_q(mult: int, nterms: int) -> QSeries:
     return QSeries(mult, coeffs)
 
 
-def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSeries:
-    """prod_{n>=1} (1 + q^(start + (n-1)*step))^power, truncated.
+def _euler_product(s: list[int]) -> list[int]:
+    """c_0 = 1, n c_n = sum_{k<=n} s_k c_(n-k) for n < len(s): F = exp(sum s_k q^k / k),
+    as is any product prod (1 -+ q^k)^(a_k), s read off its logarithmic derivative.
+    Raises ArithmeticError when some c_n is not an integer."""
+    c = [1]
+    for n in range(1, len(s)):
+        cn, rem = divmod(sum(map(mul, s[1:n + 1], reversed(c))), n)
+        if rem:
+            raise ArithmeticError(f"Euler product is not integral at q^{n}")
+        c.append(cn)
+    return c
 
-    Each factor is expanded by the binomial series (exact for any integer
-    power, including negative) and folded in; factors with exponent beyond
-    the truncation are identically 1.
-    """
-    out = [0] * nterms
-    out[0] = 1
-    e = start
-    while e < nterms:
-        # (1 + q^e)^power = sum_j C(power, j) q^(e*j)
-        fac = [0] * nterms
-        fac[0] = 1
-        coef = 1
-        j = 1
-        while e * j < nterms:
-            coef = coef * (power - j + 1) // j  # j C(power, j) = C(power, j-1) (power-j+1)
-            fac[e * j] = coef
-            j += 1
-        acc = [0] * nterms
-        for i in range(nterms):
-            ci = out[i]
-            if not ci:
-                continue
-            for jj in range(0, nterms - i, e):
-                fj = fac[jj]
-                if fj:
-                    acc[i + jj] += ci * fj
-        out = acc
-        e += step
-    return QSeries(0, out)
+
+def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSeries:
+    """prod_{n>=1} (1 + q^(start + (n-1)*step))^power, truncated, for any integer
+    power: an Euler product, as theta log (1 + q^e) = sum_j (-1)^(j+1) e q^(e j)."""
+    s = [0] * nterms
+    for e in range(start, nterms, step):
+        for j, k in enumerate(range(e, nterms, e)):
+            s[k] += -power * e if j % 2 else power * e
+    return QSeries(0, _euler_product(s))
 
 
 def e2_q(mult: int, nterms: int) -> QSeries:
@@ -340,13 +329,14 @@ HAUPTMODUL_SIGN = {"t": 1, "u": 1, "s": -1, "w": 1, "v": 1, "h": 1}
 
 
 def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
-    """prod eta(m tau)^(e_m): numerator and denominator multiplied out, one division.
-
-    Needs at least one positive and one negative exponent.
-    """
-    num = reduce(mul, (eta_q(m, nterms) ** e for m, e in exps.items() if e > 0))
-    den = reduce(mul, (eta_q(m, nterms) ** -e for m, e in exps.items() if e < 0))
-    return num / den
+    """prod eta(m tau)^(e_m): q^(sum e_m m / 24) times an Euler product, as
+    theta log eta(m tau) = m/24 - m sum_{j>=1} sigma(j) q^(m j)."""
+    s = [0] * nterms
+    for m, e in exps.items():
+        for step in range(m, nterms, m):  # step = m d: s_k gets -e m d for each d | k/m
+            for k in range(step, nterms, step):
+                s[k] -= e * step
+    return QSeries(sum(m * e for m, e in exps.items()), _euler_product(s))
 
 
 def weber_f2_pow24_q(nterms: int) -> QSeries:
@@ -369,7 +359,7 @@ def hauptmodul_q(tag: str, nterms: int) -> QSeries:
     if tag not in ETA_QUOTIENTS:
         raise ValueError(f"unknown hauptmodul tag {tag!r}")
     exps, power = ETA_QUOTIENTS[tag]
-    return eta_quotient_q(exps, nterms) ** power
+    return eta_quotient_q({m: power * e for m, e in exps.items()}, nterms)
 
 
 def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:

@@ -17,7 +17,7 @@ ANOMALIES = frozenset({SKIP_BRANCH_ANOMALY, SKIP_REPRESENTABILITY_ANOMALY})
 class Row:
     spec_id: str
     p: int | None
-    outcome: str  # "pass" | "fail" | "skip"
+    outcome: str  # "pass" | "fail" | "skip" | "error" (the check raised)
     detail: str = ""
     lhs: int | None = None
     rhs: int | None = None
@@ -43,9 +43,10 @@ class Report:
         self.rows.sort(key=Row.sort_key)
 
     def summary(self) -> dict[str, int]:
+        """Rows per outcome; "error" appears only when some row has it."""
         counts = {"pass": 0, "fail": 0, "skip": 0}
         for row in self.rows:
-            counts[row.outcome] += 1
+            counts[row.outcome] = counts.get(row.outcome, 0) + 1
         return counts
 
     def failures(self) -> list[Row]:

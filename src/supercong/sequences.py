@@ -1,8 +1,10 @@
 """The seven binomial / Apery-like sequence families.
 
-Two independent generators.  The defining sums give exact big-integer terms:
-the oracle, also used by the q-series layer.  One table of three-term
-recurrences gives what the prime sweep needs, the projective terms
+Two independent generators.  The defining sums give exact big-integer terms
+for the q-series layer: each summand is the one before times its term ratio,
+so only the first calls comb, and term * num // den is exact because every
+summand is an integer (the tests keep the literal comb sums).  One table of
+three-term recurrences gives what the prime sweep needs, the projective terms
 a_n (n!)^3 mod p^3 for n < p at every qualifying prime, in O(count)
 multiplications and no division for every family.
 """
@@ -28,21 +30,41 @@ ALL_SEQUENCES = tuple(SequenceId)
 
 
 def _v_central_squares(n: int) -> int:
-    return sum(comb(2 * k, k) ** 2 * comb(2 * n - 2 * k, n - k) ** 2 for k in range(n + 1))
+    # sum C(2k,k)^2 C(2n-2k,n-k)^2
+    term = total = comb(2 * n, n) ** 2
+    for k in range(n):
+        term = term * ((2 * k + 1) * (n - k)) ** 2 // ((k + 1) * (2 * n - 2 * k - 1)) ** 2
+        total += term
+    return total
 
 
 def _t_main(n: int) -> int:
-    return sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2 for k in range(n + 1))
+    # sum C(n,k)^2 C(2k,n)^2, whose summands vanish below k = ceil(n/2)
+    k0 = (n + 1) // 2
+    term = total = (comb(n, k0) * comb(2 * k0, n)) ** 2
+    for k in range(k0, n):
+        term = (term * ((n - k) * (2 * k + 1) * (2 * k + 2)) ** 2
+                // ((k + 1) * (2 * k + 1 - n) * (2 * k + 2 - n)) ** 2)
+        total += term
+    return total
 
 
 def _d_main(n: int) -> int:
-    return sum(
-        comb(n, k) ** 2 * comb(2 * k, k) * comb(2 * n - 2 * k, n - k) for k in range(n + 1)
-    )
+    # sum C(n,k)^2 C(2k,k) C(2n-2k,n-k)
+    term = total = comb(2 * n, n)
+    for k in range(n):
+        term = term * (n - k) ** 3 * (2 * k + 1) // ((k + 1) ** 3 * (2 * n - 2 * k - 1))
+        total += term
+    return total
 
 
 def _a_main(n: int) -> int:
-    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
+    # sum C(n,k)^2 C(n+k,k)^2
+    term = total = 1
+    for k in range(n):
+        term = term * ((n - k) * (n + k + 1)) ** 2 // (k + 1) ** 4
+        total += term
+    return total
 
 
 _CANONICAL = {

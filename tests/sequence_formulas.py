@@ -1,12 +1,32 @@
-"""Second and third defining sums stated for the V and T families.
+"""Every stated defining formula of the four families whose terms are sums.
 
-They are independent of the canonical sums in supercong.sequences, so the
-tests use them as a cross-check on exact_term.
+The first formula of each family is the literal comb sum that
+supercong.sequences.exact_term steps through by term ratios; the others are
+independent sums stated for V and T.  The tests use them as the oracle for
+exact_term.
 """
 
 from math import comb
 
 from supercong.sequences import SequenceId, exact_term
+
+
+def _v_central_squares(n: int) -> int:
+    return sum(comb(2 * k, k) ** 2 * comb(2 * n - 2 * k, n - k) ** 2 for k in range(n + 1))
+
+
+def _t_main(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(2 * k, n) ** 2 for k in range(n + 1))
+
+
+def _d_main(n: int) -> int:
+    return sum(
+        comb(n, k) ** 2 * comb(2 * k, k) * comb(2 * n - 2 * k, n - k) for k in range(n + 1)
+    )
+
+
+def _a_main(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
 
 
 def _v_binom16(n: int) -> int:
@@ -31,14 +51,19 @@ def _t_quadruple(n: int) -> int:
     )
 
 
-_ALTERNATES = {
-    SequenceId.V: (_v_binom16, _v_cube_binom),
-    SequenceId.T: (_t_quadruple,),
+FORMULAS = {
+    SequenceId.V: (_v_central_squares, _v_binom16, _v_cube_binom),
+    SequenceId.T: (_t_main, _t_quadruple),
+    SequenceId.D: (_d_main,),
+    SequenceId.A: (_a_main,),
 }
 
 
 def alternate_formulas(seq: SequenceId, n: int) -> list[int]:
-    """Value of every stated defining formula for the family at index n,
-    the canonical one (sequences.exact_term) first."""
+    """Value of every stated defining formula for the family at index n, the
+    literal canonical sum first; a binomial product family has only its
+    product, which exact_term evaluates as written."""
     seq = SequenceId(seq)
-    return [exact_term(seq, n)] + [f(n) for f in _ALTERNATES.get(seq, ())]
+    if seq not in FORMULAS:
+        return [exact_term(seq, n)]
+    return [f(n) for f in FORMULAS[seq]]

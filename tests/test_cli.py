@@ -200,6 +200,22 @@ def test_anomaly_skips_gate(reason):
         assert exit_code_for(rep) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("status", ["proven", "conjectural", "cited", None])
+def test_error_rows_gate_whatever_their_status(status):
+    rep = Report([Row("T", 5, "pass", status=status),
+                  Row("T", 7, "error", "ZeroDivisionError: boom", status=status)])
+    assert rep.summary() == {"pass": 1, "fail": 0, "skip": 0, "error": 1}
+    assert exit_code_for(rep) == EXIT_FAIL
+    assert emit_report(rep, "table").splitlines()[-1] == "summary: pass=1 fail=0 skip=0 error=1"
+    assert json.loads(emit_report(rep, "json"))["summary"]["error"] == 1
+
+
+def test_summary_has_no_error_key_without_error_rows():
+    rep = Report([Row("T", 5, "pass"), Row("T", 7, "skip", "predicate")])
+    assert rep.summary() == {"pass": 1, "fail": 0, "skip": 1}
+    assert emit_report(rep, "table").splitlines()[-1] == "summary: pass=1 fail=0 skip=1"
+
+
 @pytest.mark.parametrize("detail", ["predicate", "divides-m", "anomaly", "not-an-anomaly"])
 def test_other_skips_do_not_gate(detail):
     rep = Report([Row("T", 5, "skip", detail, status="proven")])

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from supercong import congruence
+from supercong.cli import EXIT_FAIL, exit_code_for, main
 from supercong.arith import jacobi, primes_in
 from supercong.congruence import (
     QF,
@@ -324,3 +325,47 @@ def test_verify_types_failing_rows(monkeypatch, status):
     assert row.outcome == "fail" and row.status == status
     want = f"lhs-rhs={row.lhs % ok.p ** spec.mod_exp}"
     assert row.detail == (want if status == "proven" else f"conjectural {want}")
+
+
+def test_sweep_turns_an_exception_into_an_error_row(monkeypatch):
+    ids = ["T1.1", "I1.5-b"]  # proven and conjectural, both checked at p = 11, 23, 43
+    clean = sweep(ids, 5, 200)
+    assert exit_code_for(clean) == 0 and "error" not in clean.summary()
+    passing = {}
+    for row in clean.rows:
+        passing.setdefault(row.p, set()).add(row.outcome == "pass")
+    bad_p = min(p for p, ok in passing.items() if ok == {True})
+    real = congruence.rhs_value
+
+    def broken(spec, branch, p, *args):
+        if p == bad_p:
+            raise ZeroDivisionError("boom")
+        return real(spec, branch, p, *args)
+
+    monkeypatch.setattr(congruence, "rhs_value", broken)
+    report = sweep(ids, 5, 200)
+    assert len(report.rows) == len(clean.rows)
+    for got, want in zip(report.rows, clean.rows):
+        if got.p != bad_p:
+            assert got == want
+        else:
+            assert (got.spec_id, got.outcome, got.status) == (want.spec_id, "error", want.status)
+            assert got.detail == "ZeroDivisionError: boom"
+    assert report.summary()["error"] == 2
+    assert exit_code_for(report) == EXIT_FAIL
+
+
+def test_error_row_keeps_the_rest_of_the_cli_report(monkeypatch, capsys):
+    real = congruence.rhs_value
+
+    def broken(spec, branch, p, *args):
+        if p == 23:
+            raise ZeroDivisionError("boom")
+        return real(spec, branch, p, *args)
+
+    monkeypatch.setattr(congruence, "rhs_value", broken)
+    argv = ["verify", "congruences", "--theorem", "T1.1", "--max-p", "60", "--format", "csv"]
+    assert main(argv) == EXIT_FAIL
+    rows = capsys.readouterr().out.splitlines()
+    assert "T1.1,23,error,,,," in rows
+    assert sum(",pass," in r for r in rows) == 5  # 11, 29, 37, 43, 53

@@ -2,18 +2,24 @@
 
 import math
 import random
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong.qseries import (
+    ETA_QUOTIENTS,
     HAUPTMODUL_SEQUENCE,
+    WEIGHT2_FORMS,
     QSeries,
+    _euler_product,
     compose,
     e2_q,
     eta_q,
+    eta_quotient_q,
     first_mismatch,
     genfun_identity_check,
     genfun_rhs_q,
@@ -94,6 +100,72 @@ def test_one_plus_q_product_negative_power_is_inverse(k):
     prod = one_plus_q_product(1, 1, -k, 40) * one_plus_q_product(1, 1, k, 40)
     assert prod.off24 == 0
     assert prod.coeffs == [1] + [0] * 39
+
+
+# -- the Euler-product kernel against multiplying the factors out --------------
+
+
+def _one(nterms):
+    return QSeries(0, [1] + [0] * (nterms - 1))
+
+
+def multiplied_out_eta_quotient(exps, nterms):
+    """prod eta(m tau)^(e_m) with numerator and denominator multiplied out, one division."""
+    num = reduce(mul, (eta_q(m, nterms) ** e for m, e in exps.items() if e > 0), _one(nterms))
+    den = reduce(mul, (eta_q(m, nterms) ** -e for m, e in exps.items() if e < 0), _one(nterms))
+    return num / den
+
+
+def factor_by_factor_product(step, start, power, nterms):
+    """prod (1 + q^e)^power, each factor expanded by the binomial series and folded in."""
+    out = [1] + [0] * (nterms - 1)
+    e = start
+    while e < nterms:
+        fac = [1] + [0] * (nterms - 1)
+        coef, j = 1, 1
+        while e * j < nterms:
+            coef = coef * (power - j + 1) // j  # j C(power, j) = C(power, j-1) (power-j+1)
+            fac[e * j] = coef
+            j += 1
+        out = (QSeries(0, out) * QSeries(0, fac)).coeffs
+        e += step
+    return QSeries(0, out)
+
+
+@pytest.mark.parametrize("tag", list(ETA_QUOTIENTS))
+def test_tables_match_multiplied_out_oracle(tag):
+    # hauptmodul_q scales the exponents by the power instead of raising to it
+    exps, power = ETA_QUOTIENTS[tag]
+    pairs = ((hauptmodul_q(tag, 201), multiplied_out_eta_quotient(exps, 201) ** power),
+             (genfun_rhs_q(tag, 201), multiplied_out_eta_quotient(WEIGHT2_FORMS[tag], 201)))
+    for got, want in pairs:
+        assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
+
+
+_EXPONENTS = st.dictionaries(st.integers(1, 12), st.integers(-24, 24), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exps=st.one_of(_EXPONENTS, _EXPONENTS.map(lambda d: {m: abs(e) for m, e in d.items()})),
+       nterms=st.integers(1, 80))
+def test_eta_quotient_matches_multiplied_out(exps, nterms):
+    got, want = eta_quotient_q(exps, nterms), multiplied_out_eta_quotient(exps, nterms)
+    assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step=st.integers(1, 6), start=st.integers(1, 8), power=st.integers(-24, 24),
+       nterms=st.integers(1, 80))
+def test_one_plus_q_product_matches_factor_by_factor(step, start, power, nterms):
+    got = one_plus_q_product(step, start, power, nterms)
+    assert got.coeffs == factor_by_factor_product(step, start, power, nterms).coeffs
+
+
+def test_euler_product_rejects_non_integral_series():
+    # s = (0, 1, 0, ...) is exp(q) = 1 + q + q^2/2 + ...
+    assert _euler_product([0, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError, match=r"not integral at q\^2$"):
+        _euler_product([0, 1, 0, 0])
 
 
 def test_e2_values():

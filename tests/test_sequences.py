@@ -15,7 +15,7 @@ from supercong.sequences import (
     scaled_terms_mod,
 )
 
-from sequence_formulas import alternate_formulas
+from sequence_formulas import FORMULAS, alternate_formulas
 
 ORACLE_COUNT = 201
 
@@ -70,6 +70,13 @@ def test_all_formulas_agree_to_100():
             assert len(set(values)) == 1, (seq, n, values)
             assert values[0] == exact_term(seq, n)
             assert values[0] > 0
+
+
+@pytest.mark.parametrize("seq", list(FORMULAS))
+def test_stepped_sums_match_literal_comb_sums(seq):
+    # exact_terms steps each summand by its term ratio; the oracle calls comb
+    literal = FORMULAS[seq][0]
+    assert exact_terms(seq, 401) == [literal(n) for n in range(401)]
 
 
 def test_terms_mod_examples():
