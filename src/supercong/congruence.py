@@ -17,6 +17,7 @@ encoding bug, not at the underlying mathematics).
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -557,6 +558,19 @@ def _sweep_chunk(args) -> list[Row]:
     return rows
 
 
+def _chunks_by_cost(primes: list[int], workers: int) -> list[list[int]]:
+    """Split the primes into `workers` chunks of near-equal cost, a prime
+    costing p: largest first, each to the chunk with the least total, so the
+    totals differ by at most the largest prime."""
+    heap = [(0, i) for i in range(workers)]
+    chunks: list[list[int]] = [[] for _ in range(workers)]
+    for p in sorted(primes, reverse=True):
+        total, i = heapq.heappop(heap)
+        chunks[i].append(p)
+        heapq.heappush(heap, (total + p, i))
+    return chunks
+
+
 def sweep(
     spec_ids: list[str],
     lo: int,
@@ -577,8 +591,7 @@ def sweep(
     primes = [p for p in primes_in(max(lo, 3), hi)]
     report = Report()
     if workers > 1 and len(primes) > 1:
-        # interleave primes so chunks carry comparable work
-        chunks = [primes[i::workers] for i in range(workers)]
+        chunks = _chunks_by_cost(primes, workers)
         with multiprocessing.Pool(workers) as pool:
             for rows in pool.map(_sweep_chunk, [(spec_ids, ch) for ch in chunks]):
                 report.extend(rows)

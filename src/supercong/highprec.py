@@ -11,11 +11,15 @@ x(tau) = sign/m for its family's Hauptmodul x and qseries.HAUPTMODUL_SIGN.
 eta_num first moves tau toward the fundamental domain: T steps centre it,
 and an S step, carrying the multiplier 1/sqrt(-i tau), follows only while
 |tau|^2 < 1/2, so every S step at least doubles Im(tau) and the reduced
-point has Im(tau) >= 1/2.  The pentagonal series is then summed there and
-truncated from a per-point tail bound: with |q| = exp(-2*pi*Im(tau)), terms
-beyond |q|^E < 2^-(prec+guard) cannot move the result at working precision.
-Truncation and rounding together stay near (S steps + 4K + 1) * 2^-(prec+32)
-relative, for K pentagonal pairs (K <= 6 at prec 256, <= 12 at prec 1024).
+point has Im(tau) >= 1/2.  The pentagonal series is then summed there, from
+one exponential x = e^(pi i tau/12) and q = x^24, and truncated from a
+per-point tail bound: with |q| = exp(-2*pi*Im(tau)), terms beyond
+|q|^E < 2^-(prec+guard) cannot move the result at working precision.
+Truncation and rounding together stay near (S steps + 4K + 7) * 2^-(prec+32)
+relative, for K pentagonal pairs (K <= 6 at prec 256, <= 12 at prec 1024),
+plus up to about 4/Im(tau) * 2^-(prec+32) below Im(tau) = 1 from rounding
+the reduced argument.  identity_suite evaluates eta once per distinct
+argument in each call and reports residuals relative to the sides compared.
 """
 
 from __future__ import annotations
@@ -62,15 +66,18 @@ class QuadraticPoint:
 
 
 def _eta_series(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """eta(tau) = e^(pi i tau/12) * sum_k (-1)^k q^(k(3k-1)/2), q = e^(2 pi i tau),
+    """eta(tau) = x * sum_k (-1)^k q^(k(3k-1)/2), x = e^(pi i tau/12), q = x^24,
     summed at tau itself, with the tail bound read off at Im(tau).
 
-    The pentagonal powers q^(k(3k-1)/2) and q^(k(3k+1)/2) are stepped by
+    x is the one exponential.  In fixed point, Gaussian integers scaled by
+    2^work, q = x^24 takes five products (x^2, x^4, x^8, x^16, x^16 x^8), and
+    the pentagonal powers q^(k(3k-1)/2) and q^(k(3k+1)/2) are stepped by
     running products with q^k and q^(2k+1), four multiplications per k and
-    no powers, in fixed point: Gaussian integers scaled by 2^work.  Every
-    power has modulus below 1, so each product adds at most about 2^-work
-    absolute error.  This is the fast path's series and, called on an
-    unreduced tau, the tests' oracle.
+    no powers.  Every power has modulus below 1, so each product adds at most
+    about 2^-work absolute error.  The sum is multiplied by x in floating
+    point, which keeps the result relative however small |x| is (fixed-point
+    x is 0 once Im(tau) passes about 12 work / (pi log2 e)).  This is the
+    fast path's series and, called on an unreduced tau, the tests' oracle.
     """
     work = prec + _GUARD_BITS
 
@@ -79,8 +86,12 @@ def _eta_series(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
 
     with mp.workprec(work):
         bound = math.ceil(work * math.log(2) / (2 * math.pi * float(mpmath.im(tau)))) + 2
-        q_mp = mpmath.expjpi(2 * tau)
-        q = (int(mpmath.ldexp(q_mp.real, work)), int(mpmath.ldexp(q_mp.imag, work)))
+        x_mp = mpmath.expjpi(tau / 12)
+        x = (int(mpmath.ldexp(x_mp.real, work)), int(mpmath.ldexp(x_mp.imag, work)))
+        x2 = mul(x, x)
+        x4 = mul(x2, x2)
+        x8 = mul(x4, x4)
+        q = mul(mul(x8, x8), x8)
         q2 = mul(q, q)
         lo, q_k, q_2k1 = q, q, mul(q2, q)  # q^(k(3k-1)/2), q^k, q^(2k+1) at k = 1
         re, im = 1 << work, 0
@@ -94,8 +105,7 @@ def _eta_series(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
             q_k = mul(q_k, q)
             q_2k1 = mul(q_2k1, q2)
             k += 1
-        s = mpmath.mpc(mpmath.ldexp(re, -work), mpmath.ldexp(im, -work))
-        return mpmath.expjpi(tau / 12) * s
+        return x_mp * mpmath.mpc(mpmath.ldexp(re, -work), mpmath.ldexp(im, -work))
 
 
 def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
@@ -111,7 +121,12 @@ def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
 
     Error: truncation at the reduced point is below 2^-(prec+32) relative
     (there |sum - 1| < 0.05); with rounding, the total is about
-    (S steps + 4K + 1) * 2^-(prec+32) relative, for K pentagonal pairs summed.
+    (S steps + 4K + 7) * 2^-(prec+32) relative, for K pentagonal pairs summed,
+    x, the five products that make q and the product with x.  The argument
+    adds its own: the first S step rounds -1/tau, and the steps after it
+    carry that error to the reduced point scaled by up to about 1/Im(tau),
+    which moves eta by up to about 4/Im(tau) * 2^-(prec+32) relative
+    (Im(tau) from 10^-3 to 1, prec 256).
     """
     if mpmath.im(tau) <= 0:
         raise ValueError("eta needs Im(tau) > 0")
@@ -130,26 +145,33 @@ def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
         return _eta_series(tau + shift % 24, prec) / scale
 
 
+def _weber(eta, tau: mpmath.mpc, which: str) -> mpmath.mpc:
+    """Weber f, f1, f2 from eta, a function of the point alone."""
+    if which == "f":
+        return mpmath.expjpi(mpmath.mpf(-1) / 24) * eta((tau + 1) / 2) / eta(tau)
+    if which == "f1":
+        return eta(tau / 2) / eta(tau)
+    if which == "f2":
+        return mpmath.sqrt(2) * eta(2 * tau) / eta(tau)
+    raise ValueError(f"unknown Weber function {which!r}")
+
+
+def _gamma2_j(eta, tau: mpmath.mpc) -> tuple[mpmath.mpc, mpmath.mpc]:
+    f8 = _weber(eta, tau, "f") ** 8
+    g2 = (f8**3 - 16) / f8
+    return g2, g2**3
+
+
 def weber(tau: mpmath.mpc, which: str, prec: int) -> mpmath.mpc:
     """Weber f, f1, f2 as eta quotients at shifted/scaled arguments."""
     with mp.workprec(prec + _GUARD_BITS):
-        if which == "f":
-            zeta48_inv = mpmath.expjpi(mpmath.mpf(-1) / 24)
-            return zeta48_inv * eta_num((tau + 1) / 2, prec) / eta_num(tau, prec)
-        if which == "f1":
-            return eta_num(tau / 2, prec) / eta_num(tau, prec)
-        if which == "f2":
-            return mpmath.sqrt(2) * eta_num(2 * tau, prec) / eta_num(tau, prec)
-    raise ValueError(f"unknown Weber function {which!r}")
+        return _weber(partial(eta_num, prec=prec), tau, which)
 
 
 def gamma2_j(tau: mpmath.mpc, prec: int) -> tuple[mpmath.mpc, mpmath.mpc]:
     """gamma2 = (f^24 - 16) / f^8 and j = gamma2^3."""
     with mp.workprec(prec + _GUARD_BITS):
-        f = weber(tau, "f", prec)
-        f8 = f**8
-        g2 = (f8**3 - 16) / f8
-        return g2, g2**3
+        return _gamma2_j(partial(eta_num, prec=prec), tau)
 
 
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
@@ -309,8 +331,8 @@ def _random_sl2(rng: random.Random) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, prec):
-    """Right-hand side of the eta transformation on Gamma_0(4)."""
+def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau):
+    """The multiplier eta((a tau + b)/(c tau + d)) / eta(tau) on Gamma_0(4)."""
     from .arith import jacobi
 
     r = 0
@@ -325,16 +347,25 @@ def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, prec):
         + 3 * c0 * (a - 1)
         + r * 3 * (a * a - 1) // 2
     ) % 24  # zeta24^24 = 1; unreduced, expo reaches about 10^7
-    with mp.workprec(prec + _GUARD_BITS):
-        zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
-        return jacobi(a, c0) * zeta24**expo * mpmath.sqrt(c * tau + d) * eta_num(tau, prec)
+    zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
+    return jacobi(a, c0) * zeta24**expo * mpmath.sqrt(c * tau + d)
+
+
+def _relative_residual(left, right, size=None):
+    """|left - right| over the larger of |left| and |right|, or over `size`
+    where one side is an exact 0."""
+    if size is None:
+        size = max(abs(left), abs(right))
+    return abs(left - right) / size
 
 
 def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResult]:
     """Numeric checks of the transformation and Weber-function identities.
 
-    Runs `samples` random draws per identity and reports the worst residual;
-    all residuals must sit far below 2^(-prec/2).
+    Runs `samples` random draws per identity and reports the worst residual,
+    relative to the larger side of each comparison; all residuals must sit
+    far below 2^(-prec/2).  Each distinct point's eta is evaluated once per
+    call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -342,9 +373,21 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         raise ValueError("prec must be >= 64: the tolerance 2^(-prec/2) would mean nothing")
     rng = random.Random(seed)
     worst: dict[str, float] = {}
+    # eta_num fixes its own working precision, so a shared value is bit for
+    # bit the one a second evaluation would give; the memo lives for this
+    # call only, and eta_num is looked up at each miss
+    evaluated: dict[mpmath.mpc, mpmath.mpc] = {}
 
-    def note(name: str, residual) -> None:
-        worst[name] = max(worst.get(name, 0.0), float(residual))
+    def eta(tau):
+        if tau not in evaluated:
+            evaluated[tau] = eta_num(tau, prec)
+        return evaluated[tau]
+
+    def weber_(tau, which):
+        return _weber(eta, tau, which)
+
+    def note(name: str, left, right, size=None) -> None:
+        worst[name] = max(worst.get(name, 0.0), float(_relative_residual(left, right, size)))
 
     with mp.workprec(prec + _GUARD_BITS):
         zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
@@ -353,62 +396,59 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         sqrt2 = mpmath.sqrt(2)
         for _ in range(samples):
             tau = _random_tau(rng)
-            e_tau = eta_num(tau, prec)
-            note("eta-shift", abs(eta_num(tau + 1, prec) - zeta24 * e_tau))
-            note(
-                "eta-inversion",
-                abs(eta_num(-1 / tau, prec) - mpmath.sqrt(-1j * tau) * e_tau),
-            )
-            a, b, c, d = _random_gamma0_4(rng)
-            lhs = eta_num((a * tau + b) / (c * tau + d), prec)
-            note("eta-gamma0(4)", abs(lhs - _eta_mult_gamma0_4(a, b, c, d, tau, prec)))
-
-            f = weber(tau, "f", prec)
-            f1 = weber(tau, "f1", prec)
-            f2 = weber(tau, "f2", prec)
-            note("f*f1*f2=sqrt2", abs(f * f1 * f2 - sqrt2))
-            note("f1(2t)f2(t)=sqrt2", abs(weber(2 * tau, "f1", prec) * f2 - sqrt2))
+            e_tau = eta(tau)
             inv_tau = -1 / tau
-            note("f(-1/t)=f(t)", abs(weber(inv_tau, "f", prec) - f))
-            note("f1(-1/t)=f2(t)", abs(weber(inv_tau, "f1", prec) - f2))
-            note("f2(-1/t)=f1(t)", abs(weber(inv_tau, "f2", prec) - f1))
-            note("f(t+1)=z48^-1 f1", abs(weber(tau + 1, "f", prec) - zeta48_inv * f1))
+            note("eta-shift", eta(tau + 1), zeta24 * e_tau)
+            note("eta-inversion", eta(inv_tau), mpmath.sqrt(-1j * tau) * e_tau)
+            a, b, c, d = _random_gamma0_4(rng)
+            note("eta-gamma0(4)", eta((a * tau + b) / (c * tau + d)),
+                 _eta_mult_gamma0_4(a, b, c, d, tau) * e_tau)
+
+            f = weber_(tau, "f")
+            f1 = weber_(tau, "f1")
+            f2 = weber_(tau, "f2")
+            note("f*f1*f2=sqrt2", f * f1 * f2, sqrt2)
+            note("f1(2t)f2(t)=sqrt2", weber_(2 * tau, "f1") * f2, sqrt2)
+            note("f(-1/t)=f(t)", weber_(inv_tau, "f"), f)
+            note("f1(-1/t)=f2(t)", weber_(inv_tau, "f1"), f2)
+            note("f2(-1/t)=f1(t)", weber_(inv_tau, "f2"), f1)
+            note("f(t+1)=z48^-1 f1", weber_(tau + 1, "f"), zeta48_inv * f1)
 
             # conjugation symmetry at tau = x + i*y
             x = rng.uniform(-1.5, 1.5)
             y = rng.uniform(0.6, 1.8)
             for which in ("f", "f1", "f2"):
-                left = mpmath.conj(weber(mpmath.mpc(x, y), which, prec))
-                right = weber(mpmath.mpc(-x, y), which, prec)
-                note("conjugation", abs(left - right))
+                left = mpmath.conj(weber_(mpmath.mpc(x, y), which))
+                note("conjugation", left, weber_(mpmath.mpc(-x, y), which))
 
             # -f^8, f1^8, f2^8 are the roots of X^3 - gamma2 X + 16
-            g2, _ = gamma2_j(tau, prec)
+            g2, _ = _gamma2_j(eta, tau)
             x0, x1, x2 = -(f**8), f1**8, f2**8
-            note("cubic-sum", abs(x0 + x1 + x2))
-            note("cubic-product", abs(x0 * x1 * x2 + 16))
-            note("cubic-pairsum", abs(x0 * x1 + x0 * x2 + x1 * x2 + g2))
+            note("cubic-sum", x0 + x1 + x2, 0, max(abs(x0), abs(x1), abs(x2)))
+            note("cubic-product", x0 * x1 * x2, -16)
+            note("cubic-pairsum", x0 * x1 + x0 * x2 + x1 * x2, -g2)
 
             a, b, c, d = _random_sl2(rng)
-            g2m, _ = gamma2_j((a * tau + b) / (c * tau + d), prec)
+            g2m, _ = _gamma2_j(eta, (a * tau + b) / (c * tau + d))
             expo = (a * c - a * b + a * a * c * d - c * d) % 3
-            note("gamma2-transform", abs(g2m - omega**expo * g2))
+            note("gamma2-transform", g2m, omega**expo * g2)
 
         # fixed-point facts
-        note("f1(sqrt-2)^2", abs(weber(mpmath.mpc(0, mpmath.sqrt(2)), "f1", prec) ** 2 - sqrt2))
-        g2_7, _ = gamma2_j(mpmath.mpc(0, mpmath.sqrt(7)), prec)
-        note("gamma2(sqrt-7)=255", abs(g2_7 - 255))
+        note("f1(sqrt-2)^2", weber_(mpmath.mpc(0, mpmath.sqrt(2)), "f1") ** 2, sqrt2)
         tau7 = mpmath.mpc(0, mpmath.sqrt(7))
+        g2_7, _ = _gamma2_j(eta, tau7)
+        note("gamma2(sqrt-7)=255", g2_7, 255)
         roots = sorted(
             [
-                mpmath.re(-weber(tau7, "f", prec) ** 8),
-                mpmath.re(weber(tau7, "f1", prec) ** 8),
-                mpmath.re(weber(tau7, "f2", prec) ** 8),
+                mpmath.re(-weber_(tau7, "f") ** 8),
+                mpmath.re(weber_(tau7, "f1") ** 8),
+                mpmath.re(weber_(tau7, "f2") ** 8),
             ]
         )
         root7 = 3 * mpmath.sqrt(7)
         expected = sorted([mpmath.mpf(-16), 8 - root7, 8 + root7])
-        note("cubic-roots(sqrt-7)", max(abs(r - e) for r, e in zip(roots, expected)))
+        for r, e in zip(roots, expected):
+            note("cubic-roots(sqrt-7)", r, e)
 
         tol = mpmath.mpf(2) ** (-(prec // 2))
         return [CheckResult(name, worst[name] < tol, worst[name]) for name in sorted(worst)]

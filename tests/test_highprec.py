@@ -3,6 +3,8 @@ transformation identities, at controlled precision."""
 
 import dataclasses
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -108,6 +110,34 @@ def test_eta_num_terminates_on_the_domain_boundary(point, prec):
     with mp.workprec(prec + 32):
         tau = point()
     assert _rel_err(tau, prec) < mpmath.mpf(2) ** -250
+
+
+def _seeded_taus(count, seed):
+    rng = random.Random(seed)
+    return [(rng.uniform(-3, 3), rng.uniform(0.05, 2)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_eta_num_matches_mpmath_eta(prec):
+    # mpmath.eta sums its own q-series at tau itself: an oracle that shares
+    # no code with eta_num or _eta_series
+    for re, im in _seeded_taus(30, prec):
+        with mp.workprec(prec + 32):
+            tau = mpmath.mpc(re, im)
+            got = eta_num(tau, prec)
+        with mp.workprec(prec + 64):
+            exact = mpmath.eta(tau)
+            assert abs(got - exact) / abs(exact) < mpmath.mpf(2) ** (8 - prec), (re, im)
+
+
+@pytest.mark.parametrize("im", [40, 1000])
+def test_eta_num_stays_relative_far_up(im):
+    # beyond Im(tau) = 20 every q^k is below 2^-(prec+32), so eta = e^(pi i tau/12),
+    # which at Im(tau) = 1000 is about 10^-114, under a fixed-point 2^-288
+    with mp.workprec(400):
+        tau = mpmath.mpc("0.3", im)
+        exact = mpmath.expjpi(tau / 12)
+        assert abs(eta_num(tau, 256) / exact - 1) < mpmath.mpf(2) ** -250
 
 
 def _reduced_eta(s_factor, keep_shift: bool):
@@ -318,6 +348,37 @@ def test_gamma2_transform_identity_matrix_trivial():
         assert expo == 0
         g2m, _ = gamma2_j((a * tau + b) / (c * tau + d), PREC)
         assert _close(g2m, g2)
+
+
+def test_identity_suite_evaluates_each_point_once_per_call(monkeypatch):
+    calls = Counter()
+
+    def counted(tau, prec):
+        calls[tau, prec] += 1
+        return eta_num(tau, prec)
+
+    monkeypatch.setattr(highprec, "eta_num", counted)
+    identity_suite(4, 256, seed=4)
+    first = dict(calls)
+    assert first and max(first.values()) == 1
+    identity_suite(4, 256, seed=4)
+    assert calls == Counter({key: 2 for key in first})  # nothing kept between calls
+
+
+def test_residuals_are_relative_to_the_sides_compared():
+    with mp.workprec(288):
+        left = mpmath.mpc("1.5", "-0.25")
+        right = left * (1 + mpmath.mpf(2) ** -100)
+        big = mpmath.mpf(10) ** 50
+        base = highprec._relative_residual(left, right)
+        scaled = highprec._relative_residual(big * left, big * right)
+        assert abs(scaled / base - 1) < 1e-20
+        assert abs(big * left - big * right) > 1e30 * abs(left - right)
+        # cubic-sum: the right-hand side is 0, the size is the largest root
+        xs = [left, right, -left - right + mpmath.mpf(2) ** -90]
+        base = highprec._relative_residual(sum(xs), 0, max(map(abs, xs)))
+        scaled = highprec._relative_residual(big * sum(xs), 0, max(abs(big * x) for x in xs))
+        assert abs(scaled / base - 1) < 1e-20
 
 
 def test_identity_suite_deterministic():
