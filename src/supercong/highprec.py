@@ -75,9 +75,10 @@ def _eta_series(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
     running products with q^k and q^(2k+1), four multiplications per k and
     no powers.  Every power has modulus below 1, so each product adds at most
     about 2^-work absolute error.  The sum is multiplied by x in floating
-    point, which keeps the result relative however small |x| is (fixed-point
-    x is 0 once Im(tau) passes about 12 work / (pi log2 e)).  This is the
-    fast path's series and, called on an unreduced tau, the tests' oracle.
+    point, which keeps the result relative however small |x| is: in fixed
+    point the product would lose log2(1/|x|) bits, all of them once Im(tau)
+    passes 12 ln(2) work / pi (about 760 at prec 256).  This is the fast
+    path's series and, called on an unreduced tau, the tests' oracle.
     """
     work = prec + _GUARD_BITS
 
@@ -383,8 +384,7 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
             evaluated[tau] = eta_num(tau, prec)
         return evaluated[tau]
 
-    def weber_(tau, which):
-        return _weber(eta, tau, which)
+    weber_ = partial(_weber, eta)
 
     def note(name: str, left, right, size=None) -> None:
         worst[name] = max(worst.get(name, 0.0), float(_relative_residual(left, right, size)))
