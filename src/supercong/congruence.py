@@ -17,7 +17,6 @@ encoding bug, not at the underlying mathematics).
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -562,12 +561,12 @@ def _chunks_by_cost(primes: list[int], workers: int) -> list[list[int]]:
     """Split the primes into `workers` chunks of near-equal cost, a prime
     costing p: largest first, each to the chunk with the least total, so the
     totals differ by at most the largest prime."""
-    heap = [(0, i) for i in range(workers)]
+    totals = [0] * workers
     chunks: list[list[int]] = [[] for _ in range(workers)]
     for p in sorted(primes, reverse=True):
-        total, i = heapq.heappop(heap)
+        i = totals.index(min(totals))
         chunks[i].append(p)
-        heapq.heappush(heap, (total + p, i))
+        totals[i] += p
     return chunks
 
 
