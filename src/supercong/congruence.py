@@ -557,19 +557,6 @@ def _sweep_chunk(args) -> list[Row]:
     return rows
 
 
-def _chunks_by_cost(primes: list[int], workers: int) -> list[list[int]]:
-    """Split the primes into `workers` chunks of near-equal cost, a prime
-    costing p: largest first, each to the chunk with the least total, so the
-    totals differ by at most the largest prime."""
-    totals = [0] * workers
-    chunks: list[list[int]] = [[] for _ in range(workers)]
-    for p in sorted(primes, reverse=True):
-        i = totals.index(min(totals))
-        chunks[i].append(p)
-        totals[i] += p
-    return chunks
-
-
 def sweep(
     spec_ids: list[str],
     lo: int,
@@ -590,7 +577,8 @@ def sweep(
     primes = [p for p in primes_in(max(lo, 3), hi)]
     report = Report()
     if workers > 1 and len(primes) > 1:
-        chunks = _chunks_by_cost(primes, workers)
+        # interleave primes so chunks carry comparable work
+        chunks = [primes[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             for rows in pool.map(_sweep_chunk, [(spec_ids, ch) for ch in chunks]):
                 report.extend(rows)

@@ -18,7 +18,6 @@ from supercong.congruence import (
     InvBinomSq,
     PrimeContext,
     PrimePredicate,
-    _chunks_by_cost,
     catalog,
     catalog_ids,
     lhs_sum,
@@ -274,28 +273,6 @@ def test_sweep_deterministic_across_workers():
     par = sweep(ids, 5, 120, workers=2)
     assert seq.rows == par.rows
     assert seq.summary()["fail"] == 0
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_sweep_chunks_balance_cost(workers):
-    primes = primes_in(3, 10**4)
-    chunks = _chunks_by_cost(primes, workers)
-    assert sorted(p for chunk in chunks for p in chunk) == primes
-    totals = [sum(chunk) for chunk in chunks]
-    assert max(totals) - min(totals) <= max(primes)
-    # the small primes, placed last, even the totals out far below that
-    # bound; dealing the primes out in turn leaves them thousands apart
-    assert max(totals) - min(totals) < max(primes) // 100
-
-
-def test_csv_report_is_the_same_for_any_worker_count(capsys):
-    argv = ["verify", "congruences", "--max-p", "90", "--format", "csv"]
-    reports = []
-    for workers in (1, 2, 3):
-        main(argv + ["--workers", str(workers)])
-        reports.append(capsys.readouterr().out)
-    assert reports[0].count("\n") > 100
-    assert reports[1] == reports[0] == reports[2]
 
 
 @pytest.mark.parametrize("workers", [0, -5])

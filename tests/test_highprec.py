@@ -372,11 +372,6 @@ def test_residuals_are_relative_to_the_sides_compared():
         scaled = highprec._relative_residual(big * left, big * right)
         assert abs(scaled / base - 1) < 1e-20
         assert abs(big * left - big * right) > 1e30 * abs(left - right)
-        # cubic-sum: the right-hand side is 0, the size is the largest root
-        xs = [left, right, -left - right + mpmath.mpf(2) ** -90]
-        base = highprec._relative_residual(sum(xs), 0, max(map(abs, xs)))
-        scaled = highprec._relative_residual(big * sum(xs), 0, max(abs(big * x) for x in xs))
-        assert abs(scaled / base - 1) < 1e-20
 
 
 def test_identity_suite_deterministic():
