@@ -18,7 +18,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, valid for all 64-bit integers."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1

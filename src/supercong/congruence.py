@@ -5,9 +5,12 @@ a_k / m^k), the summation limit (half = (p-1)/2, full = p-1), the modulus
 exponent, a predicate selecting the qualifying primes, and one or more
 branches.  A branch refines the predicate, optionally names the binary
 quadratic form giving x and y, and carries the right-hand-side template plus
-a quadratic-character prefactor.  A row whose m is a certified CM value also
-carries its CM point tau = re + im*sqrt(-d): m = 1/x(tau) for the Hauptmodul
-x paired with the family (qseries.HAUPTMODUL_SEQUENCE, with its sign), and
+a quadratic character, the Jacobi symbol (u/p) of one integer u.  Parity
+signs are such symbols too, by the supplementary laws of quadratic
+reciprocity: (-1)^((p-1)/2) = (-1/p), and (-1)^((p-1)/4) = (2/p) when
+p = 1 mod 4.  A row whose m is a certified CM value also carries its CM
+point tau = re + im*sqrt(-d): m = 1/x(tau) for the Hauptmodul x paired
+with the family (qseries.HAUPTMODUL_SEQUENCE, with its sign), and
 highprec.cm_table derives its targets from these rows.
 
 Statuses: "proven" rows form the default verification gate; "conjectural"
@@ -17,12 +20,13 @@ encoding bug, not at the underlying mathematics).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Modulus, inv, jacobi, primes_in
-from .quadforms import FormSpec, QuadRep, represent, rhs_quadratic
+from .quadforms import FormSpec, QuadRep, represent
 from .report import (
     SKIP_BRANCH_ANOMALY,
     SKIP_DIVIDES_M,
@@ -56,24 +60,6 @@ class PrimePredicate:
 
 
 @dataclass(frozen=True)
-class CharSpec:
-    """Product of Jacobi symbols (u/p) and parity signs (-1)^((p-1)/e)."""
-
-    jacobi_factors: tuple[int, ...] = ()
-    parity_factors: tuple[int, ...] = ()
-
-    def value(self, p: int) -> int:
-        sign = 1
-        for u in self.jacobi_factors:
-            sign *= jacobi(u, p)
-        for e in self.parity_factors:
-            if (p - 1) % e:
-                raise ValueError(f"(p-1)/{e} is not integral at p={p}")
-            sign *= -1 if ((p - 1) // e) % 2 else 1
-        return sign
-
-
-@dataclass(frozen=True)
 class FloorExpr:
     """floor((num*p + off) / den)."""
 
@@ -94,9 +80,6 @@ class QF:
     r3: int
     r4: int
 
-    def template(self) -> tuple[int, int, int, int]:
-        return (self.r1, self.r2, self.r3, self.r4)
-
 
 @dataclass(frozen=True)
 class InvBinomSq:
@@ -114,10 +97,13 @@ class ZeroRhs:
 
 @dataclass(frozen=True)
 class Branch:
+    """The right-hand side rhs times the Jacobi symbol (character/p) at the
+    primes where condition holds; rep names the form giving x and y."""
+
     condition: PrimePredicate
     rep: FormSpec | None
     rhs: QF | InvBinomSq | ZeroRhs
-    character: CharSpec = CharSpec()
+    character: int = 1
 
 
 @dataclass(frozen=True)
@@ -162,31 +148,16 @@ def _jc(*conds: tuple[int, int]) -> PrimePredicate:
     return PrimePredicate(jacobi_conditions=tuple(conds))
 
 
-def _merge(*preds: PrimePredicate) -> PrimePredicate:
-    rc: tuple = ()
-    jc: tuple = ()
-    for pr in preds:
-        rc += pr.residue_classes
-        jc += pr.jacobi_conditions
-    return PrimePredicate(rc, jc)
-
-
 def _simple(
-    spec_id, status, seq, m, limit, pred, form, rhs=QF4, char=CharSpec(), source="",
-    tau=None,
+    spec_id, status, seq, m, limit, pred, form, rhs=QF4, char=1, source="", tau=None,
 ):
     branch = Branch(_ALWAYS, form, rhs, char)
     return CongruenceSpec(spec_id, status, seq, m, limit, 3, pred, (branch,), source, tau)
 
 
-def _chi(u: int) -> CharSpec:
-    return CharSpec(jacobi_factors=(u,))
-
-
-_PARITY2 = CharSpec(parity_factors=(2,))
-
-
-def _build_catalog() -> list[CongruenceSpec]:
+@functools.cache
+def catalog() -> list[CongruenceSpec]:
+    """Every catalog row, built once."""
     S, F = SequenceId, Fraction
     rows: list[CongruenceSpec] = []
     add = rows.append
@@ -196,13 +167,13 @@ def _build_catalog() -> list[CongruenceSpec]:
     x7 = FormSpec(1, 7, 1)
     t7 = (F(3, 8), F(1, 8), 7)
     add(_simple("T1.1", "proven", S.CB3, 1, "half", p7, x7, source="Thm 1.1", tau=t7))
-    add(_simple("T1.1-b", "proven", S.CB3, 4096, "half", p7, x7, char=_PARITY2,
+    add(_simple("T1.1-b", "proven", S.CB3, 4096, "half", p7, x7, char=-1,
                 source="Thm 1.1", tau=(F(0), F(1, 2), 7)))
     p3 = _rc(3, 1)
     x3 = FormSpec(1, 3, 1)
     add(_simple("T1.2", "proven", S.CB3, 16, "half", p3, x3, source="Thm 1.2",
                 tau=(F(3, 4), F(1, 4), 3)))
-    add(_simple("T1.2-b", "proven", S.CB3, 256, "half", p3, x3, char=_PARITY2,
+    add(_simple("T1.2-b", "proven", S.CB3, 256, "half", p3, x3, char=-1,
                 source="Thm 1.2", tau=(F(0), F(1, 2), 3)))
     p4 = _rc(4, 1)
     x4 = FormSpec(1, 4, 1)
@@ -210,7 +181,7 @@ def _build_catalog() -> list[CongruenceSpec]:
                 tau=(F(1, 2), F(1, 2), 1)))
     p8 = _rc(8, 1, 3)
     x2 = FormSpec(1, 2, 1)
-    add(_simple("T1.4", "proven", S.CB3, -64, "half", p8, x2, char=_PARITY2,
+    add(_simple("T1.4", "proven", S.CB3, -64, "half", p8, x2, char=-1,
                 source="Thm 1.4", tau=(F(1, 2), F(1, 2), 2)))
 
     # C(2k,k)^2 C(4k,2k), full sums; CM points of u
@@ -265,30 +236,30 @@ def _build_catalog() -> list[CongruenceSpec]:
         ))
 
     # C(2k,k) C(3k,k) C(6k,3k), full sums; each m is j(tau) for class number one
-    add(_simple("T1.13", "proven", S.CB6, 12**3, "full", p4, x4, char=_chi(-3),
+    add(_simple("T1.13", "proven", S.CB6, 12**3, "full", p4, x4, char=-3,
                 source="Thm 1.13"))
-    add(_simple("T1.13-b", "proven", S.CB6, 66**3, "full", p4, x4, char=_chi(33),
+    add(_simple("T1.13-b", "proven", S.CB6, 66**3, "full", p4, x4, char=33,
                 source="Thm 1.13"))
-    add(_simple("T1.14", "proven", S.CB6, 54000, "full", p3, x3, char=_chi(5),
+    add(_simple("T1.14", "proven", S.CB6, 54000, "full", p3, x3, char=5,
                 source="Thm 1.14"))
-    add(_simple("T1.15", "proven", S.CB6, 20**3, "full", p8, x2, char=_chi(-5),
+    add(_simple("T1.15", "proven", S.CB6, 20**3, "full", p8, x2, char=-5,
                 source="Thm 1.15"))
-    add(_simple("T1.16", "proven", S.CB6, -15**3, "full", p7, x7, char=_chi(-15),
+    add(_simple("T1.16", "proven", S.CB6, -15**3, "full", p7, x7, char=-15,
                 source="Thm 1.16"))
-    add(_simple("T1.16-b", "proven", S.CB6, 255**3, "full", p7, x7, char=_chi(-255),
+    add(_simple("T1.16-b", "proven", S.CB6, 255**3, "full", p7, x7, char=-255,
                 source="Thm 1.16"))
     add(_simple("T1.17", "proven", S.CB6, -12288000, "full", p3, FormSpec(1, 27, 4),
-                rhs=QF1, char=_chi(10), source="Thm 1.17"))
+                rhs=QF1, char=10, source="Thm 1.17"))
     add(_simple("T1.18", "proven", S.CB6, -32**3, "full", _rc(11, 1, 3, 4, 5, 9),
-                FormSpec(1, 11, 4), rhs=QF1, char=_chi(-2), source="Thm 1.18"))
+                FormSpec(1, 11, 4), rhs=QF1, char=-2, source="Thm 1.18"))
     add(_simple("T1.19", "proven", S.CB6, -96**3, "full", _jc((-19, 1)),
-                FormSpec(1, 19, 4), rhs=QF1, char=_chi(-6), source="Thm 1.19"))
+                FormSpec(1, 19, 4), rhs=QF1, char=-6, source="Thm 1.19"))
     add(_simple("T1.20", "proven", S.CB6, -960**3, "full", _jc((-43, 1)),
-                FormSpec(1, 43, 4), rhs=QF1, char=_chi(-15), source="Thm 1.20"))
+                FormSpec(1, 43, 4), rhs=QF1, char=-15, source="Thm 1.20"))
     add(_simple("T1.21", "proven", S.CB6, -5280**3, "full", _jc((-67, 1)),
-                FormSpec(1, 67, 4), rhs=QF1, char=_chi(-330), source="Thm 1.21"))
+                FormSpec(1, 67, 4), rhs=QF1, char=-330, source="Thm 1.21"))
     add(_simple("T1.22", "proven", S.CB6, -640320**3, "full", _jc((-163, 1)),
-                FormSpec(1, 163, 4), rhs=QF1, char=_chi(-10005), source="Thm 1.22"))
+                FormSpec(1, 163, 4), rhs=QF1, char=-10005, source="Thm 1.22"))
 
     # Apery-like families; CM points of s (m = -1/s), w, v and h
     s1, s2 = (F(-1, 4), F(1, 4), 1), (F(0), F(1, 2), 1)
@@ -327,8 +298,7 @@ def _build_catalog() -> list[CongruenceSpec]:
         ),
         "(1.2)",
     ))
-    add(_simple("I1.3", "cited", S.CB3, -512, "half", p4, x4,
-                char=CharSpec(parity_factors=(4,)), source="(1.3)"))
+    add(_simple("I1.3", "cited", S.CB3, -512, "half", p4, x4, char=2, source="(1.3)"))
     add(CongruenceSpec(
         "R20.1", "cited", S.T, 4, "full", 3, _ALWAYS,
         (
@@ -367,29 +337,18 @@ def _build_catalog() -> list[CongruenceSpec]:
         "I1.5-b", "conjectural", S.CB6, 12**3, "full", 3, _rc(4, 3),
         (Branch(_ALWAYS, None,
                 InvBinomSq(Fraction(5, 12), FloorExpr(1, -3, 2), FloorExpr(1, -3, 4)),
-                _chi(-3)),),
+                -3),),
         "(1.5)",
     ))
-    p3mod4_not3 = _merge(_rc(4, 3), _rc(3, 1, 2))
     squares_rhs = InvBinomSq(Fraction(3, 4), FloorExpr(1, -3, 2), FloorExpr(1, -3, 4))
     for suffix, mm, tau in (("", 8, s1), ("-b", -16, s2)):
         add(CongruenceSpec(
-            f"C22.29{suffix}", "conjectural", S.V, mm, "full", 3, p3mod4_not3,
+            f"C22.29{suffix}", "conjectural", S.V, mm, "full", 3, _rc(12, 7, 11),
             (Branch(_ALWAYS, None, squares_rhs),), "Conj 22.29", tau,
         ))
+    ids = [s.id for s in rows]
+    assert len(ids) == len(set(ids)), "duplicate catalog ids"
     return rows
-
-
-_CATALOG: list[CongruenceSpec] | None = None
-
-
-def catalog() -> list[CongruenceSpec]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-        ids = [s.id for s in _CATALOG]
-        assert len(ids) == len(set(ids)), "duplicate catalog ids"
-    return _CATALOG
 
 
 def lookup(spec_id: str) -> CongruenceSpec:
@@ -488,11 +447,14 @@ def rhs_value(
     rhs = branch.rhs
     if isinstance(rhs, ZeroRhs):
         return 0
-    sign = branch.character.value(p)
+    sign = jacobi(branch.character, p)
     if isinstance(rhs, QF):
         if rep is None:
             raise ValueError("quadratic template needs a representation")
-        val = rhs_quadratic(rep, rhs.template(), m3)
+        x2 = rep.x * rep.x
+        val = rhs.r1 * x2 + rhs.r2 * p
+        if rhs.r3:
+            val += rhs.r3 * p * p * inv(rhs.r4 * x2, m3)
     else:
         top = rhs.top.eval(p)
         bottom = rhs.bottom.eval(p)

@@ -153,13 +153,9 @@ class QSeries:
             out.append(quot)
         return QSeries(self.off24 - other.off24, out)
 
-    def inverse(self) -> "QSeries":
-        one = QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
-        return one / self
-
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError(f"negative exponent {e}; divide by the power instead")
         if e == 0:
             return QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
         result = None  # binary powering that starts from the base, not from 1

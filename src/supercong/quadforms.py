@@ -107,6 +107,10 @@ def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
 
         A   = 2x - cp/(2x) - c^2 p^2/(8x^3) - c^3 p^3/(16x^5)   mod p^4
         A^2 = 4x^2 - 2cp - c^2 p^2/(4x^2) - c^3 p^3/(8x^4)      mod p^4
+
+    With t = cp/(4x^2), which has p-adic valuation >= 1, these read
+    A = 2x(1 - t - t^2 - 2t^3) and A^2 = 4x^2(1 - 2t - t^2 - 2t^3): the
+    Catalan series of A = x(1 + sqrt(1 - 4t)) cut after t^3.
     """
     if m.k != 4:
         raise ValueError("expansion check is a mod p^4 statement")
@@ -117,22 +121,11 @@ def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
         raise ValueError("p divides x; representation violates preconditions")
     r = padic_root_select(rep, m)
     a_val = (x + y * r) % pk
-    cp = c * p
-    ix = inv(x, m)
-    ix2 = ix * ix % pk
-    i2 = inv(2, m)
-    rhs1 = (
-        2 * x
-        - cp * ix % pk * i2
-        - cp * cp % pk * ix % pk * ix2 % pk * inv(8, m)
-        - cp * cp % pk * cp % pk * ix % pk * ix2 % pk * ix2 % pk * inv(16, m)
-    ) % pk
-    rhs2 = (
-        4 * x * x
-        - 2 * cp
-        - cp * cp % pk * ix2 % pk * inv(4, m)
-        - cp * cp % pk * cp % pk * ix2 % pk * ix2 % pk * inv(8, m)
-    ) % pk
+    t = c * p * inv(4 * x * x, m) % pk
+    t2 = t * t % pk
+    t3 = t2 * t % pk
+    rhs1 = 2 * x * (1 - t - t2 - 2 * t3) % pk
+    rhs2 = 4 * x * x * (1 - 2 * t - t2 - 2 * t3) % pk
     diff1 = (a_val - rhs1) % pk
     diff2 = (a_val * a_val - rhs2) % pk
     return Lemma23Result(diff1 == 0 and diff2 == 0, p, u.form, x, y, diff1, diff2)
@@ -160,13 +153,3 @@ def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
             continue
         out.append((form, lemma23_check(rep, Modulus.make(p, 4))))
     return out
-
-
-def rhs_quadratic(rep: QuadRep, template: tuple[int, int, int, int], m: Modulus) -> int:
-    """Evaluate r1*x^2 + r2*p + r3*p^2 / (r4*x^2) mod p^k."""
-    r1, r2, r3, r4 = template
-    x, p, pk = rep.x, rep.p, m.pk
-    val = (r1 * x * x + r2 * p) % pk
-    if r3:
-        val += r3 * p * p % pk * inv(r4 * x * x, m) % pk
-    return val % pk

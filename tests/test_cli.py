@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -43,6 +44,20 @@ def test_verify_single_theorem_json(capsys):
     assert all(r["outcome"] in ("pass", "skip") for r in rows)
     passing = [r for r in rows if r["outcome"] == "pass"]
     assert {"lhs", "rhs", "x", "y"} <= set(passing[0])
+
+
+def test_congruence_sweep_csv_is_pinned(capsys):
+    """Every catalog row to p <= 1000, byte for byte: the 9,297 CSV lines are
+    frozen by their SHA-256, so any change to a row, a skip reason or the CSV
+    layout shows here."""
+    code, out, _ = run_cli(capsys, [
+        "verify", "congruences", "--include-conjectural", "--max-p", "1000", "--format", "csv",
+    ])
+    assert code == EXIT_OK
+    assert out.count("\n") == 9297
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e04c979555eedd1a58976eaf85e04c2aa31c53c46b74abfb391de5d3da7d179b"
+    )
 
 
 def test_verify_unknown_theorem(capsys):

@@ -13,7 +13,6 @@ from supercong.arith import jacobi, primes_in
 from supercong.congruence import (
     QF,
     Branch,
-    CharSpec,
     CongruenceSpec,
     InvBinomSq,
     PrimeContext,
@@ -26,7 +25,7 @@ from supercong.congruence import (
     sweep,
     verify,
 )
-from supercong.quadforms import QuadRep, represent
+from supercong.quadforms import FormSpec, QuadRep, represent
 from supercong.report import Report
 from supercong.sequences import RECURRENCES, SequenceId, exact_terms
 
@@ -62,7 +61,7 @@ def test_lookup_examples():
     branch = t15.match_branch(3)
     assert branch.rep.a == 1 and branch.rep.d == 2 and branch.rep.c == 1
     assert branch.rhs == QF(4, -2, -1, 4)
-    assert branch.character.value(11) == 1
+    assert branch.character == 1
 
     t122 = lookup("T1.22")
     assert t122.sequence is SequenceId.CB6
@@ -72,7 +71,7 @@ def test_lookup_examples():
     b = t122.branches[0]
     assert (b.rep.a, b.rep.d, b.rep.c) == (1, 163, 4)
     assert b.rhs == QF(1, -2, -1, 1)
-    assert b.character.jacobi_factors == (-10005,)
+    assert b.character == -10005
 
     t129 = lookup("T1.29")
     assert t129.sequence is SequenceId.A
@@ -84,13 +83,13 @@ def test_lookup_examples():
         lookup("T9.99")
 
 
-def test_char_spec():
-    assert CharSpec(jacobi_factors=(-3,)).value(13) == jacobi(-3, 13) == 1
-    assert CharSpec(parity_factors=(2,)).value(3) == -1
-    assert CharSpec(parity_factors=(2,)).value(5) == 1
-    assert CharSpec(parity_factors=(4,)).value(13) == -1
-    with pytest.raises(ValueError):
-        CharSpec(parity_factors=(4,)).value(7)
+def test_parity_signs_are_jacobi_symbols():
+    """The supplementary laws behind char=-1 and char=2 in the catalog:
+    (-1)^((p-1)/2) = (-1/p), and (-1)^((p-1)/4) = (2/p) when p = 1 mod 4."""
+    for p in primes_in(3, 3000):
+        assert jacobi(-1, p) == (-1) ** ((p - 1) // 2), p
+        if p % 4 == 1:
+            assert jacobi(2, p) == (-1) ** ((p - 1) // 4), p
 
 
 def test_branch_exclusivity_below_2000():
@@ -207,6 +206,29 @@ def test_lhs_sum_frozen_examples():
     assert lhs_sum(spec, 7) == 149
     row = verify(spec, 7)
     assert row.outcome == "pass" and row.rhs == 149 and (row.x, row.y) == (2, 1)
+
+
+def test_rhs_quadratic():
+    spec = lookup("T1.1")  # 4x^2 - 2p - p^2/(4x^2), character 1
+    branch = spec.match_branch(29)
+    rep = represent(29, FormSpec(1, 7, 1))
+    val = rhs_value(spec, branch, 29, rep)
+    pk = 29**3
+    expected = (4 - 58 - 29 * 29 * pow(4, -1, pk)) % pk
+    assert val == expected
+
+    # depends on x only through x^2
+    flipped = QuadRep(-rep.x, rep.y, rep.form, rep.p)
+    assert rhs_value(spec, branch, 29, flipped) == val
+    # result is a unit: equals 4x^2 mod p
+    assert val % 29 == 4 * rep.x * rep.x % 29
+
+
+def test_rhs_quadratic_bad_denominator():
+    spec = lookup("T1.1")
+    rep = QuadRep(5, 1, FormSpec(1, 7, 1), 5)  # synthetic x divisible by p
+    with pytest.raises(ValueError):
+        rhs_value(spec, spec.branches[0], 5, rep)
 
 
 def test_rhs_invbinomsq_example():

@@ -11,7 +11,6 @@ from supercong.quadforms import (
     lemma23_trials,
     padic_root_select,
     represent,
-    rhs_quadratic,
     unit_leading,
 )
 
@@ -71,11 +70,23 @@ def test_padic_root_select():
     assert (1 + 0 * root) % 3 != 0
 
 
+LEMMA23_EXAMPLES = ((29, FormSpec(1, 7, 1)), (13, FormSpec(1, 4, 1)), (5, FormSpec(1, 11, 4)))
+
+
 def test_lemma23_examples():
-    for p, form in ((29, FormSpec(1, 7, 1)), (13, FormSpec(1, 4, 1)), (5, FormSpec(1, 11, 4))):
+    for p, form in LEMMA23_EXAMPLES:
         rep = represent(p, form)
         res = lemma23_check(rep, Modulus.make(p, 4))
         assert res.ok, res
+
+
+def test_lemma23_rejects_a_non_representation():
+    """Negative control: x + p with the same y misses c*p = x^2 + d*y^2, so
+    the expansion of x + y*sqrt(-d) fails already mod p^2."""
+    for p, form in LEMMA23_EXAMPLES:
+        rep = represent(p, form)
+        res = lemma23_check(QuadRep(rep.x + p, rep.y, form, p), Modulus.make(p, 4))
+        assert not res.ok and res.diff_linear % (p * p) != 0, (p, form, res)
 
 
 def test_lemma23_random_catalog_forms():
@@ -83,28 +94,6 @@ def test_lemma23_random_catalog_forms():
     assert len(forms) >= 15
     for form, res in lemma23_trials(forms, 100, 41):
         assert res.ok, (form, res.p, res)
-
-
-def test_rhs_quadratic():
-    m = Modulus.make(29, 3)
-    rep = represent(29, FormSpec(1, 7, 1))
-    val = rhs_quadratic(rep, (4, -2, -1, 4), m)
-    pk = 29**3
-    expected = (4 - 58 - 29 * 29 * pow(4, -1, pk)) % pk
-    assert val == expected
-
-    # depends on x only through x^2
-    flipped = QuadRep(-rep.x, rep.y, rep.form, rep.p)
-    assert rhs_quadratic(flipped, (4, -2, -1, 4), m) == val
-    # result is a unit: equals 4x^2 mod p
-    assert val % 29 == 4 * rep.x * rep.x % 29
-
-
-def test_rhs_quadratic_bad_denominator():
-    m = Modulus.make(5, 3)
-    rep = QuadRep(5, 1, FormSpec(1, 7, 1), 5)  # synthetic x divisible by p
-    with pytest.raises(ValueError):
-        rhs_quadratic(rep, (4, -2, -1, 4), m)
 
 
 def test_representability_matches_residue_classes_for_intro_forms():
