@@ -378,31 +378,23 @@ def catalog_forms() -> list[FormSpec]:
 class PrimeContext:
     """Shared per-prime state mod p^3: factorials and the family term cache.
 
-    Every index here is below p, so every factorial is a p-adic unit: the
-    terms are generated without division, and lhs_sum inverts once per row.
+    Every index here is below p, so every factorial is a p-adic unit: terms
+    need no division, and lhs_sum and rhs_value each invert once.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.m3 = Modulus.make(p, 3)
-        self._table: list[int] | None = None
         self._terms: dict[SequenceId, list[int]] = {}
 
-    @property
+    @functools.cached_property
     def table(self) -> list[int]:
         """n! mod p^3 for n < p."""
-        if self._table is None:
-            pk = self.m3.pk
-            table = [1] * self.p
-            for n in range(1, self.p):
-                table[n] = table[n - 1] * n % pk
-            self._table = table
-        return self._table
-
-    def binomial(self, n: int, r: int) -> int:
-        """C(n, r) mod p^3 for 0 <= r <= n < p, with one inversion."""
-        table = self.table
-        return table[n] * inv(table[r] * table[n - r], self.m3) % self.m3.pk
+        pk = self.m3.pk
+        table = [1] * self.p
+        for n in range(1, self.p):
+            table[n] = table[n - 1] * n % pk
+        return table
 
     def terms(self, seq: SequenceId) -> list[int]:
         """a_n (n!)^3 mod p^3 for n < p."""
@@ -411,19 +403,15 @@ class PrimeContext:
         return self._terms[seq]
 
 
-def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> int:
+def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext) -> int:
     """sum_{k<=L} a_k m^-k mod p^mod_exp, from the projective terms x_k = a_k (k!)^3.
 
     Z_0 = 0, Z_{k+1} = k^3 m Z_k + x_k gives Z_{L+1} = (L!)^3 m^L times the
-    sum, so one inversion finishes it.
+    sum, so one inversion finishes it; it raises ValueError when p | m.
     """
-    if ctx is None:
-        ctx = PrimeContext(p)
     m3 = ctx.m3
     pk = m3.pk
     mm = spec.m % pk
-    if mm % p == 0:
-        raise ValueError(f"p={p} divides m for {spec.id}")
     terms = ctx.terms(spec.sequence)
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
     z = 0
@@ -438,31 +426,31 @@ def rhs_value(
     branch: Branch,
     p: int,
     rep: QuadRep | None,
-    ctx: PrimeContext | None = None,
+    ctx: PrimeContext,
 ) -> int:
-    """The branch's right-hand side mod p^mod_exp, computed mod p^3 and reduced."""
-    if ctx is None:
-        ctx = PrimeContext(p)
-    m3 = ctx.m3
+    """The branch's right-hand side times (character/p) mod p^mod_exp: one fraction
+    num/den mod p^3, one inversion.  QF: den = r4 x^2, num = (r1 x^2 + r2 p) den
+    + r3 p^2.  InvBinomSq(rho, n, r): den = rho_den (n!)^2, num = rho_num p^2
+    (r! (n-r)!)^2, read from the factorial table."""
     rhs = branch.rhs
     if isinstance(rhs, ZeroRhs):
         return 0
-    sign = jacobi(branch.character, p)
     if isinstance(rhs, QF):
         if rep is None:
             raise ValueError("quadratic template needs a representation")
         x2 = rep.x * rep.x
-        val = rhs.r1 * x2 + rhs.r2 * p
-        if rhs.r3:
-            val += rhs.r3 * p * p * inv(rhs.r4 * x2, m3)
+        den = rhs.r4 * x2
+        num = (rhs.r1 * x2 + rhs.r2 * p) * den + rhs.r3 * p * p
     else:
-        top = rhs.top.eval(p)
-        bottom = rhs.bottom.eval(p)
-        if not (0 <= bottom <= top < p):
+        n = rhs.top.eval(p)
+        r = rhs.bottom.eval(p)
+        if not (0 <= r <= n < p):
             raise ValueError(f"binomial arguments out of range at p={p}")
-        rho = rhs.rho.numerator * inv(rhs.rho.denominator, m3)
-        val = rho * p * p * pow(inv(ctx.binomial(top, bottom), m3), 2, m3.pk)
-    return sign * val % p**spec.mod_exp
+        table = ctx.table
+        num = rhs.rho.numerator * p * p * (table[r] * table[n - r]) ** 2
+        den = rhs.rho.denominator * table[n] ** 2
+    val = num * inv(den, ctx.m3)
+    return jacobi(branch.character, p) * val % p**spec.mod_exp
 
 
 def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row:

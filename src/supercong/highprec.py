@@ -229,17 +229,15 @@ class CheckResult:
     residual: float
 
 
-def _certify(name: str, digits: int, work_digits: int | None, evaluate) -> CheckResult:
+def _certify(name: str, digits: int, evaluate) -> CheckResult:
     """Check max(|Re v - expected|, |Im v|) < 10^-digits * min(1, |expected|)
-    for (v, expected) = evaluate(prec), run at the working precision of
-    work_digits digits.  The bound is relative below |expected| = 1, so a small
-    value still agrees to `digits` significant digits; the reported residual
-    is the absolute one."""
+    for (v, expected) = evaluate(prec), run at a working precision of
+    max(digits + 20, 80) digits.  The bound is relative below |expected| = 1,
+    so a small value still agrees to `digits` significant digits; the
+    reported residual is the absolute one."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    if work_digits is None:
-        work_digits = max(digits + 20, 80)
-    prec = int(work_digits * 3.33) + 8
+    prec = int(max(digits + 20, 80) * 3.33) + 8
     with mp.workprec(prec):
         val, expected = evaluate(prec)
         residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val)))
@@ -252,9 +250,9 @@ def _cm_value(target: CMTarget, prec: int):
     return val, mpmath.mpf(target.expected.numerator) / target.expected.denominator
 
 
-def cm_check(target: CMTarget, digits: int, work_digits: int | None = None) -> CheckResult:
+def cm_check(target: CMTarget, digits: int) -> CheckResult:
     """Evaluate the target's function at its CM point and compare exactly."""
-    return _certify(target.name, digits, work_digits, partial(_cm_value, target))
+    return _certify(target.name, digits, partial(_cm_value, target))
 
 
 @dataclass(frozen=True)
@@ -297,8 +295,8 @@ def _class_invariant(which: str, n: int, power: int, closed: SurdValue, prec: in
     return g**power, closed.to_mpf(prec)
 
 
-def class_invariant_check(digits: int, work_digits: int | None = None) -> list[CheckResult]:
-    return [_certify(f"{name}^{power}={closed}", digits, work_digits,
+def class_invariant_check(digits: int) -> list[CheckResult]:
+    return [_certify(f"{name}^{power}={closed}", digits,
                      partial(_class_invariant, which, n, power, closed))
             for name, which, n, power, closed in CLASS_INVARIANTS]
 

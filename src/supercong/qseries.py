@@ -121,33 +121,22 @@ class QSeries:
         return QSeries(0, out)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Cauchy product, c_k = sum_{i<=k} a_i b_(k-i), as long as the shorter factor."""
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+        out = [sum(map(mul, a, b[k::-1])) for k in range(n)]
         return QSeries(self.off24 + other.off24, out)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
+        """Quotient as long as the shorter operand, c_i = (a_i - sum_{1<=j<=i} b_j
+        c_(i-j)) / b_0; raises ArithmeticError where some c_i is not an integer."""
         n = min(len(self.coeffs), len(other.coeffs))
         if n == 0 or not other.coeffs[0]:
             raise ZeroDivisionError("division by a series with zero leading coefficient")
-        b0 = other.coeffs[0]
         a, b = self.coeffs, other.coeffs
         out: list[int] = []
         for i in range(n):
-            acc = a[i]
-            for j in range(1, i + 1):
-                bj = b[j]
-                if bj:
-                    acc = acc - bj * out[i - j]
-            quot, rem = divmod(acc, b0)
+            quot, rem = divmod(a[i] - sum(map(mul, b[i:0:-1], out)), b[0])
             if rem:
                 raise ArithmeticError(f"quotient is not integral at q^{i} of the truncation")
             out.append(quot)

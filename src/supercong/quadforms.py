@@ -99,8 +99,8 @@ class Lemma23Result:
     diff_square: int  # residual of the expansion of its square, 0 on pass
 
 
-def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
-    """Check both degree-4 p-adic expansions of A = x + y*sqrt(-d).
+def lemma23_check(rep: QuadRep) -> Lemma23Result:
+    """Check both degree-4 p-adic expansions of A = x + y*sqrt(-d) mod p^4.
 
     With c*p = x^2 + d*y^2 and A a unit, A and A^2 admit closed expansions
     in powers of p with denominators that are powers of 2x:
@@ -112,8 +112,7 @@ def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
     A = 2x(1 - t - t^2 - 2t^3) and A^2 = 4x^2(1 - 2t - t^2 - 2t^3): the
     Catalan series of A = x(1 + sqrt(1 - 4t)) cut after t^3.
     """
-    if m.k != 4:
-        raise ValueError("expansion check is a mod p^4 statement")
+    m = Modulus.make(rep.p, 4)
     u = unit_leading(rep)
     x, y, d, c = u.x, u.y, u.form.d, u.form.c
     p, pk = rep.p, m.pk
@@ -133,7 +132,7 @@ def lemma23_check(rep: QuadRep, m: Modulus) -> Lemma23Result:
 
 def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
                    ) -> list[tuple[FormSpec, Lemma23Result]]:
-    """Run lemma23_check mod p^4 on `trials` seeded random (form, p) cases.
+    """Run lemma23_check on `trials` seeded random (form, p) cases.
 
     Each case draws a form from `forms` and then p from [3, 10^4); draws with
     p composite, p dividing 2*a*d*c, or c*p not represented by the form are
@@ -151,5 +150,5 @@ def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
         rep = represent(p, form)
         if rep is None:
             continue
-        out.append((form, lemma23_check(rep, Modulus.make(p, 4))))
+        out.append((form, lemma23_check(rep)))
     return out

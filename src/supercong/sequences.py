@@ -26,9 +26,6 @@ class SequenceId(str, Enum):
     A = "A"
 
 
-ALL_SEQUENCES = tuple(SequenceId)
-
-
 def _v_central_squares(n: int) -> int:
     # sum C(2k,k)^2 C(2n-2k,n-k)^2
     term = total = comb(2 * n, n) ** 2

@@ -31,7 +31,7 @@ from supercong.qseries import (
     weber_f_2tau_pow24_q,
 )
 from supercong.quadforms import lemma23_trials, represent
-from supercong.sequences import ALL_SEQUENCES, exact_term
+from supercong.sequences import SequenceId, exact_term
 
 from sequence_formulas import alternate_formulas
 
@@ -95,10 +95,10 @@ def test_criterion_4_cm_certification():
     assert len(table) >= 28
     bad = []
     for target in table:
-        res = cm_check(target, 60, work_digits=80)
+        res = cm_check(target, 60)
         if not res.ok:
             bad.append((res.name, res.residual))
-    for res in class_invariant_check(60, work_digits=80):
+    for res in class_invariant_check(60):
         if not res.ok:
             bad.append((res.name, res.residual))
     assert _announce(4, "cm-certification-60-digits", not bad,
@@ -114,7 +114,7 @@ def test_criterion_6_property_suites():
     problems = []
 
     # multi-formula agreement, n <= 100
-    for seq in ALL_SEQUENCES:
+    for seq in SequenceId:
         for n in range(101):
             values = alternate_formulas(seq, n)
             if len(set(values)) != 1 or values[0] != exact_term(seq, n):
@@ -168,7 +168,7 @@ def test_criterion_7_negative_controls():
     base = cm_table()[0]
     res = cm_check(
         CMTarget(base.name, base.fn, base.point, base.expected + Fraction(1, 10**30)),
-        60, work_digits=80,
+        60,
     )
     detected.append(not res.ok and 1e-31 < res.residual < 1e-29)
 

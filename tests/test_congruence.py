@@ -140,7 +140,7 @@ def test_lhs_sum_against_oracle():
         p = rng.choice(primes_in(5, 80))
         if spec.m % p == 0:
             continue
-        assert lhs_sum(spec, p) == oracle_lhs_fraction(spec, p), (spec.id, p)
+        assert lhs_sum(spec, p, PrimeContext(p)) == oracle_lhs_fraction(spec, p), (spec.id, p)
         checked += 1
 
 
@@ -167,7 +167,7 @@ def test_lhs_sum_against_recurrence_oracle_near_1100():
         if spec.status != "proven" or spec.sequence in checked:
             continue
         p = next(p for p in primes_in(1100, 1130) if spec.qualifies(p) and spec.m % p)
-        assert lhs_sum(spec, p) == recurrence_lhs(spec, p), (spec.id, p)
+        assert lhs_sum(spec, p, PrimeContext(p)) == recurrence_lhs(spec, p), (spec.id, p)
         checked.add(spec.sequence)
     assert checked == set(SequenceId)
 
@@ -178,32 +178,34 @@ def test_prime_context_table_is_factorials():
         assert table == [math.factorial(n) % p**3 for n in range(p)]
 
 
-def test_invbinomsq_binomials_match_comb():
-    contexts = {}
+def test_invbinomsq_rhs_against_comb():
+    """Every inverse-binomial branch case at qualifying 5 <= p <= 2000 against
+    (u/p) rho p^2 C(top, bottom)^-2 mod p^e from math.comb and pow alone."""
     checked = 0
-    for spec in catalog():
-        for branch in spec.branches:
-            if not isinstance(branch.rhs, InvBinomSq):
+    for p in primes_in(5, 2000):
+        ctx = PrimeContext(p)
+        for spec in catalog():
+            branch = spec.match_branch(p) if spec.qualifies(p) else None
+            if branch is None or not isinstance(branch.rhs, InvBinomSq):
                 continue
-            for p in primes_in(5, 2000):
-                if not spec.qualifies(p) or spec.match_branch(p) is not branch:
-                    continue
-                ctx = contexts.setdefault(p, PrimeContext(p))
-                top, bottom = branch.rhs.top.eval(p), branch.rhs.bottom.eval(p)
-                assert ctx.binomial(top, bottom) == math.comb(top, bottom) % p**3
-                checked += 1
+            rho, pe = branch.rhs.rho, p**spec.mod_exp
+            binom = math.comb(branch.rhs.top.eval(p), branch.rhs.bottom.eval(p))
+            expected = (jacobi(branch.character, p) * rho.numerator * p * p
+                        * pow(rho.denominator * binom**2, -1, pe)) % pe
+            assert rhs_value(spec, branch, p, None, ctx) == expected, (spec.id, p)
+            checked += 1
     assert checked == 1085
 
 
 def test_lhs_sum_frozen_examples():
     # big-integer oracle values, frozen: sum C(2k,k)^3, k <= 14, mod 29^3
     spec = lookup("T1.1")
-    assert lhs_sum(spec, 29) == 5833
+    assert lhs_sum(spec, 29, PrimeContext(29)) == 5833
     row = verify(spec, 29)
     assert row.outcome == "pass" and row.lhs == row.rhs == 5833
     # alternating Apery sum at p=7: 1 - 5 + 73 - 1445 + 33001 - 819005 + 21460825
     spec = lookup("T1.29")
-    assert lhs_sum(spec, 7) == 149
+    assert lhs_sum(spec, 7, PrimeContext(7)) == 149
     row = verify(spec, 7)
     assert row.outcome == "pass" and row.rhs == 149 and (row.x, row.y) == (2, 1)
 
@@ -212,14 +214,14 @@ def test_rhs_quadratic():
     spec = lookup("T1.1")  # 4x^2 - 2p - p^2/(4x^2), character 1
     branch = spec.match_branch(29)
     rep = represent(29, FormSpec(1, 7, 1))
-    val = rhs_value(spec, branch, 29, rep)
+    val = rhs_value(spec, branch, 29, rep, PrimeContext(29))
     pk = 29**3
     expected = (4 - 58 - 29 * 29 * pow(4, -1, pk)) % pk
     assert val == expected
 
     # depends on x only through x^2
     flipped = QuadRep(-rep.x, rep.y, rep.form, rep.p)
-    assert rhs_value(spec, branch, 29, flipped) == val
+    assert rhs_value(spec, branch, 29, flipped, PrimeContext(29)) == val
     # result is a unit: equals 4x^2 mod p
     assert val % 29 == 4 * rep.x * rep.x % 29
 
@@ -228,27 +230,27 @@ def test_rhs_quadratic_bad_denominator():
     spec = lookup("T1.1")
     rep = QuadRep(5, 1, FormSpec(1, 7, 1), 5)  # synthetic x divisible by p
     with pytest.raises(ValueError):
-        rhs_value(spec, spec.branches[0], 5, rep)
+        rhs_value(spec, spec.branches[0], 5, rep, PrimeContext(5))
 
 
 def test_rhs_invbinomsq_example():
     # p=3 on the p=3 mod 7 branch: -11 * 9 * C(1,0)^-2 = -99 = 9 mod 27
     spec = lookup("I1.1-b")
     branch = spec.match_branch(3)
-    assert rhs_value(spec, branch, 3, None) == -99 % 27 == 9
+    assert rhs_value(spec, branch, 3, None, PrimeContext(3)) == -99 % 27 == 9
 
 
 def test_rhs_depends_only_on_x_squared():
     spec = lookup("T1.5")
     branch = spec.match_branch(3)
     rep = represent(3, branch.rep)
-    base = rhs_value(spec, branch, 3, rep)
+    base = rhs_value(spec, branch, 3, rep, PrimeContext(3))
     for flipped in (
         QuadRep(-rep.x, rep.y, rep.form, rep.p),
         QuadRep(rep.x, -rep.y, rep.form, rep.p),
         QuadRep(-rep.x, -rep.y, rep.form, rep.p),
     ):
-        assert rhs_value(spec, branch, 3, flipped) == base
+        assert rhs_value(spec, branch, 3, flipped, PrimeContext(3)) == base
 
 
 def test_theorem_1_1_pair_identity():

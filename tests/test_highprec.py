@@ -253,7 +253,7 @@ def test_cm_table_contents():
 
 def test_cm_check_all_rows_60_digits():
     for target in cm_table():
-        res = cm_check(target, 60, work_digits=80)
+        res = cm_check(target, 60)
         assert res.ok, (res.name, res.residual)
         assert res.residual < 1e-60
 
@@ -262,7 +262,7 @@ def test_cm_check_detects_perturbation():
     base = cm_table()[1]  # t at sqrt(-7)/2 -> 1/4096
     perturbed = CMTarget(base.name, base.fn, base.point,
                          base.expected + Fraction(1, 10**30))
-    res = cm_check(perturbed, 60, work_digits=80)
+    res = cm_check(perturbed, 60)
     assert not res.ok
     assert 1e-31 < res.residual < 1e-29
 
@@ -273,15 +273,15 @@ def test_cm_check_is_relative_for_small_values():
     base = next(t for t in cm_table() if t.expected == Fraction(1, 396**4))
     perturbed = CMTarget(base.name, base.fn, base.point,
                          base.expected * (1 + Fraction(1, 10**50)))
-    res = cm_check(perturbed, 60, work_digits=80)
+    res = cm_check(perturbed, 60)
     assert not res.ok
     assert 1e-61 < res.residual < 1e-60
 
 
 def test_cm_check_stability_under_higher_precision():
     for target in cm_table()[::6]:
-        r80 = cm_check(target, 60, work_digits=80)
-        r160 = cm_check(target, 60, work_digits=160)
+        r80 = cm_check(target, 60)  # 80 working digits
+        r160 = cm_check(target, 140)  # 160 working digits
         assert r80.ok and r160.ok
         assert abs(r80.residual - r160.residual) < 1e-60
 
@@ -314,7 +314,7 @@ def test_cm_target_detects_wrong_m():
 
 
 def test_class_invariants():
-    rows = class_invariant_check(60, work_digits=80)
+    rows = class_invariant_check(60)
     assert len(rows) == 11
     for row in rows:
         assert row.ok, (row.name, row.residual)

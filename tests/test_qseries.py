@@ -438,6 +438,37 @@ def test_qseries_division_undoes_multiplication(a, b):
     assert all(isinstance(x, int) for x in back.coeffs)
 
 
+_OFF24 = st.integers(-48, 48)  # fractional offsets included
+_COEFF = st.one_of(st.just(0), st.integers(-5, 5))
+
+
+def _loose_series(min_size=0):
+    return st.builds(QSeries, _OFF24, st.lists(_COEFF, min_size=min_size, max_size=12))
+
+
+_UNIT_LEAD = st.builds(lambda off, head, tail: QSeries(off, [head] + tail),
+                       _OFF24, st.sampled_from([1, -1]), st.lists(_COEFF, max_size=11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_loose_series(), b=_loose_series())
+def test_qseries_product_is_the_truncated_cauchy_product(a, b):
+    n = min(a.length, b.length)
+    prod = a * b
+    assert prod.off24 == a.off24 + b.off24
+    assert prod.coeffs == [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                           for k in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_loose_series(min_size=1), b=_UNIT_LEAD)
+def test_qseries_quotient_is_as_long_as_the_shorter_operand(a, b):
+    quot = a / b
+    assert quot.off24 == a.off24 - b.off24
+    assert len(quot.coeffs) == min(a.length, b.length)
+    assert (quot * b).coeffs == a.coeffs[:len(quot.coeffs)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=_series(), b=_series())
 def test_qseries_theta_is_a_derivation(a, b):

@@ -76,7 +76,7 @@ LEMMA23_EXAMPLES = ((29, FormSpec(1, 7, 1)), (13, FormSpec(1, 4, 1)), (5, FormSp
 def test_lemma23_examples():
     for p, form in LEMMA23_EXAMPLES:
         rep = represent(p, form)
-        res = lemma23_check(rep, Modulus.make(p, 4))
+        res = lemma23_check(rep)
         assert res.ok, res
 
 
@@ -85,7 +85,7 @@ def test_lemma23_rejects_a_non_representation():
     the expansion of x + y*sqrt(-d) fails already mod p^2."""
     for p, form in LEMMA23_EXAMPLES:
         rep = represent(p, form)
-        res = lemma23_check(QuadRep(rep.x + p, rep.y, form, p), Modulus.make(p, 4))
+        res = lemma23_check(QuadRep(rep.x + p, rep.y, form, p))
         assert not res.ok and res.diff_linear % (p * p) != 0, (p, form, res)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from supercong.arith import primes_in
 from supercong.sequences import (
-    ALL_SEQUENCES,
     RECURRENCES,
     SequenceId,
     exact_term,
@@ -23,14 +22,14 @@ ORACLE_COUNT = 201
 @pytest.fixture(scope="module")
 def oracle():
     """a_0..a_200 of every family from the defining sums."""
-    return {seq: exact_terms(seq, ORACLE_COUNT) for seq in ALL_SEQUENCES}
+    return {seq: exact_terms(seq, ORACLE_COUNT) for seq in SequenceId}
 
 
 @pytest.fixture(scope="module")
 def scaled_oracle(oracle):
     """a_n (n!)^3 for n <= 200, exact."""
     return {seq: [a * math.factorial(n) ** 3 for n, a in enumerate(oracle[seq])]
-            for seq in ALL_SEQUENCES}
+            for seq in SequenceId}
 
 
 def recurrence_mismatches(seq, terms):
@@ -64,7 +63,7 @@ def test_alternate_formulas_examples():
 
 
 def test_all_formulas_agree_to_100():
-    for seq in ALL_SEQUENCES:
+    for seq in SequenceId:
         for n in range(101):
             values = alternate_formulas(seq, n)
             assert len(set(values)) == 1, (seq, n, values)
@@ -92,7 +91,7 @@ def test_terms_mod_matches_exact(scaled_oracle):
     for _ in range(10):
         p = rng.choice(primes_in(3, 60))
         modulus = p ** rng.randint(1, 3)
-        for seq in ALL_SEQUENCES:
+        for seq in SequenceId:
             got = scaled_terms_mod(seq, count, modulus)
             assert got == [x % modulus for x in scaled_oracle[seq]], (seq, modulus)
 
@@ -114,8 +113,8 @@ def test_terms_mod_validation():
 
 
 def test_recurrences_reproduce_exact_terms(oracle):
-    assert set(RECURRENCES) == set(ALL_SEQUENCES)
-    for seq in ALL_SEQUENCES:
+    assert set(RECURRENCES) == set(SequenceId)
+    for seq in SequenceId:
         assert oracle[seq][0] == 1
         assert recurrence_mismatches(seq, oracle[seq]) == [], seq
 
@@ -130,7 +129,7 @@ def test_recurrence_check_rejects_wrong_coefficient(oracle, scaled_oracle, monke
 
 @settings(max_examples=150, deadline=None)
 @given(
-    seq=st.sampled_from(ALL_SEQUENCES),
+    seq=st.sampled_from(tuple(SequenceId)),
     modulus=st.one_of(
         st.builds(pow, st.sampled_from(primes_in(3, 97)), st.integers(1, 4)),
         st.integers(1, 10**12),
