@@ -3,12 +3,11 @@ eta-quotient generating-function identities, and CM values of Hauptmoduls."""
 
 __version__ = "0.1.0"
 
-from .arith import Modulus, jacobi, primes_in
+from .arith import jacobi, primes_in
 from .congruence import CongruenceSpec, catalog, lookup, sweep, verify
 from .sequences import SequenceId, exact_term, scaled_terms_mod
 
 __all__ = [
-    "Modulus",
     "jacobi",
     "primes_in",
     "CongruenceSpec",

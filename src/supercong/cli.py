@@ -110,7 +110,8 @@ def _cmd_sequence(args) -> int:
 
 def _verify_congruences(args) -> tuple[Report, dict]:
     statuses = ("proven", "conjectural", "cited") if args.include_conjectural else ("proven",)
-    ids = args.theorem or congruence.catalog_ids(statuses)  # sweep rejects unknown ids
+    # in order, once each; sweep rejects unknown ids
+    ids = list(dict.fromkeys(args.theorem or congruence.catalog_ids(statuses)))
     report = congruence.sweep(ids, args.min_p, args.max_p, workers=args.workers)
     return report, {
         "command": "verify congruences", "ids": ids,

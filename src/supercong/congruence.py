@@ -25,7 +25,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Modulus, inv, jacobi, primes_in
+from .arith import is_prime, jacobi, primes_in
 from .quadforms import FormSpec, QuadRep, represent
 from .report import (
     SKIP_BRANCH_ANOMALY,
@@ -383,23 +383,24 @@ class PrimeContext:
     """
 
     def __init__(self, p: int):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-        self.m3 = Modulus.make(p, 3)
+        self.pk = p**3
         self._terms: dict[SequenceId, list[int]] = {}
 
     @functools.cached_property
     def table(self) -> list[int]:
         """n! mod p^3 for n < p."""
-        pk = self.m3.pk
         table = [1] * self.p
         for n in range(1, self.p):
-            table[n] = table[n - 1] * n % pk
+            table[n] = table[n - 1] * n % self.pk
         return table
 
     def terms(self, seq: SequenceId) -> list[int]:
         """a_n (n!)^3 mod p^3 for n < p."""
         if seq not in self._terms:
-            self._terms[seq] = scaled_terms_mod(seq, self.p, self.m3.pk)
+            self._terms[seq] = scaled_terms_mod(seq, self.p, self.pk)
         return self._terms[seq]
 
 
@@ -409,8 +410,7 @@ def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext) -> int:
     Z_0 = 0, Z_{k+1} = k^3 m Z_k + x_k gives Z_{L+1} = (L!)^3 m^L times the
     sum, so one inversion finishes it; it raises ValueError when p | m.
     """
-    m3 = ctx.m3
-    pk = m3.pk
+    pk = ctx.pk
     mm = spec.m % pk
     terms = ctx.terms(spec.sequence)
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
@@ -418,7 +418,7 @@ def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext) -> int:
     for k in range(limit + 1):
         z = (k * k * k * mm * z + terms[k]) % pk
     scale = pow(ctx.table[limit], 3, pk) * pow(mm, limit, pk)
-    return z * inv(scale, m3) % p**spec.mod_exp
+    return z * pow(scale, -1, pk) % p**spec.mod_exp
 
 
 def rhs_value(
@@ -449,7 +449,7 @@ def rhs_value(
         table = ctx.table
         num = rhs.rho.numerator * p * p * (table[r] * table[n - r]) ** 2
         den = rhs.rho.denominator * table[n] ** 2
-    val = num * inv(den, ctx.m3)
+    val = num * pow(den, -1, ctx.pk)
     return jacobi(branch.character, p) * val % p**spec.mod_exp
 
 

@@ -130,12 +130,11 @@ class QSeries:
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient as long as the shorter operand, c_i = (a_i - sum_{1<=j<=i} b_j
         c_(i-j)) / b_0; raises ArithmeticError where some c_i is not an integer."""
-        n = min(len(self.coeffs), len(other.coeffs))
-        if n == 0 or not other.coeffs[0]:
-            raise ZeroDivisionError("division by a series with zero leading coefficient")
         a, b = self.coeffs, other.coeffs
+        if not b or not b[0]:
+            raise ZeroDivisionError("division by a series with zero leading coefficient")
         out: list[int] = []
-        for i in range(n):
+        for i in range(min(len(a), len(b))):
             quot, rem = divmod(a[i] - sum(map(mul, b[i:0:-1], out)), b[0])
             if rem:
                 raise ArithmeticError(f"quotient is not integral at q^{i} of the truncation")

@@ -2,9 +2,9 @@
 
 The solver is a deliberately simple O(sqrt(p)) search: at sweep scale it is
 instant and obviously correct, and it doubles as the oracle for the
-representability predicates in the congruence catalog.  The p-adic side picks
-the square root r of -d mod p^k for which x + y*r stays a unit, and checks
-the degree-4 expansions of x + y*sqrt(-d) and its square.
+representability predicates in the congruence catalog.  The p-adic side lifts
+the square root x/y of -d mod p to p^4 by Newton's method and checks the
+degree-4 expansions of x + y*sqrt(-d) and its square.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import Modulus, inv, is_prime, sqrt_mod_pk
+from .arith import is_prime
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,6 @@ def unit_leading(rep: QuadRep) -> QuadRep:
     raise ValueError(f"unsupported leading coefficient {f.a}")
 
 
-def padic_root_select(rep: QuadRep, m: Modulus) -> int:
-    """Square root r of -d mod p^k such that x + y*r is a unit mod p.
-
-    Exactly one of the two roots qualifies when y is a unit, because
-    (x+yr)(x-yr) = x^2 - y^2 r^2 = x^2 + d y^2 = c*p = 0 mod p while
-    2x is a unit; for y = 0 mod p either root works.
-    """
-    u = unit_leading(rep)
-    x, y, d = u.x, u.y, u.form.d
-    p = rep.p
-    r = sqrt_mod_pk(-d % m.pk, m)
-    if r is None:
-        raise ValueError(f"-{d} is not a square mod {p}")
-    if (x + y * r) % p != 0:
-        return r
-    r = m.pk - r
-    if (x + y * r) % p == 0:
-        raise AssertionError("both roots of -d give x + y*r divisible by p")
-    return r
-
-
 @dataclass(frozen=True)
 class Lemma23Result:
     ok: bool
@@ -111,16 +90,24 @@ def lemma23_check(rep: QuadRep) -> Lemma23Result:
     With t = cp/(4x^2), which has p-adic valuation >= 1, these read
     A = 2x(1 - t - t^2 - 2t^3) and A^2 = 4x^2(1 - 2t - t^2 - 2t^3): the
     Catalan series of A = x(1 + sqrt(1 - 4t)) cut after t^3.
+
+    The root of -d is known mod p, as x/y, since c*p = x^2 + d*y^2; two Newton
+    steps lift it to p^4.  Then A = 2x mod p is the unit root of z^2 - 2xz + cp.
+    p cannot divide y: with a = 1, p | y would force p | x, which raises.
     """
-    m = Modulus.make(rep.p, 4)
+    p = rep.p
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     u = unit_leading(rep)
     x, y, d, c = u.x, u.y, u.form.d, u.form.c
-    p, pk = rep.p, m.pk
+    pk = p**4
     if x % p == 0:
         raise ValueError("p divides x; representation violates preconditions")
-    r = padic_root_select(rep, m)
+    r = x * pow(y, -1, p)
+    for _ in range(2):  # each step doubles the p-adic precision: p^2, then p^4
+        r = (r - (r * r + d) * pow(2 * r, -1, pk)) % pk
     a_val = (x + y * r) % pk
-    t = c * p * inv(4 * x * x, m) % pk
+    t = c * p * pow(4 * x * x, -1, pk) % pk
     t2 = t * t % pk
     t3 = t2 * t % pk
     rhs1 = 2 * x * (1 - t - t2 - 2 * t3) % pk

@@ -1,17 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from supercong.arith import (
-    Modulus,
-    inv,
-    is_prime,
-    jacobi,
-    primes_in,
-    sqrt_mod_pk,
-)
+from supercong.arith import is_prime, jacobi, primes_in
 
 
 def test_jacobi_basics():
@@ -42,72 +33,6 @@ def test_jacobi_multiplicative():
         a = rng.randrange(-500, 500)
         b = rng.randrange(-500, 500)
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
-
-
-def test_modulus_validation():
-    m = Modulus.make(3, 3)
-    assert m.pk == 27
-    with pytest.raises(ValueError):
-        Modulus.make(4, 2)
-    with pytest.raises(ValueError):
-        Modulus.make(2, 2)
-    with pytest.raises(ValueError):
-        Modulus.make(5, 0)
-
-
-def test_inv():
-    m = Modulus.make(3, 3)
-    assert inv(1, m) == 1
-    assert inv(2, m) == 14
-    assert 2 * 14 % 27 == 1
-    with pytest.raises(ValueError):
-        inv(3, m)
-
-
-def test_sqrt_mod_pk():
-    m = Modulus.make(7, 2)
-    assert sqrt_mod_pk(4, m) == 2
-    r = sqrt_mod_pk(2, m)
-    assert r == 10  # brute force over 0..48 gives {10, 39}; least returned
-    assert r * r % 49 == 2
-    assert sqrt_mod_pk(3, Modulus.make(7, 1)) is None
-    with pytest.raises(ValueError):
-        sqrt_mod_pk(49, m)
-
-
-def test_sqrt_mod_pk_random():
-    rng = random.Random(17)
-    count = 0
-    while count < 100:
-        p = rng.choice(primes_in(3, 200))
-        k = rng.randint(1, 4)
-        m = Modulus.make(p, k)
-        a = rng.randint(1, m.pk - 1)
-        if a % p == 0:
-            continue
-        r = sqrt_mod_pk(a, m)
-        if r is None:
-            assert jacobi(a, p) == -1
-        else:
-            assert r * r % m.pk == a % m.pk
-            assert r <= m.pk - r
-        count += 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from(primes_in(3, 500)), k=st.integers(1, 4), a=st.integers(1, 500**4))
-def test_sqrt_mod_pk_property(p, k, a):
-    m = Modulus.make(p, k)
-    a %= m.pk
-    if a % p == 0:
-        a += 1
-    r = sqrt_mod_pk(a, m)
-    # Euler's criterion, independent of the Jacobi routine sqrt_mod_pk uses
-    non_residue = pow(a, (p - 1) // 2, p) == p - 1
-    assert (r is None) == non_residue
-    if r is not None:
-        assert r * r % m.pk == a
-        assert 0 <= r <= m.pk - r
 
 
 def test_primes_in():

@@ -46,6 +46,15 @@ def test_verify_single_theorem_json(capsys):
     assert {"lhs", "rhs", "x", "y"} <= set(passing[0])
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_repeated_theorem_runs_once(capsys, fmt):
+    base = ["verify", "congruences", "--max-p", "30", "--format", fmt, "--theorem", "T1.1"]
+    once = run_cli(capsys, base)
+    twice = run_cli(capsys, base + ["--theorem", "T1.1"])
+    assert once == twice
+    assert once[0] == EXIT_OK and once[1]
+
+
 def test_congruence_sweep_csv_is_pinned(capsys):
     """Every catalog row to p <= 1000, byte for byte: the 9,297 CSV lines are
     frozen by their SHA-256, so any change to a row, a skip reason or the CSV

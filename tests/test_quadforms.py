@@ -1,15 +1,15 @@
+import functools
 import random
 
 import pytest
 
-from supercong.arith import Modulus, jacobi, primes_in, sqrt_mod_pk
-from supercong.congruence import catalog_forms
+from supercong.arith import primes_in
+from supercong.congruence import PrimeContext, catalog_forms
 from supercong.quadforms import (
     FormSpec,
     QuadRep,
     lemma23_check,
     lemma23_trials,
-    padic_root_select,
     represent,
     unit_leading,
 )
@@ -51,25 +51,6 @@ def test_unit_leading():
     assert scaled.form.c * 5 == scaled.x**2 + scaled.form.d * scaled.y**2
 
 
-def test_padic_root_select():
-    m = Modulus.make(29, 4)
-    rep = represent(29, FormSpec(1, 7, 1))
-    r = padic_root_select(rep, m)
-    assert r * r % m.pk == -7 % m.pk
-    assert (rep.x + rep.y * r) % 29 != 0
-
-    m13 = Modulus.make(13, 4)
-    rep13 = represent(13, FormSpec(1, 4, 1))
-    r13 = padic_root_select(rep13, m13)
-    assert (rep13.x + rep13.y * r13) % 13 != 0
-
-    # y = 0 mod p: x is a unit, so either root is acceptable
-    m3 = Modulus.make(3, 2)
-    assert sqrt_mod_pk(-5 % 9, m3) is not None
-    root = padic_root_select(QuadRep(1, 0, FormSpec(1, 5, 2), 3), m3)
-    assert (1 + 0 * root) % 3 != 0
-
-
 LEMMA23_EXAMPLES = ((29, FormSpec(1, 7, 1)), (13, FormSpec(1, 4, 1)), (5, FormSpec(1, 11, 4)))
 
 
@@ -80,13 +61,48 @@ def test_lemma23_examples():
         assert res.ok, res
 
 
+@functools.cache
+def _catalog_representations() -> list[QuadRep]:
+    """Each catalog form at each prime 3 <= p < 3000 with p not dividing 2adc
+    that it represents."""
+    reps = []
+    for form in catalog_forms():
+        for p in primes_in(3, 2999):
+            if (2 * form.a * form.d * form.c) % p:
+                rep = represent(p, form)
+                if rep is not None:
+                    reps.append(rep)
+    return reps
+
+
+def test_lemma23_holds_for_every_catalog_form_below_3000():
+    reps = _catalog_representations()
+    assert len(reps) > 3000
+    for rep in reps:
+        res = lemma23_check(rep)
+        assert res.ok, res
+
+
 def test_lemma23_rejects_a_non_representation():
-    """Negative control: x + p with the same y misses c*p = x^2 + d*y^2, so
-    the expansion of x + y*sqrt(-d) fails already mod p^2."""
-    for p, form in LEMMA23_EXAMPLES:
-        rep = represent(p, form)
-        res = lemma23_check(QuadRep(rep.x + p, rep.y, form, p))
-        assert not res.ok and res.diff_linear % (p * p) != 0, (p, form, res)
+    """Negative control: moving x by p^e (same y) misses c*p = x^2 + d*y^2 and
+    moves A = x + y*sqrt(-d) by p^e but its expansion by 2p^e, so the check
+    fails exactly at p^(e+1); e = 3 needs the whole p^4 modulus."""
+    for rep in _catalog_representations():
+        p = rep.p
+        for e in (1, 2, 3):
+            res = lemma23_check(QuadRep(rep.x + p**e, rep.y, rep.form, p))
+            assert not res.ok, (e, res)
+            assert res.diff_linear % p**e == 0 != res.diff_linear % p ** (e + 1), (e, res)
+
+
+def test_lemma23_preconditions():
+    with pytest.raises(ValueError, match="p divides x"):
+        lemma23_check(QuadRep(29, 2, FormSpec(1, 7, 1), 29))
+    for p in (-3, 0, 1, 2, 4, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            lemma23_check(QuadRep(1, 1, FormSpec(1, 7, 1), p))
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeContext(p)
 
 
 def test_lemma23_random_catalog_forms():
