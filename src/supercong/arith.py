@@ -1,39 +1,22 @@
-"""Primes and the Jacobi symbol.
+"""Primes by trial division and the Jacobi symbol.
 
-Residues mod p^k are plain Python ints in [0, p^k), and an inverse is
-pow(a, -1, p^k).  The sweep only ever divides by p-adic units (its factorials
-stop below p), so no valuation tracking is needed anywhere downstream.
+Trial division is exact for every n, with no size limit.  Residues mod p^k
+are plain Python ints in [0, p^k), and an inverse is pow(a, -1, p^k).  The
+sweep only ever divides by p-adic units (its factorials stop below p), so no
+valuation tracking is needed anywhere downstream.
 """
 
 from __future__ import annotations
 
-# Deterministic Miller-Rabin witness set for all n < 2^64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+import math
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, valid for all 64-bit integers."""
-    if n < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division by every odd d <= isqrt(n).  O(sqrt n) is enough:
+    each p this program tests is then swept in O(p) or represented in O(sqrt p)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

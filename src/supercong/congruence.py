@@ -364,12 +364,8 @@ def catalog_ids(statuses: tuple[str, ...] = ("proven",)) -> list[str]:
 
 def catalog_forms() -> list[FormSpec]:
     """Every distinct quadratic form used by some branch."""
-    seen = {}
-    for spec in catalog():
-        for branch in spec.branches:
-            if branch.rep is not None:
-                seen[(branch.rep.a, branch.rep.d, branch.rep.c)] = branch.rep
-    return list(seen.values())
+    return list(dict.fromkeys(branch.rep for spec in catalog()
+                              for branch in spec.branches if branch.rep is not None))
 
 
 # -- per-prime evaluation ------------------------------------------------------
@@ -524,7 +520,7 @@ def sweep(
         raise ValueError(f"workers must be >= 1, got {workers}")
     for sid in spec_ids:
         lookup(sid)
-    primes = [p for p in primes_in(max(lo, 3), hi)]
+    primes = primes_in(max(lo, 3), hi)
     report = Report()
     if workers > 1 and len(primes) > 1:
         # interleave primes so chunks carry comparable work

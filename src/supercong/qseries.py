@@ -16,7 +16,8 @@ which is V's RECURRENCES row in s = -x).  Every Hauptmodul but u and its
 paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
 once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
 evaluates the same table.  Eta quotients and (1+q^e) products come from one
-Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor.
+Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor, and
+E2(m tau) is (24/m) times the logarithmic derivative s of eta(m tau).
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -108,17 +109,10 @@ class QSeries:
         """Add an exact constant; kept exact, so truncation does not shrink."""
         if self.off24 % 24:
             raise ValueError("cannot add a constant to a fractional-offset series")
-        off = self.off24 // 24
-        if off <= 0:
-            idx = -off
-            if idx >= len(self.coeffs):
-                raise ValueError("constant lies beyond the known truncation")
-            out = list(self.coeffs)
-            out[idx] += value
-            return QSeries(self.off24, out)
-        out = [0] * off + list(self.coeffs)
-        out[0] = value
-        return QSeries(0, out)
+        n = self.off24 // 24 + len(self.coeffs)  # exponents 0 .. n-1 are known
+        if n <= 0:
+            raise ValueError("constant lies beyond the known truncation")
+        return self + QSeries(0, [value] + [0] * (n - 1))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Cauchy product, c_k = sum_{i<=k} a_i b_(k-i), as long as the shorter factor."""
@@ -216,6 +210,17 @@ def _euler_product(s: list[int]) -> list[int]:
     return c
 
 
+def _eta_log_derivative(exps: dict[int, int], nterms: int) -> list[int]:
+    """s_k, k < nterms, of theta log prod eta(m tau)^(e_m) = sum_m e_m m/24 +
+    sum_k s_k q^k, as theta log eta(m tau) = m/24 - m sum_{j>=1} sigma(j) q^(m j)."""
+    s = [0] * nterms
+    for m, e in exps.items():
+        for step in range(m, nterms, m):  # step = m d: s_k gets -e m d for each d | k/m
+            for k in range(step, nterms, step):
+                s[k] -= e * step
+    return s
+
+
 def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSeries:
     """prod_{n>=1} (1 + q^(start + (n-1)*step))^power, truncated, for any integer
     power: an Euler product, as theta log (1 + q^e) = sum_j (-1)^(j+1) e q^(e j)."""
@@ -227,19 +232,11 @@ def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSerie
 
 
 def e2_q(mult: int, nterms: int) -> QSeries:
-    """Weight-2 Eisenstein series 1 - 24 sum sigma(n) q^(mult*n)."""
+    """E2(mult tau) = 1 - 24 sum sigma(n) q^(mult n) = (24/mult) theta log eta(mult tau)."""
     if nterms < 1:
         raise ValueError("nterms must be >= 1")
-    sigma = [0] * nterms
-    top = (nterms - 1) // mult
-    for d in range(1, top + 1):
-        for n in range(d, top + 1, d):
-            sigma[n * mult] += d
-    coeffs = [0] * nterms
-    coeffs[0] = 1
-    for e in range(mult, nterms, mult):
-        coeffs[e] = -24 * sigma[e]
-    return QSeries(0, coeffs)
+    s = _eta_log_derivative({mult: 1}, nterms)
+    return QSeries(0, [1] + [24 * c // mult for c in s[1:]])
 
 
 def compose(outer: list, inner: QSeries) -> QSeries:
@@ -313,14 +310,9 @@ HAUPTMODUL_SIGN = {"t": 1, "u": 1, "s": -1, "w": 1, "v": 1, "h": 1}
 
 
 def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
-    """prod eta(m tau)^(e_m): q^(sum e_m m / 24) times an Euler product, as
-    theta log eta(m tau) = m/24 - m sum_{j>=1} sigma(j) q^(m j)."""
-    s = [0] * nterms
-    for m, e in exps.items():
-        for step in range(m, nterms, m):  # step = m d: s_k gets -e m d for each d | k/m
-            for k in range(step, nterms, step):
-                s[k] -= e * step
-    return QSeries(sum(m * e for m, e in exps.items()), _euler_product(s))
+    """prod eta(m tau)^(e_m): q^(sum e_m m / 24) times an Euler product."""
+    return QSeries(sum(m * e for m, e in exps.items()),
+                   _euler_product(_eta_log_derivative(exps, nterms)))
 
 
 def weber_f2_pow24_q(nterms: int) -> QSeries:

@@ -177,6 +177,10 @@ def test_e2_values():
     assert e2_q(2, 5).coeffs == [1, 0, -24, 0, -72]
     comb48 = e2_q(2, 5).scale(8) - e2_q(1, 5).scale(4)
     assert comb48.coeffs[0] == 4 and comb48.coeffs[1] == 96
+    for mult in range(1, 7):
+        want = [1] + [-24 * sum(d for d in range(1, k // mult + 1) if k // mult % d == 0)
+                      if k % mult == 0 else 0 for k in range(1, 150)]
+        assert e2_q(mult, 150).coeffs == want
 
 
 def test_compose_trivial():
@@ -467,6 +471,27 @@ def test_qseries_quotient_is_as_long_as_the_shorter_operand(a, b):
     assert quot.off24 == a.off24 - b.off24
     assert len(quot.coeffs) == min(a.length, b.length)
     assert (quot * b).coeffs == a.coeffs[:len(quot.coeffs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(off=st.integers(-5, 5), coeffs=st.lists(st.integers(), max_size=8), value=st.integers(),
+       frac=st.integers(1, 23))
+def test_add_const_matches_a_dense_oracle(off, coeffs, value, frac):
+    a = QSeries(24 * off, list(coeffs))
+    with pytest.raises(ValueError, match="fractional-offset"):
+        QSeries(24 * off + frac, coeffs).add_const(value)
+    top = off + len(coeffs)  # every exponent below top is known
+    if top <= 0:
+        with pytest.raises(ValueError, match="beyond the known truncation"):
+            a.add_const(value)
+        return
+    known = {off + i: c for i, c in enumerate(coeffs)}
+    known[0] = known.get(0, 0) + value
+    lo = min(off, 0)
+    got = a.add_const(value)
+    assert got.off24 == 24 * lo
+    assert got.coeffs == [known.get(e, 0) for e in range(lo, top)]
+    assert a.coeffs == coeffs
 
 
 @settings(max_examples=200, deadline=None)
