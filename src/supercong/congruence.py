@@ -351,11 +351,16 @@ def catalog() -> list[CongruenceSpec]:
     return rows
 
 
+@functools.cache
+def _by_id() -> dict[str, CongruenceSpec]:
+    return {spec.id: spec for spec in catalog()}
+
+
 def lookup(spec_id: str) -> CongruenceSpec:
-    for spec in catalog():
-        if spec.id == spec_id:
-            return spec
-    raise KeyError(f"unknown congruence id {spec_id!r}")
+    try:
+        return _by_id()[spec_id]
+    except KeyError:
+        raise KeyError(f"unknown congruence id {spec_id!r}") from None
 
 
 def catalog_ids(statuses: tuple[str, ...] = ("proven",)) -> list[str]:
@@ -372,10 +377,12 @@ def catalog_forms() -> list[FormSpec]:
 
 
 class PrimeContext:
-    """Shared per-prime state mod p^3: factorials and the family term cache.
+    """Shared per-prime state mod p^3: the cofactorial table and the family terms,
+    each built once and read by every row at p.
 
     Every index here is below p, so every factorial is a p-adic unit: terms
-    need no division, and lhs_sum and rhs_value each invert once.
+    need no division, and lhs_sum and rhs_value each invert once.  n! itself
+    is tabulated only when an inverse-binomial right-hand side asks for it.
     """
 
     def __init__(self, p: int):
@@ -393,27 +400,41 @@ class PrimeContext:
             table[n] = table[n - 1] * n % self.pk
         return table
 
+    @functools.cached_property
+    def cofactorials(self) -> list[int]:
+        """c_n = ((p-1)!/n!)^3 mod p^3 for n < p, from c_{p-1} = 1 down by
+        c_{n-1} = c_n n^3."""
+        pk = self.pk
+        c = [1] * self.p
+        for n in range(self.p - 1, 0, -1):
+            c[n - 1] = c[n] * (n * n * n) % pk
+        return c
+
     def terms(self, seq: SequenceId) -> list[int]:
-        """a_n (n!)^3 mod p^3 for n < p."""
+        """t_n = a_n ((p-1)!)^3 mod p^3 for n < p: the projective terms
+        a_n (n!)^3 times c_n, so every n carries the same scale."""
         if seq not in self._terms:
-            self._terms[seq] = scaled_terms_mod(seq, self.p, self.pk)
+            pk = self.pk
+            self._terms[seq] = [x * c % pk for x, c in zip(
+                scaled_terms_mod(seq, self.p, pk), self.cofactorials)]
         return self._terms[seq]
 
 
 def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext) -> int:
-    """sum_{k<=L} a_k m^-k mod p^mod_exp, from the projective terms x_k = a_k (k!)^3.
+    """sum_{k<=L} a_k m^-k mod p^mod_exp, from the terms t_k = a_k ((p-1)!)^3.
 
-    Z_0 = 0, Z_{k+1} = k^3 m Z_k + x_k gives Z_{L+1} = (L!)^3 m^L times the
-    sum, so one inversion finishes it; it raises ValueError when p | m.
+    Horner in m, z <- z m + t_k for k = 0..L, gives
+    z = ((p-1)!)^3 m^L times the sum, so one inversion of c_0 m^L finishes
+    it; it raises ValueError when p | m.
     """
     pk = ctx.pk
     mm = spec.m % pk
     terms = ctx.terms(spec.sequence)
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
     z = 0
-    for k in range(limit + 1):
-        z = (k * k * k * mm * z + terms[k]) % pk
-    scale = pow(ctx.table[limit], 3, pk) * pow(mm, limit, pk)
+    for t in terms[:limit + 1]:
+        z = (z * mm + t) % pk
+    scale = ctx.cofactorials[0] * pow(mm, limit, pk)
     return z * pow(scale, -1, pk) % p**spec.mod_exp
 
 

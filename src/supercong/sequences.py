@@ -118,11 +118,12 @@ def scaled_terms_mod(seq: SequenceId, count: int, modulus: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be >= 1")
     c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
-    terms = [1 % modulus]
+    cur = 1 % modulus
+    terms = [cur]
     prev = 0
     for n in range(count - 1):
-        cur = terms[n]
-        terms.append((c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
-                      - e * n**6 * prev) % modulus)
-        prev = cur
+        n3 = n * n * n
+        prev, cur = cur, (c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
+                          - e * n3 * n3 * prev) % modulus
+        terms.append(cur)
     return terms

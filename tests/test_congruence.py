@@ -79,7 +79,7 @@ def test_lookup_examples():
     assert (t129.branches[0].rep.a, t129.branches[0].rep.d, t129.branches[0].rep.c) == (1, 3, 1)
     assert t129.branches[0].rhs == QF(4, -2, -1, 4)
 
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown congruence id 'T9.99'"):
         lookup("T9.99")
 
 
@@ -161,21 +161,43 @@ def recurrence_lhs(spec, p):
 
 
 def test_lhs_sum_against_recurrence_oracle_near_1100():
-    # the first proven row of each family, at its first qualifying prime in [1100, 1130]
-    checked = set()
-    for spec in catalog():
-        if spec.status != "proven" or spec.sequence in checked:
-            continue
-        p = next(p for p in primes_in(1100, 1130) if spec.qualifies(p) and spec.m % p)
-        assert lhs_sum(spec, p, PrimeContext(p)) == recurrence_lhs(spec, p), (spec.id, p)
-        checked.add(spec.sequence)
-    assert checked == set(SequenceId)
+    """The first proven row of each family, at its first qualifying prime in a
+    window, and a second half-limit CB3 row at the first row's prime; rows at
+    one prime share one context.  Near 3000, p^3 > 2^34 and n^3 > 2^31."""
+    for window in ((1100, 1130), (3000, 3100)):
+        contexts = {}
+        checked = set()
+        for spec in catalog():
+            if spec.status != "proven" or spec.sequence in checked:
+                continue
+            p = next(p for p in primes_in(*window) if spec.qualifies(p) and spec.m % p)
+            ctx = contexts.setdefault(p, PrimeContext(p))
+            assert lhs_sum(spec, p, ctx) == recurrence_lhs(spec, p), (spec.id, p)
+            checked.add(spec.sequence)
+        assert checked == set(SequenceId)
+        first = lookup("T1.1")
+        p = next(p for p in primes_in(*window) if first.qualifies(p))
+        half = lookup("T1.1-b")  # m = 4096, the same primes
+        assert half.limit == "half" and half.qualifies(p)
+        assert lhs_sum(half, p, contexts[p]) == recurrence_lhs(half, p), (half.id, p)
 
 
 def test_prime_context_table_is_factorials():
     for p in (3, 5, 97, 1109):
         table = PrimeContext(p).table
         assert table == [math.factorial(n) % p**3 for n in range(p)]
+
+
+def test_cofactorials_are_factorial_ratios():
+    for p in (3, 5, 97, 1109):
+        assert PrimeContext(p).cofactorials == [
+            (math.factorial(p - 1) // math.factorial(n)) ** 3 % p**3 for n in range(p)]
+    # n^3 > 2^31 here; every 50th n and the last, as each one costs a big quotient
+    p = 3001
+    cof = PrimeContext(p).cofactorials
+    assert len(cof) == p
+    for n in [*range(0, p, 50), p - 1]:
+        assert cof[n] == (math.factorial(p - 1) // math.factorial(n)) ** 3 % p**3, n
 
 
 def test_invbinomsq_rhs_against_comb():
