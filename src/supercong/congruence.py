@@ -24,6 +24,7 @@ import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arith import is_prime, jacobi, primes_in
 from .quadforms import FormSpec, QuadRep, represent
@@ -136,7 +137,6 @@ QF_M2 = QF(-2, 2, 1, 2)    # -2x^2 + 2p + p^2/(2x^2)
 QF_M8 = QF(-8, 2, 1, 8)    # -8x^2 + 2p + p^2/(8x^2)
 QF1 = QF(1, -2, -1, 1)     # x^2 - 2p - p^2/x^2
 QF8 = QF(8, -2, -1, 8)     # 8x^2 - 2p - p^2/(8x^2)
-QF_P2 = QF(4, -2, 0, 1)    # 4x^2 - 2p (mod p^2 rows)
 
 _ALWAYS = PrimePredicate()
 
@@ -311,7 +311,7 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "R20.2", "cited", S.T, 1, "full", 2, _rc(7, 1, 2, 3, 4, 5, 6),
         (
-            Branch(_rc(7, 1, 2, 4), x7, QF_P2),
+            Branch(_rc(7, 1, 2, 4), x7, QF4),  # mod p^2: its p^2/(4x^2) term vanishes
             Branch(_rc(7, 3, 5, 6), None, ZeroRhs()),
         ),
         "[20]", w7,
@@ -381,8 +381,7 @@ class PrimeContext:
     each built once and read by every row at p.
 
     Every index here is below p, so every factorial is a p-adic unit: terms
-    need no division, and lhs_sum and rhs_value each invert once.  n! itself
-    is tabulated only when an inverse-binomial right-hand side asks for it.
+    need no division, and lhs_sum and rhs_value each invert once.
     """
 
     def __init__(self, p: int):
@@ -394,7 +393,8 @@ class PrimeContext:
 
     @functools.cached_property
     def table(self) -> list[int]:
-        """n! mod p^3 for n < p."""
+        """n! mod p^3 for n < p.  No check reads it; it stays because
+        perfbench's traced sweep times it and a test pins it."""
         table = [1] * self.p
         for n in range(1, self.p):
             table[n] = table[n - 1] * n % self.pk
@@ -447,8 +447,8 @@ def rhs_value(
 ) -> int:
     """The branch's right-hand side times (character/p) mod p^mod_exp: one fraction
     num/den mod p^3, one inversion.  QF: den = r4 x^2, num = (r1 x^2 + r2 p) den
-    + r3 p^2.  InvBinomSq(rho, n, r): den = rho_den (n!)^2, num = rho_num p^2
-    (r! (n-r)!)^2, read from the factorial table."""
+    + r3 p^2.  InvBinomSq(rho, n, r): num = rho_num p^2 and den = rho_den C(n, r)^2,
+    where C(n, r) is a unit as n < p, and only its residue mod p matters."""
     rhs = branch.rhs
     if isinstance(rhs, ZeroRhs):
         return 0
@@ -463,9 +463,8 @@ def rhs_value(
         r = rhs.bottom.eval(p)
         if not (0 <= r <= n < p):
             raise ValueError(f"binomial arguments out of range at p={p}")
-        table = ctx.table
-        num = rhs.rho.numerator * p * p * (table[r] * table[n - r]) ** 2
-        den = rhs.rho.denominator * table[n] ** 2
+        num = rhs.rho.numerator * p * p
+        den = rhs.rho.denominator * comb(n, r) ** 2
     val = num * pow(den, -1, ctx.pk)
     return jacobi(branch.character, p) * val % p**spec.mod_exp
 
@@ -474,7 +473,7 @@ def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row
     """Outcome of one (congruence, prime) check; every failure is data.
 
     The row carries the spec's catalog status; the detail of a failing row
-    that is not proven starts with "conjectural".
+    that is not proven starts with that status word.
     """
     def skip(reason: str) -> Row:
         return Row(spec.id, p, "skip", reason, status=spec.status)
@@ -500,7 +499,7 @@ def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row
     if outcome == "fail":
         detail = f"lhs-rhs={(lhs - rhs) % p ** spec.mod_exp}"
         if spec.status != "proven":
-            detail = f"conjectural {detail}"
+            detail = f"{spec.status} {detail}"
     return Row(
         spec.id, p, outcome, detail, lhs, rhs,
         rep.x if rep else None, rep.y if rep else None, spec.status,

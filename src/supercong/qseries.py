@@ -31,16 +31,18 @@ O(x^(m+1)).  Pulled back along x(q) = +-q + ..., theta_x = (x / theta_q x)
 theta_q, so G = f(x(q)) through q^N exactly when G_0 = 1 and L_q G vanishes
 through q^N, and the first nonzero coefficient of L_q G sits at the first
 mismatch.  That costs one division and five products of length N+1 instead
-of the N powers of x that composing needs.  The same call checks that the
-defining sums obey the recurrence, so the statement proved is still about
-the sums; `compose` stays as the literal-definition oracle.
+of the N powers of x that composing needs.  The same call checks, by
+sequences.recurrence_break, that the defining sums obey the recurrence, so
+the statement proved is still about the sums; `compose` stays as the
+literal-definition oracle.  The t-j relation and the dual constructions are
+compared by first_mismatch.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .sequences import RECURRENCES, SequenceId, exact_terms
+from .sequences import RECURRENCES, SequenceId, exact_terms, recurrence_break
 
 
 class QSeries:
@@ -369,29 +371,6 @@ def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
     return eta_quotient_q(WEIGHT2_FORMS[tag], nterms)
 
 
-def _recurrence_break(seq: SequenceId, a: list[int]) -> int | None:
-    """First n < len(a) - 1 at which a_(n-1), a_n, a_(n+1) break the family's
-    RECURRENCES row, or None."""
-    c, alpha, beta, e = RECURRENCES[seq]
-    prev = 0
-    for n in range(len(a) - 1):
-        rhs = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * a[n] - e * n**3 * prev
-        if (n + 1) ** 3 * a[n + 1] != rhs:
-            return n
-        prev = a[n]
-    return None
-
-
-def _check_recurrence_link(seq: SequenceId, a: list[int]) -> None:
-    """Raise unless a_0 = 1 and a_0..a_N obey the family's RECURRENCES row."""
-    if a[0] != 1:
-        raise ArithmeticError(f"{seq.value}: a_0 = {a[0]}, not 1; build is broken")
-    n = _recurrence_break(seq, a)
-    if n is not None:
-        raise ArithmeticError(
-            f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
-
-
 def genfun_identity_check(tag: str, nterms: int) -> int | None:
     """Check sum a_n x^n = G, the paired family in the Hauptmodul, exactly.
 
@@ -403,7 +382,13 @@ def genfun_identity_check(tag: str, nterms: int) -> int | None:
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
     seq = HAUPTMODUL_SEQUENCE[tag]
-    _check_recurrence_link(seq, exact_terms(seq, nterms + 1))
+    a = exact_terms(seq, nterms + 1)
+    if a[0] != 1:
+        raise ArithmeticError(f"{seq.value}: a_0 = {a[0]}, not 1; build is broken")
+    n = recurrence_break(seq, a)
+    if n is not None:
+        raise ArithmeticError(
+            f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
     x = hauptmodul_q(tag, nterms + 1).scale(HAUPTMODUL_SIGN[tag])  # through q^(nterms+1)
     g = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
     if g.coeff_at(0) != 1:
@@ -431,11 +416,11 @@ def j_2tau_q(nterms: int) -> QSeries:
 
 
 def t_j_relation_check(nterms: int) -> int | None:
-    """(16 t - 1)^3 + j(2tau) t^2 must vanish identically.
+    """(16 t - 1)^3 = -j(2tau) t^2 identically.
 
     t comes from the eta quotient, j(2tau) from the Weber product, so the two
-    routes genuinely cross-check each other.  Returns the first exponent with
-    a nonzero coefficient, or None.
+    routes genuinely cross-check each other.  Returns the first exponent at
+    which the two sides differ, or None.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
@@ -444,11 +429,7 @@ def t_j_relation_check(nterms: int) -> int | None:
     j2 = j_2tau_q(pad)
     if j2.coeff_at(-2) != 1 or j2.coeff_at(-1) != 0 or j2.coeff_at(0) != 744:
         raise ArithmeticError("j(2*tau) expansion head is wrong; build is broken")
-    rel = (t.scale(16).add_const(-1)) ** 3 + j2 * t * t
-    idx = rel.first_nonzero()
-    if idx is None:
-        return None
-    return rel.off24 // 24 + idx
+    return first_mismatch(t.scale(16).add_const(-1) ** 3, -(j2 * t * t))
 
 
 def v_ode_check(nterms: int) -> int | None:
@@ -465,4 +446,4 @@ def v_ode_check(nterms: int) -> int | None:
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
-    return _recurrence_break(SequenceId.V, exact_terms(SequenceId.V, nterms + 2))
+    return recurrence_break(SequenceId.V, exact_terms(SequenceId.V, nterms + 2))

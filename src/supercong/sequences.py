@@ -6,7 +6,8 @@ so only the first calls comb, and term * num // den is exact because every
 summand is an integer (the tests keep the literal comb sums).  One table of
 three-term recurrences gives what the prime sweep needs, the projective terms
 a_n (n!)^3 mod p^3 for n < p at every qualifying prime, in O(count)
-multiplications and no division for every family.
+multiplications and no division for every family; recurrence_break checks
+exact terms against the same table.
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ RECURRENCES = {
     SequenceId.D: Recurrence(2, 5, 2, 64),
     SequenceId.A: Recurrence(1, 17, 5, 1),
 }
+
+
+def recurrence_break(seq: SequenceId, a: list[int]) -> int | None:
+    """First n < len(a) - 1 at which exact a_(n-1), a_n, a_(n+1) break the
+    family's RECURRENCES row, or None."""
+    c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
+    prev = 0
+    for n in range(len(a) - 1):
+        rhs = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * a[n] - e * n**3 * prev
+        if (n + 1) ** 3 * a[n + 1] != rhs:
+            return n
+        prev = a[n]
+    return None
 
 
 def exact_term(seq: SequenceId, n: int) -> int:

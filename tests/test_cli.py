@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+from supercong import congruence, quadforms
 from supercong.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, emit_report, exit_code_for, main
 from supercong.report import Report, Row
 
@@ -106,6 +108,47 @@ def test_verify_lemma23_quick(capsys):
     code, out, _ = run_cli(capsys, ["verify", "lemma23", "--trials", "10"])
     assert code == EXIT_OK
     assert "fail=0" in out
+
+
+def test_failing_lemma23_row_shows_its_diffs(monkeypatch, capsys):
+    # x moved by p: the same x mod p, so the check runs and the expansions break
+    real, results = quadforms.lemma23_check, []
+
+    def shifted(rep):
+        results.append(real(dataclasses.replace(rep, x=rep.x + rep.p)))
+        return results[-1]
+
+    monkeypatch.setattr(quadforms, "lemma23_check", shifted)
+    code, out, _ = run_cli(capsys, ["verify", "lemma23", "--trials", "5", "--format", "json"])
+    assert code == EXIT_FAIL
+    rows = json.loads(out)["rows"]
+    assert len(rows) == len(results) == 5
+    for res in results:
+        assert not res.ok and (res.diff_linear, res.diff_square) != (0, 0)
+    details = sorted(r["details"] for r in rows if r["outcome"] == "fail")
+    assert details == sorted(
+        f"c*p={r.form.c}*{r.p}=({r.form.a},{r.form.d}) x={r.x} y={r.y}"
+        f" diffs=({r.diff_linear},{r.diff_square})" for r in results)
+
+
+def test_branch_anomaly_row_gates(monkeypatch, capsys):
+    # T1.10 without its p = 5 mod 12 branch: p = 5, 17, 29, 41 qualify and match none
+    t110 = congruence.lookup("T1.10")
+    fake = dataclasses.replace(t110, id="T1.10-one-branch", branches=t110.branches[:1])
+    real = congruence.lookup
+    monkeypatch.setattr(congruence, "lookup", lambda sid: fake if sid == fake.id else real(sid))
+    code, out, _ = run_cli(capsys, ["verify", "congruences", "--theorem", fake.id,
+                                    "--max-p", "50", "--format", "json"])
+    assert code == EXIT_FAIL
+    rows = json.loads(out)["rows"]
+    assert [r["p"] for r in rows if r.get("details") == "branch-anomaly"] == [5, 17, 29, 41]
+    assert {r["outcome"] for r in rows if r["p"] in (13, 37)} == {"pass"}
+
+
+def test_empty_prime_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["verify", "congruences", "--min-p", "100", "--max-p", "50"])
+    assert code == EXIT_USAGE
+    assert out == "" and "empty prime range" in err
 
 
 def test_config_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ independent big-integer oracle."""
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -202,7 +203,9 @@ def test_cofactorials_are_factorial_ratios():
 
 def test_invbinomsq_rhs_against_comb():
     """Every inverse-binomial branch case at qualifying 5 <= p <= 2000 against
-    (u/p) rho p^2 C(top, bottom)^-2 mod p^e from math.comb and pow alone."""
+    (u/p) rho p^2 C(n, r)^-2 mod p^e, with C(n, r) = n!/(r! (n-r)!) from
+    math.factorial and pow alone, not from the comb that rhs_value calls."""
+    f = math.factorial
     checked = 0
     for p in primes_in(5, 2000):
         ctx = PrimeContext(p)
@@ -211,12 +214,33 @@ def test_invbinomsq_rhs_against_comb():
             if branch is None or not isinstance(branch.rhs, InvBinomSq):
                 continue
             rho, pe = branch.rhs.rho, p**spec.mod_exp
-            binom = math.comb(branch.rhs.top.eval(p), branch.rhs.bottom.eval(p))
+            n, r = branch.rhs.top.eval(p), branch.rhs.bottom.eval(p)
             expected = (jacobi(branch.character, p) * rho.numerator * p * p
-                        * pow(rho.denominator * binom**2, -1, pe)) % pe
+                        * (f(r) * f(n - r)) ** 2 * pow(rho.denominator * f(n) ** 2, -1, pe)) % pe
             assert rhs_value(spec, branch, p, None, ctx) == expected, (spec.id, p)
             checked += 1
     assert checked == 1085
+
+
+def test_catalog_rows_are_well_formed_and_checked():
+    """Every QF branch is eps (X^2 - 2p - p^2/X^2) with X^2 = 4a x^2/c and
+    eps = +-1; every m is nonzero; every proven row passes at >= 10 primes
+    below 1000, so none is silently never checked."""
+    for spec in catalog():
+        assert spec.m != 0, spec.id
+        for branch in spec.branches:
+            if not isinstance(branch.rhs, QF):
+                continue
+            r1, r2, r3, r4 = dataclasses.astuple(branch.rhs)
+            k, eps = Fraction(4 * branch.rep.a, branch.rep.c), Fraction(-r2, 2)
+            assert eps in (1, -1), spec.id
+            assert (r1, Fraction(r3, r4)) == (eps * k, -eps / k), spec.id
+    report = sweep(catalog_ids(), 5, 999)
+    assert report.summary()["fail"] == 0
+    passes = {sid: 0 for sid in catalog_ids()}
+    for row in report.rows:
+        passes[row.spec_id] += row.outcome == "pass"
+    assert min(passes.values()) >= 10, min(passes.items(), key=lambda kv: kv[1])
 
 
 def test_lhs_sum_frozen_examples():
@@ -361,7 +385,7 @@ def test_report_anomaly_accounting():
 
 @pytest.mark.parametrize("status", ["proven", "conjectural", "cited"])
 def test_verify_types_failing_rows(monkeypatch, status):
-    # rows carry the catalog status; only non-proven failures get the prefix
+    # rows carry the catalog status; a non-proven failure's detail starts with it
     spec = lookup(catalog_ids((status,))[0])
     rows = [verify(spec, p) for p in primes_in(5, 300)]
     assert {r.status for r in rows} == {status}
@@ -370,7 +394,7 @@ def test_verify_types_failing_rows(monkeypatch, status):
     row = verify(spec, ok.p)
     assert row.outcome == "fail" and row.status == status
     want = f"lhs-rhs={row.lhs % ok.p ** spec.mod_exp}"
-    assert row.detail == (want if status == "proven" else f"conjectural {want}")
+    assert row.detail == (want if status == "proven" else f"{status} {want}")
 
 
 def test_sweep_turns_an_exception_into_an_error_row(monkeypatch):

@@ -360,6 +360,28 @@ def test_t_j_relation_negative_control():
     assert rel.first_nonzero() is not None
 
 
+@pytest.mark.parametrize("k", [3, 5, 17])
+def test_t_j_relation_check_reports_bumped_weber_coefficient(monkeypatch, capsys, k):
+    import supercong.qseries as qs
+    from supercong.cli import EXIT_FAIL, main
+
+    real = qs.weber_f_2tau_pow24_q
+
+    def bumped(nterms):
+        f24 = real(nterms)
+        return QSeries(f24.off24, [c + (i == k) for i, c in enumerate(f24.coeffs)])
+
+    # the relation rebuilt by hand from the bumped product, as in the control above
+    j_bad = (bumped(34).add_const(-16) ** 3) / bumped(34)
+    t = hauptmodul_q("t", 34)
+    rel = (t.scale(16).add_const(-1)) ** 3 + j_bad * t * t
+    want = rel.off24 // 24 + rel.first_nonzero()
+    monkeypatch.setattr(qs, "weber_f_2tau_pow24_q", bumped)
+    assert qs.t_j_relation_check(30) == want
+    assert main(["verify", "qseries", "--terms", "30", "--format", "csv"]) == EXIT_FAIL
+    assert "t-j-cubic,,fail,,,," in capsys.readouterr().out.splitlines()
+
+
 def test_v_ode():
     assert v_ode_check(100) is None
 

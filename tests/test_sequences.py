@@ -11,6 +11,7 @@ from supercong.sequences import (
     SequenceId,
     exact_term,
     exact_terms,
+    recurrence_break,
     scaled_terms_mod,
 )
 
@@ -117,12 +118,14 @@ def test_recurrences_reproduce_exact_terms(oracle):
     for seq in SequenceId:
         assert oracle[seq][0] == 1
         assert recurrence_mismatches(seq, oracle[seq]) == [], seq
+        assert recurrence_break(seq, oracle[seq]) is None, seq
 
 
 def test_recurrence_check_rejects_wrong_coefficient(oracle, scaled_oracle, monkeypatch):
     row = RECURRENCES[SequenceId.A]
     monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(beta=row.beta + 1))
-    assert recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
+    bad = recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
+    assert bad and recurrence_break(SequenceId.A, oracle[SequenceId.A]) == bad[0]
     expected = [x % 343 for x in scaled_oracle[SequenceId.A][:7]]
     assert scaled_terms_mod(SequenceId.A, 7, 343) != expected
 
