@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .arith import jacobi, primes_in
 from .congruence import CongruenceSpec, catalog, lookup, sweep, verify
-from .sequences import SequenceId, exact_term, scaled_terms_mod
+from .sequences import SequenceId, exact_term
 
 __all__ = [
     "jacobi",
@@ -17,6 +17,5 @@ __all__ = [
     "verify",
     "SequenceId",
     "exact_term",
-    "scaled_terms_mod",
     "__version__",
 ]

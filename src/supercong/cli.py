@@ -40,6 +40,16 @@ EXIT_USAGE = 2
 QSERIES_CHECKS = tuple(qseries.HAUPTMODUL_SEQUENCE)
 
 
+def _summary(report: Report) -> dict:
+    """Rows per outcome, plus the ids of catalog rows that got no pass or fail
+    row as `unchecked`, when there are any; they are reported, never gated."""
+    summary = report.summary()
+    checked = {r.spec_id for r in report.rows if r.outcome in ("pass", "fail")}
+    if unchecked := sorted({r.spec_id for r in report.rows if r.status} - checked):
+        summary["unchecked"] = unchecked
+    return summary
+
+
 def _report_payload(report: Report, config: dict) -> dict:
     rows = []
     for r in report.rows:
@@ -53,7 +63,7 @@ def _report_payload(report: Report, config: dict) -> dict:
             if val is not None:
                 row[key] = val
         rows.append(row)
-    return {"run": config, "rows": rows, "summary": report.summary()}
+    return {"run": config, "rows": rows, "summary": _summary(report)}
 
 
 def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
@@ -72,8 +82,9 @@ def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
         for r in report.rows:
             pcol = "" if r.p is None else str(r.p)
             lines.append(f"{r.spec_id:<24}{pcol:>6}  {r.outcome:<8}{r.detail}")
-        s = report.summary()
-        lines.append(" ".join(["summary:"] + [f"{k}={v}" for k, v in s.items()]))
+        s = _summary(report)
+        lines.append(" ".join(["summary:"] + [
+            f"{k}={v if isinstance(v, int) else ','.join(v)}" for k, v in s.items()]))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -102,9 +113,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    seq = SequenceId(args.sequence)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     for n in range(args.count):
-        print(exact_term(seq, n))
+        print(exact_term(args.sequence, n))
     return EXIT_OK
 
 
@@ -156,7 +168,8 @@ def _verify_identities(args) -> tuple[Report, dict]:
 
 def _verify_lemma23(args) -> tuple[Report, dict]:
     report = Report()
-    for form, res in lemma23_trials(congruence.catalog_forms(), args.trials, args.seed):
+    for res in lemma23_trials(congruence.catalog_forms(), args.trials, args.seed):
+        form = res.form
         detail = f"c*p={form.c}*{res.p}=({form.a},{form.d}) x={res.x} y={res.y}"
         if not res.ok:
             detail += f" diffs=({res.diff_linear},{res.diff_square})"

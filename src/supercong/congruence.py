@@ -36,7 +36,7 @@ from .report import (
     Report,
     Row,
 )
-from .sequences import SequenceId, scaled_terms_mod
+from .sequences import RECURRENCES, SequenceId
 
 
 # -- predicate / template / character types ----------------------------------
@@ -377,8 +377,8 @@ def catalog_forms() -> list[FormSpec]:
 
 
 class PrimeContext:
-    """Shared per-prime state mod p^3: the cofactorial table and the family terms,
-    each built once and read by every row at p.
+    """All of the sweep's arithmetic mod p^3 that rows at p share: the
+    cofactorial table and the family terms, each built once.
 
     Every index here is below p, so every factorial is a p-adic unit: terms
     need no division, and lhs_sum and rhs_value each invert once.
@@ -411,12 +411,20 @@ class PrimeContext:
         return c
 
     def terms(self, seq: SequenceId) -> list[int]:
-        """t_n = a_n ((p-1)!)^3 mod p^3 for n < p: the projective terms
-        a_n (n!)^3 times c_n, so every n carries the same scale."""
+        """t_n = a_n ((p-1)!)^3 mod p^3 for n < p, every n on one scale.  One loop
+        runs the family's RECURRENCES row times (n!)^3, which never divides,
+        x_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) x_n - e n^6 x_{n-1}, x_0 = 1,
+        for x_n = a_n (n!)^3, and stores t_n = x_n c_n."""
         if seq not in self._terms:
-            pk = self.pk
-            self._terms[seq] = [x * c % pk for x, c in zip(
-                scaled_terms_mod(seq, self.p, pk), self.cofactorials)]
+            c, alpha, beta, e = RECURRENCES[seq]
+            pk, cof = self.pk, self.cofactorials
+            prev, cur, terms = 0, 1, [cof[0]]
+            for n in range(self.p - 1):
+                n3 = n * n * n
+                prev, cur = cur, (c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
+                                  - e * n3 * n3 * prev) % pk
+                terms.append(cur * cof[n + 1] % pk)
+            self._terms[seq] = terms
         return self._terms[seq]
 
 

@@ -71,7 +71,7 @@ def unit_leading(rep: QuadRep) -> QuadRep:
 class Lemma23Result:
     ok: bool
     p: int
-    form: FormSpec
+    form: FormSpec  # the a = 1 form that was checked: c*p = x^2 + d*y^2
     x: int
     y: int
     diff_linear: int  # residual of the expansion of x + y*sqrt(-d), 0 on pass
@@ -117,8 +117,7 @@ def lemma23_check(rep: QuadRep) -> Lemma23Result:
     return Lemma23Result(diff1 == 0 and diff2 == 0, p, u.form, x, y, diff1, diff2)
 
 
-def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
-                   ) -> list[tuple[FormSpec, Lemma23Result]]:
+def lemma23_trials(forms: list[FormSpec], trials: int, seed: int) -> list[Lemma23Result]:
     """Run lemma23_check on `trials` seeded random (form, p) cases.
 
     Each case draws a form from `forms` and then p from [3, 10^4); draws with
@@ -137,5 +136,5 @@ def lemma23_trials(forms: list[FormSpec], trials: int, seed: int
         rep = represent(p, form)
         if rep is None:
             continue
-        out.append((form, lemma23_check(rep)))
+        out.append(lemma23_check(rep))
     return out

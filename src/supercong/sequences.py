@@ -1,13 +1,12 @@
-"""The seven binomial / Apery-like sequence families.
+"""The seven binomial / Apery-like sequence families, as exact facts.
 
-Two independent generators.  The defining sums give exact big-integer terms
-for the q-series layer: each summand is the one before times its term ratio,
-so only the first calls comb, and term * num // den is exact because every
-summand is an integer (the tests keep the literal comb sums).  One table of
-three-term recurrences gives what the prime sweep needs, the projective terms
-a_n (n!)^3 mod p^3 for n < p at every qualifying prime, in O(count)
-multiplications and no division for every family; recurrence_break checks
-exact terms against the same table.
+Two independent descriptions.  The defining sums give exact big-integer
+terms: each summand is the one before times its term ratio, so only the
+first calls comb, and term * num // den is exact because every summand is an
+integer (the tests keep the literal comb sums).  One table of three-term
+recurrences, RECURRENCES, is what the prime sweep runs mod p^3
+(congruence.PrimeContext.terms); recurrence_break checks exact terms against
+the same table.  Nothing here reduces modulo anything.
 """
 
 from __future__ import annotations
@@ -121,23 +120,3 @@ def exact_term(seq: SequenceId, n: int) -> int:
 def exact_terms(seq: SequenceId, count: int) -> list[int]:
     return [exact_term(seq, n) for n in range(count)]
 
-
-def scaled_terms_mod(seq: SequenceId, count: int, modulus: int) -> list[int]:
-    """x_n = a_n (n!)^3 mod `modulus` for n < count, from the family's RECURRENCES row.
-
-    The row multiplied through by (n!)^3 reads
-    x_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) x_n - e n^6 x_{n-1}, x_0 = 1.
-    It never divides, so every term is exact for any count and any modulus.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
-    cur = 1 % modulus
-    terms = [cur]
-    prev = 0
-    for n in range(count - 1):
-        n3 = n * n * n
-        prev, cur = cur, (c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
-                          - e * n3 * n3 * prev) % modulus
-        terms.append(cur)
-    return terms

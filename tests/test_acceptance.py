@@ -106,7 +106,7 @@ def test_criterion_4_cm_certification():
 
 
 def test_criterion_5_lemma23_random():
-    bad = [(form, res.p) for form, res in lemma23_trials(catalog_forms(), 100, 99) if not res.ok]
+    bad = [(res.form, res.p) for res in lemma23_trials(catalog_forms(), 100, 99) if not res.ok]
     assert _announce(5, "padic-expansion-mod-p4", not bad, "(100 random cases)"), bad
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,40 @@ def test_failing_lemma23_row_shows_its_diffs(monkeypatch, capsys):
     assert details == sorted(
         f"c*p={r.form.c}*{r.p}=({r.form.a},{r.form.d}) x={r.x} y={r.y}"
         f" diffs=({r.diff_linear},{r.diff_square})" for r in results)
+
+
+def test_lemma23_rows_satisfy_their_own_form(capsys):
+    # a = 2 forms are checked as their doubled a = 1 forms; each row must print
+    # the form that its x and y satisfy
+    code, out, _ = run_cli(capsys, ["verify", "lemma23", "--trials", "1000", "--format", "json"])
+    assert code == EXIT_OK
+    doubled = 0
+    for row in json.loads(out)["rows"]:
+        c, p, a, d, x, y = map(int, re.fullmatch(
+            r"c\*p=(-?\d+)\*(\d+)=\((-?\d+),(-?\d+)\) x=(\d+) y=(\d+)", row["details"]).groups())
+        assert c * p == a * x * x + d * y * y, row["details"]
+        doubled += c == 2
+    assert doubled > 0
+
+
+@pytest.mark.parametrize("argv, unchecked", [
+    (["--theorem", "T1.5", "--max-p", "7"], ["T1.5"]),  # p = 5, 7 fail its predicate
+    (["--include-conjectural", "--max-p", "40"], ["T1.22", "T1.27-b"]),
+    ([], []),
+    (["--include-conjectural"], []),
+])
+def test_unchecked_rows_are_named_and_never_gate(capsys, argv, unchecked):
+    base = ["verify", "congruences"] + argv
+    code, out, _ = run_cli(capsys, base + ["--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"].get("unchecked", []) == unchecked
+    code, out, _ = run_cli(capsys, base)
+    assert code == EXIT_OK
+    summary_line = out.splitlines()[-1]
+    if unchecked:
+        assert summary_line.endswith(" unchecked=" + ",".join(unchecked))
+    else:
+        assert "unchecked" not in summary_line
 
 
 def test_branch_anomaly_row_gates(monkeypatch, capsys):
@@ -328,6 +363,8 @@ def test_verify_lemma23_json_records_seed(capsys):
     (["verify", "congruences", "--theorem", "T1.29", "--max-p", "30", "--workers", "-5",
       "--format", "json"], "workers"),
     (["verify", "congruences", "--max-p", "30", "--workers", "0"], "workers"),
+    (["sequence", "A", "--count", "-3"], "count"),
+    (["sequence", "A", "--count", "0"], "count"),
 ])
 def test_meaningless_sizes_are_usage_errors(capsys, argv, needle):
     code, out, err = run_cli(capsys, argv)

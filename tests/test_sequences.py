@@ -2,17 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from supercong.arith import primes_in
+from supercong.congruence import PrimeContext
 from supercong.sequences import (
     RECURRENCES,
     SequenceId,
     exact_term,
     exact_terms,
     recurrence_break,
-    scaled_terms_mod,
 )
 
 from sequence_formulas import FORMULAS, alternate_formulas
@@ -26,11 +24,9 @@ def oracle():
     return {seq: exact_terms(seq, ORACLE_COUNT) for seq in SequenceId}
 
 
-@pytest.fixture(scope="module")
-def scaled_oracle(oracle):
-    """a_n (n!)^3 for n <= 200, exact."""
-    return {seq: [a * math.factorial(n) ** 3 for n, a in enumerate(oracle[seq])]
-            for seq in SequenceId}
+def scaled_exact(a: int, p: int) -> int:
+    """a ((p-1)!)^3 mod p^3, the scale of PrimeContext(p).terms."""
+    return a * math.factorial(p - 1) ** 3 % p**3
 
 
 def recurrence_mismatches(seq, terms):
@@ -80,21 +76,28 @@ def test_stepped_sums_match_literal_comb_sums(seq):
 
 
 def test_terms_mod_examples():
-    assert scaled_terms_mod(SequenceId.CB3, 3, 27) == [1, 8, 0]  # 216 * 2!^3 = 64 * 27
-    assert scaled_terms_mod(SequenceId.A, 3, 125) == [1, 5, 84]  # 73 * 8 = 584
-    assert scaled_terms_mod(SequenceId.CB3, 1, 125) == [1]
-    assert scaled_terms_mod(SequenceId.A, 3, 1) == [0, 0, 0]
+    assert PrimeContext(3).terms(SequenceId.CB3) == [8, 10, 0]  # 216 * 2!^3 = 64 * 27
+    # a_n = 1, 5, 73, 1445, 33001 times 4!^3 = 74 mod 125
+    assert PrimeContext(5).terms(SequenceId.A) == [74, 120, 27, 55, 74]
 
 
-def test_terms_mod_matches_exact(scaled_oracle):
-    rng = random.Random(23)
-    count = ORACLE_COUNT
-    for _ in range(10):
-        p = rng.choice(primes_in(3, 60))
-        modulus = p ** rng.randint(1, 3)
+def test_terms_mod_matches_exact(oracle):
+    # every family at every prime p <= 199: the whole list, n < p
+    for p in primes_in(3, 199):
+        ctx = PrimeContext(p)
         for seq in SequenceId:
-            got = scaled_terms_mod(seq, count, modulus)
-            assert got == [x % modulus for x in scaled_oracle[seq]], (seq, modulus)
+            assert ctx.terms(seq) == [scaled_exact(a, p) for a in oracle[seq][:p]], (seq, p)
+
+
+@pytest.mark.parametrize("p", [1109, 3001])
+def test_terms_mod_matches_exact_at_large_primes(p):
+    rng = random.Random(p)
+    ctx = PrimeContext(p)
+    for seq in SequenceId:
+        terms = ctx.terms(seq)
+        assert len(terms) == p
+        for n in [0, 1, p // 2, p - 1] + rng.sample(range(2, p - 1), 3):
+            assert terms[n] == scaled_exact(exact_term(seq, n), p), (seq, p, n)
 
 
 def test_cb3_upper_range_valuations():
@@ -108,11 +111,6 @@ def test_cb3_upper_range_valuations():
             assert 3 * v >= 3
 
 
-def test_terms_mod_validation():
-    with pytest.raises(ValueError):
-        scaled_terms_mod(SequenceId.CB3, 0, 125)
-
-
 def test_recurrences_reproduce_exact_terms(oracle):
     assert set(RECURRENCES) == set(SequenceId)
     for seq in SequenceId:
@@ -121,25 +119,12 @@ def test_recurrences_reproduce_exact_terms(oracle):
         assert recurrence_break(seq, oracle[seq]) is None, seq
 
 
-def test_recurrence_check_rejects_wrong_coefficient(oracle, scaled_oracle, monkeypatch):
+def test_recurrence_check_rejects_wrong_coefficient(oracle, monkeypatch):
     row = RECURRENCES[SequenceId.A]
     monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(beta=row.beta + 1))
     bad = recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
     assert bad and recurrence_break(SequenceId.A, oracle[SequenceId.A]) == bad[0]
-    expected = [x % 343 for x in scaled_oracle[SequenceId.A][:7]]
-    assert scaled_terms_mod(SequenceId.A, 7, 343) != expected
+    # the sweep's kernel reads the same row
+    expected = [scaled_exact(a, 7) for a in oracle[SequenceId.A][:7]]
+    assert PrimeContext(7).terms(SequenceId.A) != expected
 
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seq=st.sampled_from(tuple(SequenceId)),
-    modulus=st.one_of(
-        st.builds(pow, st.sampled_from(primes_in(3, 97)), st.integers(1, 4)),
-        st.integers(1, 10**12),
-    ),
-    count=st.integers(1, ORACLE_COUNT - 1),
-)
-def test_terms_mod_matches_exact_property(scaled_oracle, seq, modulus, count):
-    # count > p (small p) and composite moduli: the kernel never divides
-    got = scaled_terms_mod(seq, count, modulus)
-    assert got == [x % modulus for x in scaled_oracle[seq][:count]]
