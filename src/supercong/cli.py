@@ -40,12 +40,14 @@ EXIT_USAGE = 2
 QSERIES_CHECKS = tuple(qseries.HAUPTMODUL_SEQUENCE)
 
 
-def _summary(report: Report) -> dict:
-    """Rows per outcome, plus the ids of catalog rows that got no pass or fail
-    row as `unchecked`, when there are any; they are reported, never gated."""
+def _summary(report: Report, config: dict) -> dict:
+    """Rows per outcome, plus as `unchecked` the ids of catalog rows, those in
+    the report or requested by the run (`config["ids"]`), that got no pass or
+    fail row, when there are any; they are reported, never gated."""
     summary = report.summary()
+    catalog_rows = {r.spec_id for r in report.rows if r.status}.union(config.get("ids", ()))
     checked = {r.spec_id for r in report.rows if r.outcome in ("pass", "fail")}
-    if unchecked := sorted({r.spec_id for r in report.rows if r.status} - checked):
+    if unchecked := sorted(catalog_rows - checked):
         summary["unchecked"] = unchecked
     return summary
 
@@ -63,13 +65,33 @@ def _report_payload(report: Report, config: dict) -> dict:
             if val is not None:
                 row[key] = val
         rows.append(row)
-    return {"run": config, "rows": rows, "summary": _summary(report)}
+    return {"run": config, "rows": rows, "summary": _summary(report, config)}
+
+
+# json.dumps with an indent runs the pure-Python encoder, so the rows go through
+# the C one, whose item separator ",\n" puts a newline at every separator and
+# nowhere else: an encoded string never holds a raw newline.  A newline before
+# "{" starts a row, one before '"' starts a key, and indenting those gives the
+# layout of json.dumps(payload, sort_keys=True, indent=2) byte for byte.
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) for a report payload, whose
+    rows are flat dicts with at least one key."""
+    rows = _ROWS_ENCODER.encode(payload["rows"])
+    if rows != "[]":
+        rows = "[\n    {\n      " + rows[2:-2].replace('\n"', '\n      "').replace(
+            "},\n{", "\n    },\n    {\n      ") + "\n    }\n  ]"
+    # "rows" sorts before "run" and "summary", so its placeholder comes first
+    text = json.dumps({**payload, "rows": []}, sort_keys=True, indent=2)
+    return text.replace('"rows": []', '"rows": ' + rows, 1)
 
 
 def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
     config = config or {}
     if fmt == "json":
-        return json.dumps(_report_payload(report, config), sort_keys=True, indent=2)
+        return _json_text(_report_payload(report, config))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -82,7 +104,7 @@ def emit_report(report: Report, fmt: str, config: dict | None = None) -> str:
         for r in report.rows:
             pcol = "" if r.p is None else str(r.p)
             lines.append(f"{r.spec_id:<24}{pcol:>6}  {r.outcome:<8}{r.detail}")
-        s = _summary(report)
+        s = _summary(report, config)
         lines.append(" ".join(["summary:"] + [
             f"{k}={v if isinstance(v, int) else ','.join(v)}" for k, v in s.items()]))
         return "\n".join(lines) + "\n"
@@ -209,16 +231,25 @@ VERIFY_FLAGS = {
 
 
 def _cmd_verify(args) -> int:
-    """Build, sort and print each named report; exit with the worst code."""
+    """Build, sort and print each named report; exit with the worst code.
+
+    `verify all` prints its five reports as one document: tables one after
+    another, CSV under one header, JSON as one array of the five reports.
+    """
     names = list(VERIFY_COMMANDS) if args.what == "all" else [args.what]
     strict = getattr(args, "include_conjectural_strict", False)
-    codes = []
+    texts, codes = [], []
     for name in names:
         build, _ = VERIFY_COMMANDS[name]
         report, config = build(args)
         report.sort()
-        print(emit_report(report, args.format, config), end="")
+        texts.append(emit_report(report, args.format, config))
         codes.append(exit_code_for(report, strict))
+    if args.format == "csv":
+        texts[1:] = [text.partition("\n")[2] for text in texts[1:]]
+    if args.format == "json" and len(texts) > 1:
+        texts = ["[\n" + ",\n".join(texts) + "\n]\n"]
+    print("".join(texts), end="")
     return max(codes)
 
 

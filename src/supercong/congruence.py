@@ -36,7 +36,7 @@ from .report import (
     Report,
     Row,
 )
-from .sequences import RECURRENCES, SequenceId
+from .sequences import RECURRENCES, Recurrence, SequenceId
 
 
 # -- predicate / template / character types ----------------------------------
@@ -376,9 +376,29 @@ def catalog_forms() -> list[FormSpec]:
 # -- per-prime evaluation ------------------------------------------------------
 
 
+# P(n) = c(2n+1)(alpha n(n+1) + beta) and Q(n) = e n^6 of each RECURRENCES row, for
+# n = 0, 1, ...: they do not depend on p, so each process builds them once, on
+# first use, and extends them when a larger p asks for more.  The key is the row
+# itself, so a changed row gets tables of its own.
+_COEFFICIENTS: dict[Recurrence, tuple[list[int], list[int]]] = {}
+
+
+def coefficients(rec: Recurrence, count: int) -> tuple[list[int], list[int]]:
+    """The tables P and Q of rec, each holding at least count values (Q stays
+    empty when e = 0).  Every caller shares them, so none may modify them."""
+    P, Q = _COEFFICIENTS.setdefault(rec, ([], []))
+    if len(P) < count:
+        c, alpha, beta, e = rec
+        new = range(len(P), count)
+        P.extend([c * (2 * n + 1) * (alpha * n * (n + 1) + beta) for n in new])
+        if e:
+            Q.extend([e * n**6 for n in new])
+    return P, Q
+
+
 class PrimeContext:
-    """All of the sweep's arithmetic mod p^3 that rows at p share: the
-    cofactorial table and the family terms, each built once.
+    """All of the sweep's work at p that rows at p share: the cofactorial
+    table, the family terms and each form's representation, each made once.
 
     Every index here is below p, so every factorial is a p-adic unit: terms
     need no division, and lhs_sum and rhs_value each invert once.
@@ -390,6 +410,7 @@ class PrimeContext:
         self.p = p
         self.pk = p**3
         self._terms: dict[SequenceId, list[int]] = {}
+        self._reps: dict[FormSpec, QuadRep | None] = {}
 
     @functools.cached_property
     def table(self) -> list[int]:
@@ -410,20 +431,31 @@ class PrimeContext:
             c[n - 1] = c[n] * (n * n * n) % pk
         return c
 
+    def representation(self, form: FormSpec) -> QuadRep | None:
+        """represent(p, form), solved once per form at this p."""
+        if form not in self._reps:
+            self._reps[form] = represent(self.p, form)
+        return self._reps[form]
+
     def terms(self, seq: SequenceId) -> list[int]:
         """t_n = a_n ((p-1)!)^3 mod p^3 for n < p, every n on one scale.  One loop
         runs the family's RECURRENCES row times (n!)^3, which never divides,
-        x_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) x_n - e n^6 x_{n-1}, x_0 = 1,
-        for x_n = a_n (n!)^3, and stores t_n = x_n c_n."""
+        x_{n+1} = P(n) x_n - Q(n) x_{n-1}, x_0 = 1, for x_n = a_n (n!)^3, with
+        P and Q read from the row's coefficient tables, and stores t_n = x_n c_n."""
         if seq not in self._terms:
-            c, alpha, beta, e = RECURRENCES[seq]
+            rec = RECURRENCES[seq]
+            P, Q = coefficients(rec, self.p - 1)
             pk, cof = self.pk, self.cofactorials
-            prev, cur, terms = 0, 1, [cof[0]]
-            for n in range(self.p - 1):
-                n3 = n * n * n
-                prev, cur = cur, (c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * cur
-                                  - e * n3 * n3 * prev) % pk
-                terms.append(cur * cof[n + 1] % pk)
+            cur, terms = 1, [cof[0]]
+            if rec.e:
+                prev = 0
+                for pn, qn, cn in zip(P, Q, cof[1:]):
+                    prev, cur = cur, (pn * cur - qn * prev) % pk
+                    terms.append(cur * cn % pk)
+            else:
+                for pn, cn in zip(P, cof[1:]):
+                    cur = pn * cur % pk
+                    terms.append(cur * cn % pk)
             self._terms[seq] = terms
         return self._terms[seq]
 
@@ -493,13 +525,13 @@ def verify(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> Row
     branch = spec.match_branch(p)
     if branch is None:
         return skip(SKIP_BRANCH_ANOMALY)
-    rep = None
-    if branch.rep is not None:
-        rep = represent(p, branch.rep)
-        if rep is None:
-            return skip(SKIP_REPRESENTABILITY_ANOMALY)
     if ctx is None:
         ctx = PrimeContext(p)
+    rep = None
+    if branch.rep is not None:
+        rep = ctx.representation(branch.rep)
+        if rep is None:
+            return skip(SKIP_REPRESENTABILITY_ANOMALY)
     lhs = lhs_sum(spec, p, ctx)
     rhs = rhs_value(spec, branch, p, rep, ctx)
     outcome = "pass" if lhs == rhs else "fail"

@@ -13,7 +13,7 @@ SKIP_REPRESENTABILITY_ANOMALY = "representability-anomaly"
 ANOMALIES = frozenset({SKIP_BRANCH_ANOMALY, SKIP_REPRESENTABILITY_ANOMALY})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     spec_id: str
     p: int | None

@@ -6,9 +6,20 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supercong import congruence, quadforms
-from supercong.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, emit_report, exit_code_for, main
+from supercong.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_USAGE,
+    VERIFY_COMMANDS,
+    _report_payload,
+    emit_report,
+    exit_code_for,
+    main,
+)
 from supercong.report import Report, Row
 
 
@@ -148,6 +159,7 @@ def test_lemma23_rows_satisfy_their_own_form(capsys):
 
 @pytest.mark.parametrize("argv, unchecked", [
     (["--theorem", "T1.5", "--max-p", "7"], ["T1.5"]),  # p = 5, 7 fail its predicate
+    (["--theorem", "T1.5", "--min-p", "8", "--max-p", "10"], ["T1.5"]),  # no prime at all
     (["--include-conjectural", "--max-p", "40"], ["T1.22", "T1.27-b"]),
     ([], []),
     (["--include-conjectural"], []),
@@ -248,6 +260,46 @@ def test_emit_report_round_trip():
     assert empty["rows"] == [] and empty["summary"]["pass"] == 0
     table = emit_report(report, "table", {})
     assert "summary: pass=1 fail=0 skip=1" in table
+
+
+# Strings that a careless splice of the rows could break: escapes, a newline,
+# the text that separates two indented rows, and non-ASCII text.
+_AWKWARD = ['"', "\\", "\n", "},\n      {", '"x": 1,\n"', "naïve ∑ 𝔽"]
+_INTS = st.one_of(st.none(), st.integers(), st.integers(-(10**600), 10**600))
+_TEXTS = st.one_of(st.text(), st.sampled_from(_AWKWARD),
+                   st.lists(st.sampled_from(_AWKWARD + ["a", " "])).map("".join))
+_ROWS = st.builds(Row, _TEXTS, _INTS, st.sampled_from(["pass", "fail", "skip", "error"]),
+                  _TEXTS, _INTS, _INTS, _INTS, _INTS,
+                  st.sampled_from([None, "proven", "conjectural", "cited"]))
+_REPORTS = st.lists(_ROWS, max_size=6).map(Report)
+_CONFIGS = st.fixed_dictionaries({"command": _TEXTS}, optional={
+    "ids": st.lists(_TEXTS, max_size=3), "max_p": _INTS, "workers": st.integers(1, 4)})
+_EVERY_AWKWARD_ROW = Report([Row(text, None, "fail", text, None, 2**4000, -1, None, "cited")
+                             for text in _AWKWARD])
+
+
+def _assert_json_writer_is_json_dumps(writer):
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_REPORTS, _CONFIGS)
+    @example(Report(), {})
+    @example(_EVERY_AWKWARD_ROW, {"command": "verify congruences", "ids": _AWKWARD})
+    def check(report, config):
+        want = json.dumps(_report_payload(report, config), sort_keys=True, indent=2)
+        assert writer(report, config) == want
+
+    check()
+
+
+def test_json_writer_is_json_dumps():
+    _assert_json_writer_is_json_dumps(lambda report, config: emit_report(report, "json", config))
+
+
+def test_json_writer_oracle_catches_an_indent_slip():
+    def slipped(report, config):  # each row key one space short
+        return emit_report(report, "json", config).replace('\n      "', '\n     "')
+
+    with pytest.raises(AssertionError):
+        _assert_json_writer_is_json_dumps(slipped)
 
 
 def test_emit_report_deterministic():
@@ -354,6 +406,19 @@ def test_verify_lemma23_json_records_seed(capsys):
     ])
     assert code == EXIT_OK
     assert json.loads(out)["run"] == {"command": "verify lemma23", "trials": 3, "seed": 7}
+
+
+def test_verify_all_prints_one_document(capsys):
+    small = ["--max-p", "20", "--terms", "16", "--digits", "20", "--samples", "1",
+             "--trials", "2"]
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "json"] + small)
+    assert code == EXIT_OK
+    payloads = json.loads(out)
+    assert [p["run"]["command"] for p in payloads] == [f"verify {n}" for n in VERIFY_COMMANDS]
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "csv"] + small)
+    assert code == EXIT_OK
+    assert sum(line.startswith("spec_id,p,") for line in out.splitlines()) == 1
+    assert out.startswith("spec_id,p,outcome,lhs,rhs,x,y\n")
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -19,7 +19,9 @@ from supercong.congruence import (
     PrimeContext,
     PrimePredicate,
     catalog,
+    catalog_forms,
     catalog_ids,
+    coefficients,
     lhs_sum,
     lookup,
     rhs_value,
@@ -28,7 +30,7 @@ from supercong.congruence import (
 )
 from supercong.quadforms import FormSpec, QuadRep, represent
 from supercong.report import Report
-from supercong.sequences import RECURRENCES, SequenceId, exact_terms
+from supercong.sequences import RECURRENCES, Recurrence, SequenceId, exact_terms
 
 
 def oracle_lhs_fraction(spec, p):
@@ -199,6 +201,31 @@ def test_cofactorials_are_factorial_ratios():
     assert len(cof) == p
     for n in [*range(0, p, 50), p - 1]:
         assert cof[n] == (math.factorial(p - 1) // math.factorial(n)) ** 3 % p**3, n
+
+
+def test_coefficient_tables_are_the_recurrence_polynomials():
+    for rec in RECURRENCES.values():
+        c, alpha, beta, e = rec
+        P, Q = coefficients(rec, 3000)
+        assert P[:3000] == [c * (2 * n + 1) * (alpha * n * n + alpha * n + beta)
+                            for n in range(3000)]
+        assert Q[:3000] == ([e * n**6 for n in range(3000)] if e else [])
+    # a row no table holds yet: a short table grows by extension, never rebuilt
+    rec = Recurrence(3, 7, 2, 5)
+    short = [list(table) for table in coefficients(rec, 10)]
+    P, Q = coefficients(rec, 3000)
+    assert (len(short[0]), len(P), len(Q)) == (10, 3000, 3000)
+    assert [P[:10], Q[:10]] == short
+    assert coefficients(rec, 5) == (P, Q)  # a shorter request keeps the long table
+
+
+def test_shared_representation_is_represent():
+    forms = catalog_forms()
+    for p in primes_in(3, 1000):
+        ctx = PrimeContext(p)
+        for form in forms:
+            assert ctx.representation(form) == represent(p, form), (form, p)
+            assert ctx.representation(form) is ctx.representation(form)
 
 
 def test_invbinomsq_rhs_against_comb():
