@@ -13,11 +13,16 @@ subcommand; each subcommand takes only its own keys.
 
 Skipped congruence rows give one of four reasons: predicate, divides-m,
 branch-anomaly or representability-anomaly; the two anomalies gate like a
-failure.  Exit codes read typed row status, never `detail`: 0 when nothing
-gates, 1 on a gating failure (conjectural/cited rows only gate under
---include-conjectural-strict), 2 on usage errors, which include a foreign
-flag, a --config file with an unknown key, a line without "=", or a value the
-flag's type or choices reject.
+failure.  Exit codes read each row's typed outcome and catalog status, and
+from `detail` only a skip row's reason, which must be one of the closed set
+report.ANOMALIES to gate: 0 when nothing gates, 1 on a gating failure
+(conjectural/cited rows only gate under --include-conjectural-strict) or an
+error row, 2 on usage errors, which include a foreign flag, a --config file
+with an unknown key, a line without "=", a value the flag's type or choices
+reject, or a size flag below its floor (SIZE_FLOORS), refused before any
+check runs.  A check that raises becomes an `error` row whose detail is
+`Type: message`, with the traceback on stderr, and the rest of the report
+still prints.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from . import congruence, highprec, qseries
 from .quadforms import lemma23_trials
-from .report import Report, Row
+from .report import Report, Row, error_row
 from .sequences import SequenceId, exact_term
 
 EXIT_OK = 0
@@ -153,23 +159,33 @@ def _verify_congruences(args) -> tuple[Report, dict]:
     }
 
 
+def _guarded(name: str, rows) -> list[Row]:
+    """rows(), or one error row named name when the check behind it raises."""
+    try:
+        return rows()
+    except Exception as exc:  # one broken check must not lose the report
+        return [error_row(name, None, exc)]
+
+
 def _mismatch_row(name: str, miss: int | None, where: str) -> Row:
     return Row(name, None, "pass") if miss is None else Row(name, None, "fail", f"{where}^{miss}")
 
 
 def _verify_qseries(args) -> tuple[Report, dict]:
+    n = args.terms
     report = Report()
+
+    def add(name: str, check, where: str = "first mismatch at q") -> None:
+        report.extend(_guarded(name, lambda: [_mismatch_row(name, check(), where)]))
+
     for tag in QSERIES_CHECKS:
-        miss = qseries.genfun_identity_check(tag, args.terms)
-        report.add(_mismatch_row(f"genfun-{tag}", miss, "first mismatch at q"))
+        add(f"genfun-{tag}", lambda: qseries.genfun_identity_check(tag, n))
     for tag in ("u", "s", "w"):
-        a = qseries.hauptmodul_q(tag, args.terms)
-        b = qseries.hauptmodul_alt_q(tag, args.terms)
-        report.add(_mismatch_row(f"dual-{tag}", qseries.first_mismatch(a, b),
-                                 "first mismatch at q"))
-    report.add(_mismatch_row("t-j-cubic", qseries.t_j_relation_check(args.terms), "nonzero at q"))
-    report.add(_mismatch_row("v-ode", qseries.v_ode_check(args.terms), "nonzero at s"))
-    return report, {"command": "verify qseries", "terms": args.terms}
+        add(f"dual-{tag}", lambda: qseries.first_mismatch(
+            qseries.hauptmodul_q(tag, n), qseries.hauptmodul_alt_q(tag, n)))
+    add("t-j-cubic", lambda: qseries.t_j_relation_check(n), "nonzero at q")
+    add("v-ode", lambda: qseries.v_ode_check(n), "nonzero at s")
+    return report, {"command": "verify qseries", "terms": n}
 
 
 def _check_rows(results, label: str) -> list[Row]:
@@ -178,25 +194,36 @@ def _check_rows(results, label: str) -> list[Row]:
 
 
 def _verify_cm(args) -> tuple[Report, dict]:
-    results = [highprec.cm_check(target, args.digits) for target in highprec.cm_table()]
-    results += highprec.class_invariant_check(args.digits)
-    return Report(_check_rows(results, "residual")), {"command": "verify cm", "digits": args.digits}
+    digits = args.digits
+    rows = []
+    for target in highprec.cm_table():
+        rows += _guarded(target.name, lambda: _check_rows(
+            [highprec.cm_check(target, digits)], "residual"))
+    rows += _guarded("class-invariants", lambda: _check_rows(
+        highprec.class_invariant_check(digits), "residual"))
+    return Report(rows), {"command": "verify cm", "digits": digits}
 
 
 def _verify_identities(args) -> tuple[Report, dict]:
-    rows = _check_rows(highprec.identity_suite(args.samples, args.prec), "max residual")
+    rows = _guarded("identities", lambda: _check_rows(
+        highprec.identity_suite(args.samples, args.prec), "max residual"))
     return Report(rows), {"command": "verify identities", "samples": args.samples, "prec": args.prec}
 
 
-def _verify_lemma23(args) -> tuple[Report, dict]:
-    report = Report()
+def _lemma23_rows(args) -> list[Row]:
+    rows = []
     for res in lemma23_trials(congruence.catalog_forms(), args.trials, args.seed):
         form = res.form
         detail = f"c*p={form.c}*{res.p}=({form.a},{form.d}) x={res.x} y={res.y}"
         if not res.ok:
             detail += f" diffs=({res.diff_linear},{res.diff_square})"
-        report.add(Row(f"expansion@p={res.p}", res.p, "pass" if res.ok else "fail", detail))
-    return report, {"command": "verify lemma23", "trials": args.trials, "seed": args.seed}
+        rows.append(Row(f"expansion@p={res.p}", res.p, "pass" if res.ok else "fail", detail))
+    return rows
+
+
+def _verify_lemma23(args) -> tuple[Report, dict]:
+    rows = _guarded("lemma23", partial(_lemma23_rows, args))
+    return Report(rows), {"command": "verify lemma23", "trials": args.trials, "seed": args.seed}
 
 
 # Each verify subcommand, its report builder, and the only flags it reads;
@@ -229,6 +256,10 @@ VERIFY_FLAGS = {
     "seed": {"type": int, "default": 20240},
 }
 
+# The least meaningful value of each size flag.  A smaller one is a usage error,
+# found before any check runs, since a check that raises gives an error row.
+SIZE_FLOORS = {"workers": 1, "terms": 10, "digits": 10, "samples": 1, "prec": 64, "trials": 1}
+
 
 def _cmd_verify(args) -> int:
     """Build, sort and print each named report; exit with the worst code.
@@ -236,6 +267,9 @@ def _cmd_verify(args) -> int:
     `verify all` prints its five reports as one document: tables one after
     another, CSV under one header, JSON as one array of the five reports.
     """
+    for flag, floor in SIZE_FLOORS.items():
+        if getattr(args, flag, floor) < floor:
+            raise ValueError(f"--{flag} must be >= {floor}")
     names = list(VERIFY_COMMANDS) if args.what == "all" else [args.what]
     strict = getattr(args, "include_conjectural_strict", False)
     texts, codes = [], []

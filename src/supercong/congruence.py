@@ -35,6 +35,7 @@ from .report import (
     SKIP_REPRESENTABILITY_ANOMALY,
     Report,
     Row,
+    error_row,
 )
 from .sequences import RECURRENCES, Recurrence, SequenceId
 
@@ -376,7 +377,7 @@ def catalog_forms() -> list[FormSpec]:
 # -- per-prime evaluation ------------------------------------------------------
 
 
-# P(n) = c(2n+1)(alpha n(n+1) + beta) and Q(n) = e n^6 of each RECURRENCES row, for
+# P(n), from the row's p_coeffs, and Q(n) = e n^6 of each RECURRENCES row, for
 # n = 0, 1, ...: they do not depend on p, so each process builds them once, on
 # first use, and extends them when a larger p asks for more.  The key is the row
 # itself, so a changed row gets tables of its own.
@@ -388,9 +389,10 @@ def coefficients(rec: Recurrence, count: int) -> tuple[list[int], list[int]]:
     empty when e = 0).  Every caller shares them, so none may modify them."""
     P, Q = _COEFFICIENTS.setdefault(rec, ([], []))
     if len(P) < count:
-        c, alpha, beta, e = rec
+        p0, p1, p2, p3 = rec.p_coeffs
+        e = rec.e
         new = range(len(P), count)
-        P.extend([c * (2 * n + 1) * (alpha * n * (n + 1) + beta) for n in new])
+        P.extend([((p3 * n + p2) * n + p1) * n + p0 for n in new])
         if e:
             Q.extend([e * n**6 for n in new])
     return P, Q
@@ -556,10 +558,7 @@ def _sweep_chunk(args) -> list[Row]:
             try:
                 rows.append(verify(spec, p, ctx))
             except Exception as exc:  # one broken (spec, p) pair must not lose the sweep
-                import traceback  # imported here, so runs without an error never load it
-                traceback.print_exc()
-                rows.append(Row(spec.id, p, "error", f"{type(exc).__name__}: {exc}",
-                                status=spec.status))
+                rows.append(error_row(spec.id, p, exc, spec.status))
     return rows
 
 
@@ -571,8 +570,8 @@ def sweep(
 ) -> Report:
     """Verify the named congruences over every odd prime in [lo, hi].
 
-    Work is split by prime; the report is sorted (spec id, then p), so output
-    is identical for any worker count.
+    Work is split by prime, over at most one process per prime; the report is
+    sorted (spec id, then p), so output is identical for any worker count.
     """
     if lo > hi:
         raise ValueError("empty prime range")
@@ -581,8 +580,9 @@ def sweep(
     for sid in spec_ids:
         lookup(sid)
     primes = primes_in(max(lo, 3), hi)
+    workers = min(workers, len(primes))  # a process per prime at most
     report = Report()
-    if workers > 1 and len(primes) > 1:
+    if workers > 1:
         # interleave primes so chunks carry comparable work
         chunks = [primes[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:

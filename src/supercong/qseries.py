@@ -15,17 +15,18 @@ and the third-order differential equation of the V generating function,
 which is V's RECURRENCES row in s = -x).  Every Hauptmodul but u and its
 paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
 once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
-evaluates the same table.  Eta quotients and (1+q^e) products come from one
-Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor, and
-E2(m tau) is (24/m) times the logarithmic derivative s of eta(m tau).
+evaluates the same table.  u is h / (1 + 64 h)^2 of h = eta(2tau)^24 /
+eta(tau)^24 here, but Weber's f2^24 / (f2^24 + 64)^2 in highprec.  Eta
+quotients and (1+q^e) products come from one Euler-product recurrence,
+n c_n = sum s_k c_(n-k), never factor by factor, and E2(m tau) is (24/m)
+times the logarithmic derivative s of eta(m tau).
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
 
-    L = theta^3 - c x (2 theta + 1)(alpha theta^2 + alpha theta + beta)
-        + e x^2 (theta + 1)^3,        theta = x d/dx,
+    L = theta^3 - x P(theta) + e x^2 (theta + 1)^3,        theta = x d/dx,
 
-and f(x) = sum a_n x^n is its only power-series solution with f(0) = 1,
+with P from Recurrence.p_coeffs, and f(x) = sum a_n x^n is its only power-series solution with f(0) = 1,
 since x = 0 is a point of maximal unipotent monodromy: L x^m = m^3 x^m +
 O(x^(m+1)).  Pulled back along x(q) = +-q + ..., theta_x = (x / theta_q x)
 theta_q, so G = f(x(q)) through q^N exactly when G_0 = 1 and L_q G vanishes
@@ -33,9 +34,9 @@ through q^N, and the first nonzero coefficient of L_q G sits at the first
 mismatch.  That costs one division and five products of length N+1 instead
 of the N powers of x that composing needs.  The same call checks, by
 sequences.recurrence_break, that the defining sums obey the recurrence, so
-the statement proved is still about the sums; `compose` stays as the
-literal-definition oracle.  The t-j relation and the dual constructions are
-compared by first_mismatch.
+the statement proved is still about the sums; `compose`, built in the ring,
+stays as the literal-definition oracle.  The t-j relation and the dual
+constructions are compared by first_mismatch.
 """
 
 from __future__ import annotations
@@ -244,34 +245,23 @@ def e2_q(mult: int, nterms: int) -> QSeries:
 def compose(outer: list, inner: QSeries) -> QSeries:
     """sum_n outer[n] * inner^n, for inner = c*q^j + ... with integral j >= 1.
 
-    Powers of inner are accumulated with shrinking truncation windows; the
-    result is correct through q^(len(inner)+j-1).
+    Built in the ring: each power of inner is cut to the exponents below
+    len(inner) + j, through which the result is correct.
     """
     if inner.off24 % 24 or inner.off24 <= 0:
         raise ValueError("composition needs an inner series q^j + ... with integer j >= 1")
     j = inner.off24 // 24
     nterms = len(inner.coeffs) + j  # exponents 0 .. len+j-1
-    out = [0] * nterms
-    if outer:
-        out[0] = outer[0]
-    power = inner  # inner^n, exponents n*j .. n*j + len(coeffs) - 1
-    for n in range(1, len(outer)):
-        base_exp = power.off24 // 24
-        if base_exp >= nterms:
-            break
-        an = outer[n]
-        if an:
-            for i, c in enumerate(power.coeffs):
-                e = base_exp + i
-                if e >= nterms:
-                    break
-                if c:
-                    out[e] += an * c
-        keep = nterms - base_exp - j  # coefficients of inner^(n+1) we still need
+    total = QSeries(0, [outer[0] if outer else 0] + [0] * (nterms - 1))
+    power = inner  # inner^n, exponents n*j .. nterms - 1
+    for a in outer[1:]:
+        if a:
+            total = total + power.scale(a)
+        keep = nterms - power.off24 // 24 - j  # coefficients of inner^(n+1) below nterms
         if keep <= 0:
             break
         power = power.truncate(keep) * inner.truncate(keep)
-    return QSeries(0, out)
+    return total
 
 
 # -- Hauptmoduls and generating-function identities -------------------------
@@ -279,7 +269,7 @@ def compose(outer: list, inner: QSeries) -> QSeries:
 
 # Hauptmodul tag -> ({m: e_m}, power): the Hauptmodul is
 # (prod eta(m tau)^(e_m))^power, numerator factors listed first.  u is not an
-# eta-quotient power and is built from Weber's f2 instead.
+# eta-quotient power but a rational function of one (hauptmodul_q).
 ETA_QUOTIENTS = {
     "t": ({1: 1, 4: 1, 2: -2}, 24),
     "s": ({4: 1, 1: -1}, 8),
@@ -317,11 +307,6 @@ def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
                    _euler_product(_eta_log_derivative(exps, nterms)))
 
 
-def weber_f2_pow24_q(nterms: int) -> QSeries:
-    """f2(tau)^24 = 2^12 q prod (1+q^n)^24 as an integral-exponent series."""
-    return one_plus_q_product(1, 1, 24, nterms).scale(4096).shift24(24)
-
-
 def weber_f_2tau_pow24_q(nterms: int) -> QSeries:
     """f(2*tau)^24 = q^-1 prod (1+q^(2n-1))^24."""
     return one_plus_q_product(2, 1, 24, nterms).shift24(-24)
@@ -332,8 +317,8 @@ def hauptmodul_q(tag: str, nterms: int) -> QSeries:
     if nterms < 2:
         raise ValueError("need at least 2 terms")
     if tag == "u":
-        f24 = weber_f2_pow24_q(nterms)
-        return f24 / (f24.add_const(64) ** 2)
+        h = eta_quotient_q({2: 24, 1: -24}, nterms)  # q prod (1+q^n)^24 = f2^24 / 2^12
+        return h / (h.scale(64).add_const(1) ** 2)
     if tag not in ETA_QUOTIENTS:
         raise ValueError(f"unknown hauptmodul tag {tag!r}")
     exps, power = ETA_QUOTIENTS[tag]
@@ -397,10 +382,10 @@ def genfun_identity_check(tag: str, nterms: int) -> int | None:
     d1 = r * g.theta()
     d2 = r * d1.theta()
     d3 = r * d2.theta()
-    c, alpha, beta, e = RECURRENCES[seq]
-    # L_q G = d3 + x (-c (2a d3 + 3a d2 + (a+2b) d1 + b G) + e x (d3 + 3 d2 + 3 d1 + G))
-    inner = (d3.scale(2 * alpha) + d2.scale(3 * alpha) + d1.scale(alpha + 2 * beta)
-             + g.scale(beta)).scale(-c)
+    p0, p1, p2, p3 = RECURRENCES[seq].p_coeffs
+    e = RECURRENCES[seq].e
+    # L_q G = d3 + x (-(P_3 d3 + P_2 d2 + P_1 d1 + P_0 G) + e x (d3 + 3 d2 + 3 d1 + G))
+    inner = -(d3.scale(p3) + d2.scale(p2) + d1.scale(p1) + g.scale(p0))
     if e:
         inner = inner + x * (d3 + d2.scale(3) + d1.scale(3) + g).scale(e)
     lg = d3 + x * inner

@@ -29,6 +29,15 @@ class Row:
         return (self.spec_id, self.p if self.p is not None else -1)
 
 
+def error_row(spec_id: str, p: int | None, exc: Exception, status: str | None = None) -> Row:
+    """The row of a check that raised exc: `Type: message` as its detail, the
+    traceback on stderr, so that one broken check never loses a report."""
+    import traceback  # imported here, so runs without an error never load it
+
+    traceback.print_exception(exc)
+    return Row(spec_id, p, "error", f"{type(exc).__name__}: {exc}", status=status)
+
+
 @dataclass
 class Report:
     rows: list[Row] = field(default_factory=list)

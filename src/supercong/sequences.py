@@ -75,12 +75,18 @@ _CANONICAL = {
 }
 
 class Recurrence(NamedTuple):
-    """(n+1)^3 a_{n+1} = c (2n+1)(alpha n^2 + alpha n + beta) a_n - e n^3 a_{n-1}."""
+    """(n+1)^3 a_{n+1} = P(n) a_n - e n^3 a_{n-1}, P(n) = c(2n+1)(alpha n^2 + alpha n + beta)."""
 
     c: int
     alpha: int
     beta: int
     e: int
+
+    @property
+    def p_coeffs(self) -> tuple[int, int, int, int]:
+        """(P_0, P_1, P_2, P_3) with P(n) = sum P_i n^i, the one source of P."""
+        c, alpha, beta, _ = self
+        return c * beta, c * (alpha + 2 * beta), 3 * c * alpha, 2 * c * alpha
 
 
 # a_0 = 1 for every family.  e = 0 for the binomial products, whose term
@@ -100,10 +106,11 @@ RECURRENCES = {
 def recurrence_break(seq: SequenceId, a: list[int]) -> int | None:
     """First n < len(a) - 1 at which exact a_(n-1), a_n, a_(n+1) break the
     family's RECURRENCES row, or None."""
-    c, alpha, beta, e = RECURRENCES[SequenceId(seq)]
+    rec = RECURRENCES[SequenceId(seq)]
+    (p0, p1, p2, p3), e = rec.p_coeffs, rec.e
     prev = 0
     for n in range(len(a) - 1):
-        rhs = c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * a[n] - e * n**3 * prev
+        rhs = (((p3 * n + p2) * n + p1) * n + p0) * a[n] - e * n**3 * prev
         if (n + 1) ** 3 * a[n + 1] != rhs:
             return n
         prev = a[n]

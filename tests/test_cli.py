@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supercong import congruence, quadforms
+from supercong import cli, congruence, highprec, qseries, quadforms
 from supercong.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -435,4 +435,78 @@ def test_meaningless_sizes_are_usage_errors(capsys, argv, needle):
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_USAGE
     assert out == ""
+    assert needle in err
+
+
+_SMALL_ALL = ["--max-p", "20", "--terms", "16", "--digits", "20", "--samples", "1",
+              "--trials", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qseries", "--terms", "16", "--format", "csv"],
+    ["verify", "all", "--format", "csv"] + _SMALL_ALL,
+])
+def test_raising_qseries_check_becomes_an_error_row(monkeypatch, capsys, argv):
+    code, clean, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+
+    def broken(nterms):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(qseries, "t_j_relation_check", broken)
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_FAIL
+    assert "ArithmeticError: boom" in err  # the traceback
+    want = clean.replace("t-j-cubic,,pass,,,,\n", "t-j-cubic,,error,,,,\n")
+    assert want != clean and out == want
+
+
+def test_value_error_inside_cm_check_is_an_error_row_not_a_usage_error(monkeypatch, capsys):
+    real = highprec.cm_check
+    broken_name = highprec.cm_table()[3].name
+
+    def broken(target, digits):
+        if target.name == broken_name:
+            raise ValueError("boom")
+        return real(target, digits)
+
+    monkeypatch.setattr(highprec, "cm_check", broken)
+    code, out, _ = run_cli(capsys, ["verify", "cm", "--digits", "20", "--format", "json"])
+    assert code == EXIT_FAIL
+    payload = json.loads(out)
+    errors = [r for r in payload["rows"] if r["outcome"] == "error"]
+    assert errors == [{"spec_id": broken_name, "outcome": "error", "details": "ValueError: boom"}]
+    assert payload["summary"] == {"pass": 42, "fail": 0, "skip": 0, "error": 1}
+
+
+@pytest.mark.parametrize("command, patched, name", [
+    ("identities", "identity_suite", "identities"),
+    ("lemma23", "lemma23_trials", "lemma23"),
+])
+def test_raising_suite_becomes_one_error_row(monkeypatch, capsys, command, patched, name):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    module = highprec if patched == "identity_suite" else cli
+    monkeypatch.setattr(module, patched, broken)
+    code, out, _ = run_cli(capsys, ["verify", command, "--format", "csv"])
+    assert code == EXIT_FAIL
+    assert out == f"spec_id,p,outcome,lhs,rhs,x,y\n{name},,error,,,,\n"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "qseries", "--terms", "9"], "terms"),
+    (["verify", "cm", "--digits", "9"], "digits"),
+    (["verify", "identities", "--samples", "0"], "samples"),
+    (["verify", "all", "--terms", "9"], "terms"),
+])
+def test_size_floors_are_checked_before_any_check_runs(monkeypatch, capsys, argv, needle):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    for module, name in ((congruence, "sweep"), (qseries, "genfun_identity_check"),
+                         (highprec, "cm_check"), (highprec, "identity_suite")):
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
     assert needle in err

@@ -466,3 +466,29 @@ def test_error_row_keeps_the_rest_of_the_cli_report(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert "T1.1,23,error,,,," in rows
     assert sum(",pass," in r for r in rows) == 5  # 11, 29, 37, 43, 53
+
+
+@pytest.mark.parametrize("workers, hi, want", [(8, 7, 2), (8, 11, 3), (2, 60, 2), (3, 5, 1)])
+def test_sweep_starts_at_most_one_process_per_prime(monkeypatch, workers, hi, want):
+    # min(workers, number of primes in [5, hi]) processes; one runs without a pool
+    started = []
+
+    class FakePool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return list(map(fn, args))
+
+    monkeypatch.setattr(congruence.multiprocessing, "Pool", FakePool)
+    report = sweep(["T1.29"], 5, hi, workers=workers)
+    assert report.rows == sweep(["T1.29"], 5, hi).rows
+    assert started == ([want] if want > 1 else [])

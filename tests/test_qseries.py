@@ -193,22 +193,35 @@ def test_compose_trivial():
         compose([1], QSeries(12, [1, 1]))
 
 
+def _powered_sum(outer, inner):
+    """sum_n outer[n] * inner^n with each power by binary powering, through
+    q^(len(inner) + j - 1)."""
+    j = inner.off24 // 24
+    nterms = len(inner.coeffs) + j
+    total = QSeries(0, [outer[0] if outer else 0] + [0] * (nterms - 1))
+    for n, a in enumerate(outer[1:], 1):
+        total = total + (inner ** n).scale(a)  # inner^n holds exponents n*j .. n*j+len-1
+    return total
+
+
 def test_compose_against_naive_expansion():
     rng = random.Random(71)
-    for _ in range(10):
+    for j in (1, 1, 2, 3, 4) * 8:
         n = 12
-        inner = QSeries(24, [rng.randint(-3, 3) for _ in range(n)])
-        if inner.coeffs[0] == 0:
-            inner = QSeries(24, [1] + inner.coeffs[1:])
-        outer = [rng.randint(-4, 4) for _ in range(n)]
+        inner = QSeries(24 * j, [rng.choice([-2, -1, 1, 2, 3])]
+                        + [rng.randint(-3, 3) for _ in range(n - 1)])
+        outer = [rng.randint(-4, 4) for _ in range(rng.randint(1, n))]
         got = compose(outer, inner)
-        naive = QSeries(0, [0] * (n + 1))
-        power = QSeries(0, [1] + [0] * n)
-        for a in outer:
-            naive = naive + power.scale(a)
-            power = (power * inner.truncate(n + 1 - power.off24 // 24)
-                     if power.off24 // 24 < n + 1 else power)
-        assert got.coeffs == naive.coeffs[: len(got.coeffs)]
+        assert (got.off24, len(got.coeffs)) == (0, n + j)
+        assert got.coeffs == _powered_sum(outer, inner).coeffs
+
+
+def test_compose_empty_and_overlong_outer():
+    inner = QSeries(48, [1, -2, 3, 1, 0, 2])  # j = 2: exponents 0 .. 7 are known
+    assert compose([], inner).coeffs == [0] * 8
+    outer = list(range(1, 30))  # inner^n for n >= 4 starts beyond q^7
+    assert compose(outer, inner).coeffs == _powered_sum(outer, inner).coeffs
+    assert compose(outer, inner).coeffs == compose(outer[:4], inner).coeffs
 
 
 def test_compose_associates_with_substitution():
@@ -243,6 +256,15 @@ def test_hauptmoduls_normalized_and_integral():
         assert h.off24 == 24, tag
         assert h.coeffs[0] == 1, tag
         assert all(isinstance(c, int) for c in h.coeffs), tag
+
+
+@pytest.mark.parametrize("nterms", [65, 201, 401])
+def test_u_is_the_weber_f2_quotient(nterms):
+    # u = f / (f + 64)^2 with f = f2^24 = 4096 q prod (1+q^n)^24, multiplied out
+    f = one_plus_q_product(1, 1, 24, nterms).scale(4096).shift24(24)
+    want = f / (f.add_const(64) ** 2)
+    got = hauptmodul_q("u", nterms)
+    assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
 
 
 def test_hauptmodul_leading_terms():
