@@ -20,11 +20,8 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi]."""
-    if lo > hi:
-        return []
-    lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
+    """All primes in [lo, hi]; none when lo > hi."""
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 def jacobi(a: int, n: int) -> int:

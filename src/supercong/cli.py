@@ -18,9 +18,10 @@ from `detail` only a skip row's reason, which must be one of the closed set
 report.ANOMALIES to gate: 0 when nothing gates, 1 on a gating failure
 (conjectural/cited rows only gate under --include-conjectural-strict) or an
 error row, 2 on usage errors, which include a foreign flag, a --config file
-with an unknown key, a line without "=", a value the flag's type or choices
-reject, or a size flag below its floor (SIZE_FLOORS), refused before any
-check runs.  A check that raises becomes an `error` row whose detail is
+with an unknown or repeated key, a line without "=", or a value, given as a
+flag or in the config file, that the flag's type or choices reject; a size
+flag's type refuses a value below its floor, so the parser stops it before
+any check runs.  A check that raises becomes an `error` row whose detail is
 `Type: message`, with the traceback on stderr, and the rest of the report
 still prints.
 """
@@ -141,8 +142,6 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    if args.count < 1:
-        raise ValueError("count must be >= 1")
     for n in range(args.count):
         print(exact_term(args.sequence, n))
     return EXIT_OK
@@ -239,26 +238,35 @@ VERIFY_COMMANDS = {
     "lemma23": (_verify_lemma23, ("format", "trials", "seed")),
 }
 
+
+def _int_at_least(floor: int):
+    """An argparse type: an int no smaller than floor, the least meaningful
+    value of a size flag.  The parser refuses a smaller one before any check
+    runs, since a check that raises gives an error row, not a usage error."""
+    def convert(text: str) -> int:
+        if (value := int(text)) < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+    convert.__name__ = "int"  # argparse and _config_defaults name the type in errors
+    return convert
+
+
 # argparse keywords of every verify flag, by dest; the option is --dest with "-" for "_".
 VERIFY_FLAGS = {
     "format": {"choices": ("table", "json", "csv"), "default": "table"},
-    "min_p": {"type": int, "default": 5},
+    "min_p": {"type": int, "default": congruence.MIN_P},
     "max_p": {"type": int, "default": 200},
     "theorem": {"action": "append"},
     "include_conjectural": {"action": "store_true"},
     "include_conjectural_strict": {"action": "store_true"},
-    "workers": {"type": int, "default": 1},
-    "terms": {"type": int, "default": 64},
-    "digits": {"type": int, "default": 40},
-    "samples": {"type": int, "default": 12},
-    "prec": {"type": int, "default": 256},
-    "trials": {"type": int, "default": 25},
+    "workers": {"type": _int_at_least(1), "default": 1},
+    "terms": {"type": _int_at_least(10), "default": 64},
+    "digits": {"type": _int_at_least(10), "default": 40},
+    "samples": {"type": _int_at_least(1), "default": 12},
+    "prec": {"type": _int_at_least(64), "default": 256},
+    "trials": {"type": _int_at_least(1), "default": 25},
     "seed": {"type": int, "default": 20240},
 }
-
-# The least meaningful value of each size flag.  A smaller one is a usage error,
-# found before any check runs, since a check that raises gives an error row.
-SIZE_FLOORS = {"workers": 1, "terms": 10, "digits": 10, "samples": 1, "prec": 64, "trials": 1}
 
 
 def _cmd_verify(args) -> int:
@@ -267,9 +275,6 @@ def _cmd_verify(args) -> int:
     `verify all` prints its five reports as one document: tables one after
     another, CSV under one header, JSON as one array of the five reports.
     """
-    for flag, floor in SIZE_FLOORS.items():
-        if getattr(args, flag, floor) < floor:
-            raise ValueError(f"--{flag} must be >= {floor}")
     names = list(VERIFY_COMMANDS) if args.what == "all" else [args.what]
     strict = getattr(args, "include_conjectural_strict", False)
     texts, codes = [], []
@@ -288,7 +293,7 @@ def _cmd_verify(args) -> int:
 
 
 def _read_config(path: str) -> dict[str, str]:
-    out = {}
+    out, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -296,8 +301,10 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = map(str.strip, line.partition("="))
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            out[key] = value
     return out
 
 
@@ -305,7 +312,7 @@ def _config_defaults(config: dict[str, str]) -> dict:
     """The config values as verify-flag defaults.
 
     A key must name a one-value flag of some verify subcommand; its value is
-    converted and checked with that flag's type and choices.
+    converted and checked with that flag's type, floor included, and choices.
     """
     known = [k for k, kw in VERIFY_FLAGS.items() if "action" not in kw]
     defaults = {}
@@ -317,6 +324,8 @@ def _config_defaults(config: dict[str, str]) -> dict:
             defaults[key] = convert(value)
         except ValueError:
             raise ValueError(f"{key} = {value!r}: not a valid {convert.__name__}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{key} = {value!r}: {exc}") from None
         choices = VERIFY_FLAGS[key].get("choices")
         if choices and defaults[key] not in choices:
             raise ValueError(f"{key} = {value!r}: choose from {', '.join(choices)}")
@@ -338,7 +347,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
     p_seq = sub.add_parser("sequence", help="print exact sequence values")
     p_seq.add_argument("sequence", choices=[s.value for s in SequenceId])
-    p_seq.add_argument("--count", type=int, default=10)
+    p_seq.add_argument("--count", type=_int_at_least(1), default=10)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     vsub = p_verify.add_subparsers(dest="what", required=True)

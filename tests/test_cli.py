@@ -192,6 +192,34 @@ def test_branch_anomaly_row_gates(monkeypatch, capsys):
     assert {r["outcome"] for r in rows if r["p"] in (13, 37)} == {"pass"}
 
 
+def test_conjectural_failure_gates_only_under_the_strict_flag(monkeypatch, capsys):
+    # I1.5-b with rho doubled: every checked prime fails, and the row is conjectural
+    spec = congruence.lookup("I1.5-b")
+    branch = spec.branches[0]
+    wrong = dataclasses.replace(branch.rhs, rho=2 * branch.rhs.rho)
+    fake = dataclasses.replace(spec, id="I1.5-b-wrong-rho",
+                               branches=(dataclasses.replace(branch, rhs=wrong),))
+    real = congruence.lookup
+    monkeypatch.setattr(congruence, "lookup", lambda sid: fake if sid == fake.id else real(sid))
+    argv = ["verify", "congruences", "--theorem", fake.id, "--max-p", "60", "--format", "csv"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert ",fail," in out and ",pass," not in out
+    code, strict_out, _ = run_cli(capsys, argv + ["--include-conjectural-strict"])
+    assert code == EXIT_FAIL
+    assert strict_out == out
+
+
+@pytest.mark.parametrize("min_p", ["2", "3"])
+def test_primes_below_min_p_are_not_swept(capsys, min_p):
+    # p = 3 lies outside the catalog's domain (congruence.MIN_P); see test_congruence
+    argv = ["verify", "congruences", "--include-conjectural", "--max-p", "30", "--format", "csv"]
+    code, want, _ = run_cli(capsys, argv + ["--min-p", "5"])
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, argv + ["--min-p", min_p])
+    assert (code, out) == (EXIT_OK, want)
+
+
 def test_empty_prime_range_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["verify", "congruences", "--min-p", "100", "--max-p", "50"])
     assert code == EXIT_USAGE
@@ -236,7 +264,8 @@ def test_config_never_overrides_explicit_default_valued_flag(tmp_path, capsys):
     ("max_p\n", "key = value"),
     ("max_p = abc\n", "abc"),
     ("format = xml\n", "xml"),
-], ids=["unknown-key", "misspelt-key", "no-equals", "bad-int", "bad-choice"])
+    ("max_p = 10\n# twice\nmax_p = 20\n", "'max_p' repeats line 1"),
+], ids=["unknown-key", "misspelt-key", "no-equals", "bad-int", "bad-choice", "repeated-key"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, text, needle):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -421,6 +450,11 @@ def test_verify_all_prints_one_document(capsys):
     assert out.startswith("spec_id,p,outcome,lhs,rhs,x,y\n")
 
 
+# The least meaningful value of each size flag, as the command line states it.
+SIZE_FLOORS = {"workers": 1, "terms": 10, "digits": 10, "samples": 1, "prec": 64, "trials": 1,
+               "count": 1}
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["verify", "identities", "--samples", "1", "--prec", "4"], "prec"),
     (["verify", "lemma23", "--trials", "-3"], "trials"),
@@ -435,7 +469,18 @@ def test_meaningless_sizes_are_usage_errors(capsys, argv, needle):
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert needle in err
+    assert f"argument --{needle}: must be >= {SIZE_FLOORS[needle]}, got " in err
+
+
+@pytest.mark.parametrize("command", ["congruences", "qseries"])
+@pytest.mark.parametrize("key, value", [("terms", 9), ("workers", 0)])
+def test_config_value_below_its_floor_is_a_usage_error(tmp_path, capsys, command, key, value):
+    # refused by every subcommand, also by one that does not read the key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(capsys, ["--config", str(cfg), "verify", command, "--format", "csv"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{key} = '{value}': must be >= {SIZE_FLOORS[key]}, got {value}" in err
 
 
 _SMALL_ALL = ["--max-p", "20", "--terms", "16", "--digits", "20", "--samples", "1",
@@ -509,4 +554,4 @@ def test_size_floors_are_checked_before_any_check_runs(monkeypatch, capsys, argv
         monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert needle in err
+    assert f"argument --{needle}: must be >= {SIZE_FLOORS[needle]}, got " in err

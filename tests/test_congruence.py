@@ -359,6 +359,18 @@ def test_sweep_skip_row():
     assert rep.rows[0].outcome == "skip" and rep.rows[0].detail == "predicate"
 
 
+@pytest.mark.parametrize("spec_id, lhs, rhs", [("T1.9", 7, 16), ("R9.2", 25, 16)])
+def test_p3_lies_outside_the_sweep_domain(spec_id, lhs, rhs):
+    # the mod-p^3 statement fails at p = 3 and holds there only mod p^2
+    spec = lookup(spec_id)
+    row = verify(spec, 3)
+    assert (row.outcome, row.lhs, row.rhs) == ("fail", lhs, rhs)
+    assert (row.lhs - row.rhs) % 9 == 0
+    assert congruence.MIN_P == 5
+    assert sweep([spec_id], 2, 3).rows == []
+    assert sweep([spec_id], 3, 30).rows == sweep([spec_id], 5, 30).rows
+
+
 def test_sweep_unknown_id():
     with pytest.raises(KeyError):
         sweep(["nope"], 5, 50)
