@@ -7,9 +7,12 @@ Each verify subcommand takes only the flags it reads (`all` takes their union):
     qseries      --format --terms           cm       --format --digits
     identities   --format --samples --prec  lemma23  --format --trials --seed
 
-A --config file of `key = value` lines is shared by all of them: a key is a
-one-value verify flag with "_" for "-" (`max_p = 500`) and must belong to some
-subcommand; each subcommand takes only its own keys.
+A one-value flag is one without an argparse action.  A --config file of
+`key = value` lines is shared by all of them: a key is a one-value verify flag
+with "_" for "-" (`max_p = 500`); each subcommand takes only its own keys, and
+every config error names path:line.  A JSON report's `run` record holds the
+command, each one-value flag it reads but --format, and what the run derived:
+for congruences the ids and, as min_p, the least prime of the swept domain.
 
 Skipped congruence rows give one of four reasons: predicate, divides-m,
 branch-anomaly or representability-anomaly; the two anomalies gate like a
@@ -152,10 +155,7 @@ def _verify_congruences(args) -> tuple[Report, dict]:
     # in order, once each; sweep rejects unknown ids
     ids = list(dict.fromkeys(args.theorem or congruence.catalog_ids(statuses)))
     report = congruence.sweep(ids, args.min_p, args.max_p, workers=args.workers)
-    return report, {
-        "command": "verify congruences", "ids": ids,
-        "min_p": args.min_p, "max_p": args.max_p, "workers": args.workers,
-    }
+    return report, {"ids": ids, "min_p": max(args.min_p, congruence.MIN_P)}
 
 
 def _guarded(name: str, rows) -> list[Row]:
@@ -184,7 +184,7 @@ def _verify_qseries(args) -> tuple[Report, dict]:
             qseries.hauptmodul_q(tag, n), qseries.hauptmodul_alt_q(tag, n)))
     add("t-j-cubic", lambda: qseries.t_j_relation_check(n), "nonzero at q")
     add("v-ode", lambda: qseries.v_ode_check(n), "nonzero at s")
-    return report, {"command": "verify qseries", "terms": n}
+    return report, {}
 
 
 def _check_rows(results, label: str) -> list[Row]:
@@ -200,13 +200,13 @@ def _verify_cm(args) -> tuple[Report, dict]:
             [highprec.cm_check(target, digits)], "residual"))
     rows += _guarded("class-invariants", lambda: _check_rows(
         highprec.class_invariant_check(digits), "residual"))
-    return Report(rows), {"command": "verify cm", "digits": digits}
+    return Report(rows), {}
 
 
 def _verify_identities(args) -> tuple[Report, dict]:
     rows = _guarded("identities", lambda: _check_rows(
         highprec.identity_suite(args.samples, args.prec), "max residual"))
-    return Report(rows), {"command": "verify identities", "samples": args.samples, "prec": args.prec}
+    return Report(rows), {}
 
 
 def _lemma23_rows(args) -> list[Row]:
@@ -222,11 +222,13 @@ def _lemma23_rows(args) -> list[Row]:
 
 def _verify_lemma23(args) -> tuple[Report, dict]:
     rows = _guarded("lemma23", partial(_lemma23_rows, args))
-    return Report(rows), {"command": "verify lemma23", "trials": args.trials, "seed": args.seed}
+    return Report(rows), {}
 
 
 # Each verify subcommand, its report builder, and the only flags it reads;
-# `verify all` runs them in this order and takes the union of their flags.
+# `verify all` runs them in this order and takes the union of their flags.  A
+# builder returns its report and what the run derived from the flags, which
+# the run record adds to the one-value flags that the command reads.
 VERIFY_COMMANDS = {
     "congruences": (_verify_congruences, (
         "format", "min_p", "max_p", "theorem",
@@ -247,7 +249,7 @@ def _int_at_least(floor: int):
         if (value := int(text)) < floor:
             raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
         return value
-    convert.__name__ = "int"  # argparse and _config_defaults name the type in errors
+    convert.__name__ = "int"  # argparse and _read_config name the type in errors
     return convert
 
 
@@ -268,6 +270,10 @@ VERIFY_FLAGS = {
     "seed": {"type": int, "default": 20240},
 }
 
+# A one-value flag is a verify flag without an argparse action.  Exactly these
+# are the config keys, and each run record holds those its command reads but format.
+ONE_VALUE_FLAGS = tuple(dest for dest, kw in VERIFY_FLAGS.items() if "action" not in kw)
+
 
 def _cmd_verify(args) -> int:
     """Build, sort and print each named report; exit with the worst code.
@@ -279,10 +285,12 @@ def _cmd_verify(args) -> int:
     strict = getattr(args, "include_conjectural_strict", False)
     texts, codes = [], []
     for name in names:
-        build, _ = VERIFY_COMMANDS[name]
-        report, config = build(args)
+        build, flags = VERIFY_COMMANDS[name]
+        report, derived = build(args)
         report.sort()
-        texts.append(emit_report(report, args.format, config))
+        run = {"command": f"verify {name}"}
+        run.update((f, getattr(args, f)) for f in flags if f in ONE_VALUE_FLAGS and f != "format")
+        texts.append(emit_report(report, args.format, {**run, **derived}))
         codes.append(exit_code_for(report, strict))
     if args.format == "csv":
         texts[1:] = [text.partition("\n")[2] for text in texts[1:]]
@@ -292,53 +300,50 @@ def _cmd_verify(args) -> int:
     return max(codes)
 
 
-def _read_config(path: str) -> dict[str, str]:
-    out, first_line = {}, {}
+def _read_config(path: str) -> dict:
+    """The config file's values as verify-flag defaults.
+
+    Each key must be a one-value flag, and each value is converted and checked,
+    on its own line, with that flag's type, floor included, and choices; so
+    every error starts with path:line:.
+    """
+    defaults, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}:"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
+                raise ValueError(f"{where} expected key = value, got {line!r}")
             key, _, value = map(str.strip, line.partition("="))
+            if key not in ONE_VALUE_FLAGS:
+                known = ", ".join(sorted(ONE_VALUE_FLAGS))
+                raise ValueError(f"{where} unknown key {key!r}; known keys: {known}")
             if first_line.setdefault(key, lineno) != lineno:
-                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
-            out[key] = value
-    return out
-
-
-def _config_defaults(config: dict[str, str]) -> dict:
-    """The config values as verify-flag defaults.
-
-    A key must name a one-value flag of some verify subcommand; its value is
-    converted and checked with that flag's type, floor included, and choices.
-    """
-    known = [k for k, kw in VERIFY_FLAGS.items() if "action" not in kw]
-    defaults = {}
-    for key, value in config.items():
-        if key not in known:
-            raise ValueError(f"unknown key {key!r}; known keys: {', '.join(sorted(known))}")
-        convert = VERIFY_FLAGS[key].get("type", str)
-        try:
-            defaults[key] = convert(value)
-        except ValueError:
-            raise ValueError(f"{key} = {value!r}: not a valid {convert.__name__}") from None
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{key} = {value!r}: {exc}") from None
-        choices = VERIFY_FLAGS[key].get("choices")
-        if choices and defaults[key] not in choices:
-            raise ValueError(f"{key} = {value!r}: choose from {', '.join(choices)}")
+                raise ValueError(f"{where} key {key!r} repeats line {first_line[key]}")
+            bad = f"{where} {key} = {value!r}:"
+            convert = VERIFY_FLAGS[key].get("type", str)
+            try:
+                defaults[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"{bad} not a valid {convert.__name__}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{bad} {exc}") from None
+            choices = VERIFY_FLAGS[key].get("choices")
+            if choices and defaults[key] not in choices:
+                raise ValueError(f"{bad} choose from {', '.join(choices)}")
     return defaults
 
 
-def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
-    """The supercong parser; `config` values become defaults of the verify flags.
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The supercong parser; `defaults`, the config file's checked values, become
+    defaults of the verify flags.
 
     Each verify subcommand takes only its own flags and its own config keys,
     so an explicit flag always wins and a foreign flag is a usage error.
     """
-    defaults = _config_defaults(config or {})
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(prog="supercong")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,7 +8,10 @@ quadratic form giving x and y, and carries the right-hand-side template plus
 a quadratic character, the Jacobi symbol (u/p) of one integer u.  Parity
 signs are such symbols too, by the supplementary laws of quadratic
 reciprocity: (-1)^((p-1)/2) = (-1/p), and (-1)^((p-1)/4) = (2/p) when
-p = 1 mod 4.  A row whose m is a certified CM value also carries its CM
+p = 1 mod 4.  A quadratic branch is stated by its form a x^2 + d y^2 = c p and
+a sign eps alone: its right-hand side is eps (X^2 - 2p - p^2/X^2) with
+X^2 = 4a x^2/c, which _quadratic writes out as the QF record that rhs_value
+evaluates.  A row whose m is a certified CM value also carries its CM
 point tau = re + im*sqrt(-d): m = 1/x(tau) for the Hauptmodul x paired
 with the family (qseries.HAUPTMODUL_SEQUENCE, with its sign), and
 highprec.cm_table derives its targets from these rows.
@@ -138,12 +141,6 @@ class CongruenceSpec:
 
 # -- catalog -----------------------------------------------------------------
 
-QF4 = QF(4, -2, -1, 4)     # 4x^2 - 2p - p^2/(4x^2)
-QF_M2 = QF(-2, 2, 1, 2)    # -2x^2 + 2p + p^2/(2x^2)
-QF_M8 = QF(-8, 2, 1, 8)    # -8x^2 + 2p + p^2/(8x^2)
-QF1 = QF(1, -2, -1, 1)     # x^2 - 2p - p^2/x^2
-QF8 = QF(8, -2, -1, 8)     # 8x^2 - 2p - p^2/(8x^2)
-
 _ALWAYS = PrimePredicate()
 
 
@@ -154,10 +151,18 @@ def _jc(*conds: tuple[int, int]) -> PrimePredicate:
     return PrimePredicate(jacobi_conditions=tuple(conds))
 
 
-def _simple(
-    spec_id, status, seq, m, limit, pred, form, rhs=QF4, char=1, source="", tau=None,
-):
-    branch = Branch(_ALWAYS, form, rhs, char)
+def _quadratic(condition: PrimePredicate, form: FormSpec, eps: int = 1, char: int = 1) -> Branch:
+    """The branch on form a x^2 + d y^2 = c p whose right-hand side is
+    eps (X^2 - 2p - p^2/X^2), X^2 = k x^2 with k = 4a/c: the trace of the square
+    of Lemma 2.3's unit root, stated as the QF record that rhs_value reads."""
+    k, rem = divmod(4 * form.a, form.c)
+    if rem:
+        raise ValueError(f"4a/c is not an integer for {form}")
+    return Branch(condition, form, QF(eps * k, -2 * eps, -eps, k), char)
+
+
+def _simple(spec_id, status, seq, m, limit, pred, form, char=1, source="", tau=None):
+    branch = _quadratic(_ALWAYS, form, char=char)
     return CongruenceSpec(spec_id, status, seq, m, limit, 3, pred, (branch,), source, tau)
 
 
@@ -206,16 +211,16 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "T1.10", "proven", S.CB4, -12288, "full", 3, p4,
         (
-            Branch(_rc(12, 1), FormSpec(1, 9, 1), QF4),
-            Branch(_rc(12, 5), FormSpec(1, 9, 2), QF_M2),
+            _quadratic(_rc(12, 1), FormSpec(1, 9, 1)),
+            _quadratic(_rc(12, 5), FormSpec(1, 9, 2), eps=-1),
         ),
         "Thm 1.10", (F(1, 2), F(3, 2), 1),
     ))
     add(CongruenceSpec(
         "T1.10-b", "proven", S.CB4, -6635520, "full", 3, p4,
         (
-            Branch(_rc(20, 1, 9), FormSpec(1, 25, 1), QF4),
-            Branch(_rc(20, 13, 17), FormSpec(1, 25, 2), QF_M2),
+            _quadratic(_rc(20, 1, 9), FormSpec(1, 25, 1)),
+            _quadratic(_rc(20, 13, 17), FormSpec(1, 25, 2), eps=-1),
         ),
         "Thm 1.10", (F(1, 2), F(5, 2), 1),
     ))
@@ -223,8 +228,8 @@ def catalog() -> list[CongruenceSpec]:
         add(CongruenceSpec(
             f"T1.11{suffix}", "proven", S.CB4, mm, "full", 3, _jc((-dmm, 1)),
             (
-                Branch(_jc((-1, 1)), FormSpec(1, dmm, 1), QF4),
-                Branch(_jc((-1, -1)), FormSpec(1, dmm, 2), QF_M2),
+                _quadratic(_jc((-1, 1)), FormSpec(1, dmm, 1)),
+                _quadratic(_jc((-1, -1)), FormSpec(1, dmm, 2), eps=-1),
             ),
             "Thm 1.11", (F(1, 2), F(1, 2), dmm),
         ))
@@ -235,8 +240,8 @@ def catalog() -> list[CongruenceSpec]:
         add(CongruenceSpec(
             f"T1.12{suffix}", "proven", S.CB4, mm, "full", 3, _jc((-2 * dmm, 1)),
             (
-                Branch(_jc((unit, 1)), FormSpec(1, 2 * dmm, 1), QF4),
-                Branch(_jc((unit, -1)), FormSpec(2, dmm, 1), QF_M8),
+                _quadratic(_jc((unit, 1)), FormSpec(1, 2 * dmm, 1)),
+                _quadratic(_jc((unit, -1)), FormSpec(2, dmm, 1), eps=-1),
             ),
             "Thm 1.12", (F(0), F(1, 2), 2 * dmm),
         ))
@@ -255,17 +260,17 @@ def catalog() -> list[CongruenceSpec]:
     add(_simple("T1.16-b", "proven", S.CB6, 255**3, "full", p7, x7, char=-255,
                 source="Thm 1.16"))
     add(_simple("T1.17", "proven", S.CB6, -12288000, "full", p3, FormSpec(1, 27, 4),
-                rhs=QF1, char=10, source="Thm 1.17"))
+                char=10, source="Thm 1.17"))
     add(_simple("T1.18", "proven", S.CB6, -32**3, "full", _rc(11, 1, 3, 4, 5, 9),
-                FormSpec(1, 11, 4), rhs=QF1, char=-2, source="Thm 1.18"))
+                FormSpec(1, 11, 4), char=-2, source="Thm 1.18"))
     add(_simple("T1.19", "proven", S.CB6, -96**3, "full", _jc((-19, 1)),
-                FormSpec(1, 19, 4), rhs=QF1, char=-6, source="Thm 1.19"))
+                FormSpec(1, 19, 4), char=-6, source="Thm 1.19"))
     add(_simple("T1.20", "proven", S.CB6, -960**3, "full", _jc((-43, 1)),
-                FormSpec(1, 43, 4), rhs=QF1, char=-15, source="Thm 1.20"))
+                FormSpec(1, 43, 4), char=-15, source="Thm 1.20"))
     add(_simple("T1.21", "proven", S.CB6, -5280**3, "full", _jc((-67, 1)),
-                FormSpec(1, 67, 4), rhs=QF1, char=-330, source="Thm 1.21"))
+                FormSpec(1, 67, 4), char=-330, source="Thm 1.21"))
     add(_simple("T1.22", "proven", S.CB6, -640320**3, "full", _jc((-163, 1)),
-                FormSpec(1, 163, 4), rhs=QF1, char=-10005, source="Thm 1.22"))
+                FormSpec(1, 163, 4), char=-10005, source="Thm 1.22"))
 
     # Apery-like families; CM points of s (m = -1/s), w, v and h
     s1, s2 = (F(-1, 4), F(1, 4), 1), (F(0), F(1, 2), 1)
@@ -286,8 +291,8 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "T1.28", "proven", S.D, -8, "full", 3, _rc(24, 1, 5),
         (
-            Branch(_rc(24, 1), FormSpec(1, 6, 1), QF4),
-            Branch(_rc(24, 5), FormSpec(2, 3, 1), QF8),
+            _quadratic(_rc(24, 1), FormSpec(1, 6, 1)),
+            _quadratic(_rc(24, 5), FormSpec(2, 3, 1)),
         ),
         "Thm 1.28", (F(1, 2), F(1, 6), 6),
     ))
@@ -298,7 +303,7 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "I1.2", "cited", S.CB3, 64, "half", 3, _ALWAYS,
         (
-            Branch(_rc(4, 1), x4, QF4),
+            _quadratic(_rc(4, 1), x4),
             Branch(_rc(4, 3), None,
                    InvBinomSq(Fraction(-1), FloorExpr(1, -1, 2), FloorExpr(1, -3, 4))),
         ),
@@ -308,7 +313,7 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "R20.1", "cited", S.T, 4, "full", 3, _ALWAYS,
         (
-            Branch(_rc(4, 1), x4, QF4),
+            _quadratic(_rc(4, 1), x4),
             Branch(_rc(4, 3), None,
                    InvBinomSq(Fraction(-1, 4), FloorExpr(1, -3, 2), FloorExpr(1, -3, 4))),
         ),
@@ -317,7 +322,7 @@ def catalog() -> list[CongruenceSpec]:
     add(CongruenceSpec(
         "R20.2", "cited", S.T, 1, "full", 2, _rc(7, 1, 2, 3, 4, 5, 6),
         (
-            Branch(_rc(7, 1, 2, 4), x7, QF4),  # mod p^2: its p^2/(4x^2) term vanishes
+            _quadratic(_rc(7, 1, 2, 4), x7),  # mod p^2: its p^2/(4x^2) term vanishes
             Branch(_rc(7, 3, 5, 6), None, ZeroRhs()),
         ),
         "[20]", w7,

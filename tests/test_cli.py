@@ -259,13 +259,15 @@ def test_config_never_overrides_explicit_default_valued_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, needle", [
-    ("bogus_key = 1\n", "bogus_key"),
-    ("max_p = 30\nmax_pp = 40\n", "max_pp"),
-    ("max_p\n", "key = value"),
-    ("max_p = abc\n", "abc"),
-    ("format = xml\n", "xml"),
-    ("max_p = 10\n# twice\nmax_p = 20\n", "'max_p' repeats line 1"),
-], ids=["unknown-key", "misspelt-key", "no-equals", "bad-int", "bad-choice", "repeated-key"])
+    ("bogus_key = 1\n", ":1: unknown key 'bogus_key'"),
+    ("max_p = 30\nmax_pp = 40\n", ":2: unknown key 'max_pp'"),
+    ("max_p\n", ":1: expected key = value"),
+    ("max_p = abc\n", ":1: max_p = 'abc': not a valid int"),
+    ("format = xml\n", ":1: format = 'xml': choose from"),
+    ("max_p = 10\n# twice\nmax_p = 20\n", ":3: key 'max_p' repeats line 1"),
+    ("max_p = 30\nterms = 9\n", ":2: terms = '9': must be >= 10, got 9"),
+], ids=["unknown-key", "misspelt-key", "no-equals", "bad-int", "bad-choice", "repeated-key",
+        "below-floor"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, text, needle):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -274,7 +276,7 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, text, needle):
     ])
     assert code == EXIT_USAGE
     assert out == ""
-    assert needle in err
+    assert f"{cfg}{needle}" in err
 
 
 def test_emit_report_round_trip():
@@ -448,6 +450,34 @@ def test_verify_all_prints_one_document(capsys):
     assert code == EXIT_OK
     assert sum(line.startswith("spec_id,p,") for line in out.splitlines()) == 1
     assert out.startswith("spec_id,p,outcome,lhs,rhs,x,y\n")
+
+
+def test_run_records_the_swept_prime_domain(capsys):
+    code, out, _ = run_cli(capsys, [
+        "verify", "congruences", "--theorem", "T1.9", "--min-p", "3", "--max-p", "7",
+        "--format", "json",
+    ])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["run"]["min_p"] == 5
+    assert [r["p"] for r in data["rows"]] == [5, 7]
+
+
+def test_verify_all_run_records_follow_the_flag_table(capsys):
+    # each run holds its command, the one-value flags it reads but --format,
+    # and what it derived: for congruences the ids and the swept min_p
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "json", "--min-p", "3",
+                                    "--max-p", "20", "--terms", "16", "--digits", "20",
+                                    "--samples", "1", "--trials", "2"])
+    assert code == EXIT_OK
+    assert [p["run"] for p in json.loads(out)] == [
+        {"command": "verify congruences", "ids": congruence.catalog_ids(),
+         "min_p": 5, "max_p": 20, "workers": 1},
+        {"command": "verify qseries", "terms": 16},
+        {"command": "verify cm", "digits": 20},
+        {"command": "verify identities", "samples": 1, "prec": 256},
+        {"command": "verify lemma23", "trials": 2, "seed": 20240},
+    ]
 
 
 # The least meaningful value of each size flag, as the command line states it.

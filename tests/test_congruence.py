@@ -28,7 +28,7 @@ from supercong.congruence import (
     sweep,
     verify,
 )
-from supercong.quadforms import FormSpec, QuadRep, represent
+from supercong.quadforms import FormSpec, QuadRep, represent, unit_leading
 from supercong.report import Report
 from supercong.sequences import RECURRENCES, Recurrence, SequenceId, exact_terms
 
@@ -268,6 +268,66 @@ def test_catalog_rows_are_well_formed_and_checked():
     for row in report.rows:
         passes[row.spec_id] += row.outcome == "pass"
     assert min(passes.values()) >= 10, min(passes.items(), key=lambda kv: kv[1])
+
+
+def _unit_root_square(rep: QuadRep) -> int:
+    """A^2 / c_u mod p^4, for A = x_u + y r on unit_leading's form
+    x_u^2 + d_u y^2 = c_u p, with r the root of -d_u lifted from x_u/y to p^4
+    by Newton, as lemma23_check lifts it.  Its trace is X^2 - 2p and its norm
+    p^2, so it is Lemma 2.3's unit root of z^2 - (X^2 - 2p) z + p^2."""
+    u = unit_leading(rep)
+    p, x, y, d, c = rep.p, u.x, u.y, u.form.d, u.form.c
+    pk = p**4
+    r = x * pow(y, -1, p)
+    for _ in range(2):
+        r = (r - (r * r + d) * pow(2 * r, -1, pk)) % pk
+    a = (x + y * r) % pk
+    return a * a * pow(c, -1, pk) % pk
+
+
+def _quadratic_sides_against_lemma23(flip_r3: bool) -> tuple[list, list]:
+    """(agreeing, disagreeing) (row id, p) pairs of every QF branch and every
+    prime 5 <= p < 3000 that qualifies, matches the branch, does not divide
+    2 a d c m and is represented by the form: rhs_value, with its p^2 term's
+    sign flipped when flip_r3, against eps (u/p) A^2/c_u, eps = -r2/2."""
+    agree, disagree = [], []
+    for p in primes_in(5, 2999):
+        ctx = PrimeContext(p)
+        for spec in catalog():
+            branch = spec.match_branch(p) if spec.qualifies(p) else None
+            if branch is None or not isinstance(branch.rhs, QF):
+                continue
+            f = branch.rep
+            if (2 * f.a * f.d * f.c * spec.m) % p == 0 or (rep := represent(p, f)) is None:
+                continue
+            if flip_r3:
+                branch = dataclasses.replace(
+                    branch, rhs=dataclasses.replace(branch.rhs, r3=-branch.rhs.r3))
+            eps = -branch.rhs.r2 // 2
+            want = eps * jacobi(branch.character, p) * _unit_root_square(rep)
+            got = rhs_value(spec, branch, p, rep, ctx)
+            (agree if got == want % p**spec.mod_exp else disagree).append((spec.id, p))
+    return agree, disagree
+
+
+def test_quadratic_sides_are_lemma23_unit_roots():
+    agree, disagree = _quadratic_sides_against_lemma23(flip_r3=False)
+    assert (len(agree), disagree) == (9582, [])
+
+
+def test_lemma23_oracle_catches_a_flipped_p2_term():
+    # flipping r3 moves the side by 2 eps p^2/X^2: caught mod p^3 at every pair,
+    # and invisible only at R20.2's mod-p^2 pairs, where the p^2 term vanishes
+    agree, disagree = _quadratic_sides_against_lemma23(flip_r3=True)
+    assert (len(agree), len(disagree)) == (210, 9372)
+    assert {lookup(sid).mod_exp for sid, _ in agree} == {2}
+    assert {lookup(sid).mod_exp for sid, _ in disagree} == {3}
+
+
+def test_quadratic_branch_needs_an_integral_4a_over_c():
+    assert congruence._quadratic(PrimePredicate(), FormSpec(2, 3, 1), eps=-1).rhs == QF(-8, 2, 1, 8)
+    with pytest.raises(ValueError, match="4a/c"):
+        congruence._quadratic(PrimePredicate(), FormSpec(1, 7, 3))
 
 
 def test_lhs_sum_frozen_examples():
