@@ -5,8 +5,9 @@ terms: each summand is the one before times its term ratio, so only the
 first calls comb, and term * num // den is exact because every summand is an
 integer (the tests keep the literal comb sums).  One table of three-term
 recurrences, RECURRENCES, is what the prime sweep runs mod p^3
-(congruence.PrimeContext.terms); recurrence_break checks exact terms against
-the same table.  Nothing here reduces modulo anything.
+(congruence.PrimeContext.terms and congruence._walk); recurrence_break
+checks exact terms against the same table.  Nothing here reduces modulo
+anything.
 """
 
 from __future__ import annotations

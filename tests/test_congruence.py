@@ -166,7 +166,8 @@ def recurrence_lhs(spec, p):
 def test_lhs_sum_against_recurrence_oracle_near_1100():
     """The first proven row of each family, at its first qualifying prime in a
     window, and a second half-limit CB3 row at the first row's prime; rows at
-    one prime share one context.  Near 3000, p^3 > 2^34 and n^3 > 2^31."""
+    one prime share one context, and each row also walks alone.  Near 3000,
+    p^3 > 2^34 and n^3 > 2^31."""
     for window in ((1100, 1130), (3000, 3100)):
         contexts = {}
         checked = set()
@@ -175,14 +176,93 @@ def test_lhs_sum_against_recurrence_oracle_near_1100():
                 continue
             p = next(p for p in primes_in(*window) if spec.qualifies(p) and spec.m % p)
             ctx = contexts.setdefault(p, PrimeContext(p))
-            assert lhs_sum(spec, p, ctx) == recurrence_lhs(spec, p), (spec.id, p)
+            want = recurrence_lhs(spec, p)
+            assert lhs_sum(spec, p, ctx) == lhs_sum(spec, p) == want, (spec.id, p)
             checked.add(spec.sequence)
         assert checked == set(SequenceId)
         first = lookup("T1.1")
         p = next(p for p in primes_in(*window) if first.qualifies(p))
         half = lookup("T1.1-b")  # m = 4096, the same primes
         assert half.limit == "half" and half.qualifies(p)
-        assert lhs_sum(half, p, contexts[p]) == recurrence_lhs(half, p), (half.id, p)
+        want = recurrence_lhs(half, p)
+        assert lhs_sum(half, p, contexts[p]) == lhs_sum(half, p) == want, (half.id, p)
+
+
+def test_walk_is_the_shared_path_below_600():
+    """lhs_sum without a context walks; with PrimeContext(p) it reads the shared
+    terms.  Both agree for every row at every prime 5 <= p < 600 with p not
+    dividing m, qualifying or not."""
+    for p in primes_in(5, 599):
+        ctx = PrimeContext(p)
+        for spec in catalog():
+            if spec.m % p:
+                assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx), (spec.id, p)
+
+
+def test_walk_is_the_shared_path_at_99991():
+    # the first row of each family; the left side is defined at any p not dividing m
+    p = 99991
+    ctx = PrimeContext(p)
+    firsts = {}
+    for spec in catalog():
+        firsts.setdefault(spec.sequence, spec)
+    assert set(firsts) == set(SequenceId)
+    for spec in firsts.values():
+        assert spec.m % p
+        assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx), spec.id
+
+
+@pytest.mark.parametrize("spec_id, p", [("T1.1", 1103), ("T1.29", 1117)])
+def test_walk_catches_one_changed_coefficient(monkeypatch, spec_id, p):
+    # a half e = 0 row and a full e != 0 row; P(n) one too large at one n < L
+    spec = lookup(spec_id)
+    want = recurrence_lhs(spec, p)
+    assert lhs_sum(spec, p) == want
+    real = congruence.coefficients
+
+    def off_by_one(rec, count):
+        P, Q = real(rec, count)
+        P = list(P)
+        P[count // 2] += 1
+        return P, Q
+
+    monkeypatch.setattr(congruence, "coefficients", off_by_one)
+    assert lhs_sum(spec, p) != want
+
+
+def test_lhs_sum_raises_when_p_divides_m():
+    spec = lookup("T1.9")  # m = 28^4
+    for ctx in (None, PrimeContext(7)):
+        with pytest.raises(ValueError):
+            lhs_sum(spec, 7, ctx)
+
+
+def test_sweep_walks_exactly_the_lone_families(monkeypatch):
+    """A family with one row in the sweep never builds terms; a family with
+    two or more builds one term list per prime where one of its rows is
+    checked."""
+    built = {}
+    real = PrimeContext.terms
+
+    def spy(self, seq):
+        terms = real(self, seq)
+        built.setdefault((self.p, seq), set()).add(id(terms))
+        return terms
+
+    monkeypatch.setattr(PrimeContext, "terms", spy)
+    lone = sweep(["T1.29"], 5, 300)
+    assert built == {} and lone.summary()["pass"] == 28  # p = 1 mod 3
+    for ids in (["T1.1", "T1.1-b", "T1.29"], catalog_ids(("proven", "conjectural", "cited"))):
+        built.clear()
+        report = sweep(ids, 5, 300)
+        shared = {seq for seq in SequenceId
+                  if sum(lookup(sid).sequence is seq for sid in ids) > 1}
+        checked = {(row.p, lookup(row.spec_id).sequence) for row in report.rows
+                   if row.outcome == "pass" and lookup(row.spec_id).sequence in shared}
+        assert report.summary()["fail"] == 0
+        assert set(built) == checked
+        assert all(len(lists) == 1 for lists in built.values())
+    assert len(ids) == 56 and shared == set(SequenceId)
 
 
 def test_prime_context_table_is_factorials():
