@@ -188,7 +188,10 @@ def _verify_qseries(args) -> tuple[Report, dict]:
 
 
 def _check_rows(results, label: str) -> list[Row]:
-    return [Row(r.name, None, "pass" if r.ok else "fail", f"{label}={r.residual:.2e}")
+    """Rows of numeric checks, each residual in whole digits, which read the
+    same on every host and at any precision."""
+    return [Row(r.name, None, "pass" if r.ok else "fail",
+                f"{label}=0" if r.digits is None else f"{label} digits={r.digits}")
             for r in results]
 
 

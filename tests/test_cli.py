@@ -116,6 +116,24 @@ def test_verify_identities_quick(capsys):
     assert code == EXIT_OK
 
 
+def test_numeric_rows_state_residuals_in_whole_digits(capsys):
+    # at 2400 bits every residual lies below the smallest float, where a
+    # float would print 0; the digits come from the mpmath value
+    code, out, _ = run_cli(capsys, ["verify", "identities", "--samples", "1", "--prec", "2400",
+                                    "--format", "json"])
+    assert code == EXIT_OK
+    details = [r["details"] for r in json.loads(out)["rows"]]
+    digits = [int(m.group(1)) for d in details
+              if (m := re.fullmatch(r"max residual digits=(\d+)", d))]
+    assert len(details) == 17 and len(digits) >= 15, details  # an exact 0 reads "=0"
+    assert min(digits) > 361  # the tolerance is 2^-1200
+    for check in highprec.class_invariant_check(25):
+        if check.digits is None:
+            assert check.residual == 0
+        else:
+            assert 10.0 ** -(check.digits + 1) < check.residual <= 10.0 ** -check.digits
+
+
 def test_verify_lemma23_quick(capsys):
     code, out, _ = run_cli(capsys, ["verify", "lemma23", "--trials", "10"])
     assert code == EXIT_OK

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from supercong import highprec
 from supercong.highprec import (
@@ -58,9 +59,20 @@ def test_eta_functional_equations():
 # -- the reduced eta against the unreduced series -------------------------------
 
 
+S_FACTOR, REDUCE = highprec._s_factor, highprec._reduce
+
+
+def _series_at(tau, prec: int) -> mpmath.mpc:
+    """highprec's series summed at tau itself, unreduced, in 2^-(prec+32) fixed point."""
+    work = prec + 32
+    (re, im), exp = highprec._eta_series(
+        to_fixed(tau.real._mpf_, work), to_fixed(tau.imag._mpf_, work), work)
+    return mpmath.mpc(mpmath.ldexp(re, exp), mpmath.ldexp(im, exp))
+
+
 def _rel_err(tau, prec=256, oracle_prec=384) -> mpmath.mpf:
     with mp.workprec(oracle_prec + 32):
-        exact = highprec._eta_series(tau, oracle_prec)
+        exact = _series_at(tau, oracle_prec)
         return abs(eta_num(tau, prec) - exact) / abs(exact)
 
 
@@ -138,43 +150,99 @@ def test_eta_num_stays_relative_far_up(im):
         assert abs(eta_num(tau, 256) / exact - 1) < mpmath.mpf(2) ** -250
 
 
-def _reduced_eta(s_factor, keep_shift: bool):
-    """eta_num's reduction loop with the S factor and the T-shift fold replaceable."""
+@pytest.mark.parametrize("re, im", [("1e-5", "3e-6"), ("1e-4", "1e-4")])
+def test_eta_num_next_to_zero_meets_the_stated_bound(monkeypatch, re, im):
+    # the oracle eta(-1/tau) / sqrt(-i tau) takes mpmath.eta far up, where its
+    # q-product converges at once: it shares no code with eta_num
+    prec = 256
+    steps = []
+    monkeypatch.setattr(highprec, "_s_factor", lambda *a: steps.append(a) or S_FACTOR(*a))
+    with mp.workprec(prec + 64):
+        tau = mpmath.mpc(re, im)
+        got = eta_num(tau, prec)
+        exact = mpmath.eta(-1 / tau) / mpmath.sqrt(-1j * tau)
+        # one S step lands above Im = 10^4, where K = 1 pentagonal pair is summed
+        assert len(steps) == 1
+        bound = (len(steps) + 4 * 1 + 7 + 4 / tau.imag) * mpmath.mpf(2) ** -(prec + 32)
+        assert abs(got - exact) / abs(exact) < bound
 
-    def eta(tau, prec):
-        with mp.workprec(prec + 32):
-            shift, scale = 0, 1
-            while True:
-                n = int(mpmath.nint(tau.real))
-                tau -= n
-                shift += n
-                if float(tau.real) ** 2 + float(tau.imag) ** 2 >= 0.5:
-                    break
-                scale *= s_factor(tau)
-                tau = -1 / tau
-            return highprec._eta_series(tau + keep_shift * (shift % 24), prec) / scale
 
-    return eta
+def test_eta_num_keeps_its_precision_under_a_53_bit_caller():
+    with mp.workprec(288):
+        tau = mpmath.mpc("0.1", "0.65")
+    with mp.workprec(53):
+        got = eta_num(tau, 256)
+    with mp.workprec(320):
+        exact = mpmath.eta(tau)
+        assert abs(got - exact) / abs(exact) < mpmath.mpf(2) ** -248
+
+
+@st.composite
+def _fixed_point_pair(draw):
+    work = draw(st.integers(64, 1100))
+    size = st.integers(-(1 << (work + 8)), 1 << (work + 8))
+    return work, draw(size), draw(st.integers(1, 1 << (work + 8))), draw(size), draw(size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_fixed_point_pair())
+def test_integer_square_root_and_division_match_mpmath(case):
+    # re + i im is a point of the upper half-plane, c + i d any divisor but 0
+    work, re, im, c, d = case
+    tol = mpmath.mpf(2) ** -(work - 2)
+    with mp.workprec(3 * work + 64):
+        one = mpmath.mpf(2) ** work
+        tau = mpmath.mpc(re, im) / one
+        u, v = highprec._s_factor(re, im, work)
+        assert abs(mpmath.mpc(u, v) / one - mpmath.sqrt(-1j * tau)) < tol
+        if c or d:
+            x, y = highprec._gdiv((re, im), (c, d), work)
+            assert abs(mpmath.mpc(x, y) / one - mpmath.mpc(re, im) / mpmath.mpc(c, d)) < tol
+
+
+def _sqrt_i_tau(re, im, work):
+    """sqrt(i tau), the principal root: sqrt(-i tau) times i, with the sign of Re(tau)."""
+    u, v = S_FACTOR(re, im, work)
+    return (-v, u) if re >= 0 else (v, -u)
+
+
+def _reduced_eta(monkeypatch, s_factor, keep_shift: bool) -> None:
+    """Make eta_num's own reduction use this S factor, and fold its T shifts
+    into the series or drop them."""
+
+    def reduce(re, im, work):
+        re, im, shift, scale, scale_exp = REDUCE(re, im, work)
+        return re, im, shift * keep_shift, scale, scale_exp
+
+    monkeypatch.setattr(highprec, "_s_factor", s_factor)
+    monkeypatch.setattr(highprec, "_reduce", reduce)
 
 
 ETA_MUTANTS = {
-    "S factor sqrt(i tau)": _reduced_eta(lambda t: mpmath.sqrt(1j * t), True),
-    "T shift dropped": _reduced_eta(lambda t: mpmath.sqrt(-1j * t), False),
-    "S factor left out": _reduced_eta(lambda t: 1, True),
+    "S factor sqrt(i tau)": (_sqrt_i_tau, True),
+    "T shift dropped": (S_FACTOR, False),
+    "S factor left out": (lambda re, im, work: (1 << work, 0), True),
 }
 
 
-def test_reduced_eta_builder_reproduces_eta_num():
-    correct = _reduced_eta(lambda t: mpmath.sqrt(-1j * t), True)
-    tau = _gamma_tau("0.1", "0.65", 23, 22, 24, 23)
-    assert correct(tau, 256) == eta_num(tau, 256)
+def test_reduced_eta_builder_reproduces_eta_num(monkeypatch):
+    # the builder's seams are the kernel's: unchanged parts give eta_num bit
+    # for bit, and each mutant moves the value at 0.1 + 0.3i, which takes one
+    # S step and then a T step (two S steps of sqrt(i tau) can cancel in sign)
+    taus = [_gamma_tau("0.1", "0.65", 23, 22, 24, 23), _gamma_tau("0.1", "0.3", 1, 0, 0, 1)]
+    expected = [eta_num(tau, 256) for tau in taus]
+    _reduced_eta(monkeypatch, S_FACTOR, True)
+    assert [eta_num(tau, 256) for tau in taus] == expected
+    for name, mutant in ETA_MUTANTS.items():
+        _reduced_eta(monkeypatch, *mutant)
+        assert abs(eta_num(taus[1], 256) / expected[1] - 1) > 1e-3, name
 
 
 @pytest.mark.parametrize("name", list(ETA_MUTANTS))
 def test_wrong_reduction_is_caught(monkeypatch, name):
     # eta-shift and eta-inversion partly test the reduction against its own
     # rules; the closed-form Gamma_0(4) multiplier and the CM table do not
-    monkeypatch.setattr(highprec, "eta_num", ETA_MUTANTS[name])
+    _reduced_eta(monkeypatch, *ETA_MUTANTS[name])
     rows = {r.name: r for r in identity_suite(6, 256, seed=4)}
     assert not rows["eta-gamma0(4)"].ok, name
     assert any(not cm_check(target, 60).ok for target in cm_table()), name
