@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 import mpmath
 from mpmath import mp
@@ -215,54 +215,62 @@ def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
                         from_man_exp(out_im, exp, wp, round_nearest)))
 
 
-def _weber(eta, tau: mpmath.mpc, which: str) -> mpmath.mpc:
-    """Weber f, f1, f2 from eta, a function of the point alone."""
-    if which == "f":
-        return mpmath.expjpi(mpmath.mpf(-1) / 24) * eta((tau + 1) / 2) / eta(tau)
-    if which == "f1":
-        return eta(tau / 2) / eta(tau)
-    if which == "f2":
-        return mpmath.sqrt(2) * eta(2 * tau) / eta(tau)
-    raise ValueError(f"unknown Weber function {which!r}")
+class _Eta:
+    """eta_num at one precision, with the Weber functions and gamma2 on it.
 
+    Made per numeric call, inside that call's mp.workprec(prec + guard): it
+    binds zeta48^-1 and sqrt(2) there once, and memoises eta on the exact
+    argument, so each distinct point is evaluated once per call.  eta_num
+    fixes its own working precision, so a shared value is bit for bit the
+    one a second evaluation would give; a miss looks eta_num up anew."""
 
-def _gamma2_j(eta, tau: mpmath.mpc) -> tuple[mpmath.mpc, mpmath.mpc]:
-    f8 = _weber(eta, tau, "f") ** 8
-    g2 = (f8**3 - 16) / f8
-    return g2, g2**3
+    def __init__(self, prec: int):
+        self.prec = prec
+        self.memo: dict[mpmath.mpc, mpmath.mpc] = {}
+        self.zeta48_inv = mpmath.expjpi(mpmath.mpf(-1) / 24)
+        self.sqrt2 = mpmath.sqrt(2)
 
+    def __call__(self, tau: mpmath.mpc) -> mpmath.mpc:
+        if tau not in self.memo:
+            self.memo[tau] = eta_num(tau, self.prec)
+        return self.memo[tau]
 
-def weber(tau: mpmath.mpc, which: str, prec: int) -> mpmath.mpc:
-    """Weber f, f1, f2 as eta quotients at shifted/scaled arguments."""
-    with mp.workprec(prec + _GUARD_BITS):
-        return _weber(partial(eta_num, prec=prec), tau, which)
+    def weber(self, tau: mpmath.mpc, which: str) -> mpmath.mpc:
+        """Weber f, f1, f2 as eta quotients at shifted and scaled arguments."""
+        if which == "f":
+            return self.zeta48_inv * self((tau + 1) / 2) / self(tau)
+        if which == "f1":
+            return self(tau / 2) / self(tau)
+        return self.sqrt2 * self(2 * tau) / self(tau)
 
-
-def gamma2_j(tau: mpmath.mpc, prec: int) -> tuple[mpmath.mpc, mpmath.mpc]:
-    """gamma2 = (f^24 - 16) / f^8 and j = gamma2^3."""
-    with mp.workprec(prec + _GUARD_BITS):
-        return _gamma2_j(partial(eta_num, prec=prec), tau)
+    def gamma2(self, tau: mpmath.mpc) -> mpmath.mpc:
+        """gamma2 = (f^24 - 16) / f^8, the cube root of j."""
+        f8 = self.weber(tau, "f") ** 8
+        return (f8**3 - 16) / f8
 
 
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS), gamma2 or j."""
-    if tag == "u":
-        with mp.workprec(prec + _GUARD_BITS):
-            f24 = weber(tau, "f2", prec) ** 24
+    """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS), a Weber
+    function f, f1 or f2, gamma2 or j, from one evaluator."""
+    with mp.workprec(prec + _GUARD_BITS):
+        eta = _Eta(prec)
+        if tag == "u":
+            f24 = eta.weber(tau, "f2") ** 24
             return f24 / (f24 + 64) ** 2
-    if tag in ETA_QUOTIENTS:
-        exps, power = ETA_QUOTIENTS[tag]
-        with mp.workprec(prec + _GUARD_BITS):
-            eta = {m: eta_num(m * tau, prec) for m in exps}
+        if tag in ETA_QUOTIENTS:
+            exps, power = ETA_QUOTIENTS[tag]
             val = mpmath.mpc(1)
             for m, e in exps.items():  # numerator factors first
+                factor = eta(m * tau)
                 for _ in range(abs(e)):
-                    val = val * eta[m] if e > 0 else val / eta[m]
+                    val = val * factor if e > 0 else val / factor
             return val**power
-    if tag == "gamma2":
-        return gamma2_j(tau, prec)[0]
-    if tag == "j":
-        return gamma2_j(tau, prec)[1]
+        if tag in ("f", "f1", "f2"):
+            return eta.weber(tau, tag)
+        if tag == "gamma2":
+            return eta.gamma2(tau)
+        if tag == "j":
+            return eta.gamma2(tau) ** 3
     raise ValueError(f"unknown function tag {tag!r}")
 
 
@@ -371,7 +379,7 @@ CLASS_INVARIANTS = [
 
 def _class_invariant(which: str, n: int, power: int, closed: SurdValue, prec: int):
     tau = mpmath.mpc(0, mpmath.sqrt(n))
-    g = mpmath.mpf(2) ** mpmath.mpf("-0.25") * weber(tau, which, prec)
+    g = mpmath.mpf(2) ** mpmath.mpf("-0.25") * hauptmodul_value(which, tau, prec)
     return g**power, closed.to_mpf(prec)
 
 
@@ -388,15 +396,18 @@ def _random_tau(rng: random.Random) -> mpmath.mpc:
     return mpmath.mpc(rng.uniform(-0.9, 0.9), rng.uniform(0.6, 1.6))
 
 
+def _sl2(a: int, c: int) -> tuple[int, int, int, int]:
+    """The matrix (a b; c d) of SL(2, Z) with d = a^-1 mod c."""
+    d = pow(a, -1, c)
+    return a, (a * d - 1) // c, c, d
+
+
 def _random_gamma0_4(rng: random.Random) -> tuple[int, int, int, int]:
     while True:
         c = 4 * rng.randint(1, 6)
         a = rng.randrange(1, 4 * c, 2)
         if math.gcd(a, c) == 1:
-            break
-    d = pow(a, -1, c)
-    b = (a * d - 1) // c
-    return a, b, c, d
+            return _sl2(a, c)
 
 
 def _random_sl2(rng: random.Random) -> tuple[int, int, int, int]:
@@ -404,10 +415,7 @@ def _random_sl2(rng: random.Random) -> tuple[int, int, int, int]:
         c = rng.randint(1, 8)
         a = rng.randint(-10, 10)
         if a and math.gcd(a, c) == 1:
-            break
-    d = pow(a, -1, c)
-    b = (a * d - 1) // c
-    return a, b, c, d
+            return _sl2(a, c)
 
 
 def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, zeta24_powers):
@@ -428,9 +436,15 @@ def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, zeta24_powers):
     return jacobi(a, c0) * zeta24_powers[expo] * mpmath.sqrt(c * tau + d)
 
 
-def _relative_residual(left, right):
-    """|left - right| over the larger of |left| and |right|."""
-    return abs(left - right) / max(abs(left), abs(right))
+def _norm(z) -> mpmath.mpf:
+    """|z|^2 of an int, mpf or mpc, without a square root."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _residual(diff, *sides) -> mpmath.mpf:
+    """|diff|^2 over the largest |side|^2: the squared residual relative to
+    the sides compared."""
+    return _norm(diff) / max(map(_norm, sides))
 
 
 def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResult]:
@@ -438,8 +452,10 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
 
     Runs `samples` random draws per identity and reports the worst residual,
     relative to the larger side of each comparison; all residuals must sit
-    far below 2^(-prec/2).  Each distinct point's eta is evaluated once per
-    call.
+    far below 2^(-prec/2).  Residuals are kept squared and compared with the
+    squared tolerance, and each identity takes one square root, for its row.
+    One evaluator serves the call, so each distinct point's eta is evaluated
+    once per call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -447,23 +463,18 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         raise ValueError("prec must be >= 64: the tolerance 2^(-prec/2) would mean nothing")
     rng = random.Random(seed)
     worst: dict[str, mpmath.mpf] = {}
-    # eta_num fixes its own working precision, so a shared value is bit for
-    # bit the one a second evaluation would give; the memo lives for this
-    # call only, and eta_num is looked up at each miss
-    eta = cache(lambda tau: eta_num(tau, prec))
-    weber_ = partial(_weber, eta)
 
     def note(name: str, left, right) -> None:
-        worst[name] = max(worst.get(name, 0), _relative_residual(left, right))
+        worst[name] = max(worst.get(name, 0), _residual(left - right, left, right))
 
     with mp.workprec(prec + _GUARD_BITS):
+        eta = _Eta(prec)
+        weber, sqrt2 = eta.weber, eta.sqrt2
         zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
         zeta24_powers = [mpmath.mpc(1)]
         for _ in range(23):
             zeta24_powers.append(zeta24_powers[-1] * zeta24)
-        zeta48_inv = mpmath.expjpi(mpmath.mpf(-1) / 24)
         omega = (-1 + mpmath.sqrt(-3)) / 2
-        sqrt2 = mpmath.sqrt(2)
         for _ in range(samples):
             tau = _random_tau(rng)
             e_tau = eta(tau)
@@ -474,53 +485,48 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
             note("eta-gamma0(4)", eta((a * tau + b) / (c * tau + d)),
                  _eta_mult_gamma0_4(a, b, c, d, tau, zeta24_powers) * e_tau)
 
-            f = weber_(tau, "f")
-            f1 = weber_(tau, "f1")
-            f2 = weber_(tau, "f2")
+            f = weber(tau, "f")
+            f1 = weber(tau, "f1")
+            f2 = weber(tau, "f2")
             note("f*f1*f2=sqrt2", f * f1 * f2, sqrt2)
-            note("f1(2t)f2(t)=sqrt2", weber_(2 * tau, "f1") * f2, sqrt2)
-            note("f(-1/t)=f(t)", weber_(inv_tau, "f"), f)
-            note("f1(-1/t)=f2(t)", weber_(inv_tau, "f1"), f2)
-            note("f2(-1/t)=f1(t)", weber_(inv_tau, "f2"), f1)
-            note("f(t+1)=z48^-1 f1", weber_(tau + 1, "f"), zeta48_inv * f1)
+            note("f1(2t)f2(t)=sqrt2", weber(2 * tau, "f1") * f2, sqrt2)
+            note("f(-1/t)=f(t)", weber(inv_tau, "f"), f)
+            note("f1(-1/t)=f2(t)", weber(inv_tau, "f1"), f2)
+            note("f2(-1/t)=f1(t)", weber(inv_tau, "f2"), f1)
+            note("f(t+1)=z48^-1 f1", weber(tau + 1, "f"), eta.zeta48_inv * f1)
 
             # conjugation symmetry at tau = x + i*y
             x = rng.uniform(-1.5, 1.5)
             y = rng.uniform(0.6, 1.8)
             for which in ("f", "f1", "f2"):
-                left = mpmath.conj(weber_(mpmath.mpc(x, y), which))
-                note("conjugation", left, weber_(mpmath.mpc(-x, y), which))
+                left = mpmath.conj(weber(mpmath.mpc(x, y), which))
+                note("conjugation", left, weber(mpmath.mpc(-x, y), which))
 
             # -f^8, f1^8, f2^8 are the roots of X^3 - gamma2 X + 16
-            g2, _ = _gamma2_j(eta, tau)
+            g2 = eta.gamma2(tau)
             x0, x1, x2 = -(f**8), f1**8, f2**8
             # the right-hand side is 0, so the size is the largest root
-            cubic_sum = abs(x0 + x1 + x2) / max(abs(x0), abs(x1), abs(x2))
+            cubic_sum = _residual(x0 + x1 + x2, x0, x1, x2)
             worst["cubic-sum"] = max(worst.get("cubic-sum", 0), cubic_sum)
             note("cubic-product", x0 * x1 * x2, -16)
             note("cubic-pairsum", x0 * x1 + x0 * x2 + x1 * x2, -g2)
 
             a, b, c, d = _random_sl2(rng)
-            g2m, _ = _gamma2_j(eta, (a * tau + b) / (c * tau + d))
+            g2m = eta.gamma2((a * tau + b) / (c * tau + d))
             expo = (a * c - a * b + a * a * c * d - c * d) % 3
             note("gamma2-transform", g2m, omega**expo * g2)
 
         # fixed-point facts
-        note("f1(sqrt-2)^2", weber_(mpmath.mpc(0, mpmath.sqrt(2)), "f1") ** 2, sqrt2)
+        note("f1(sqrt-2)^2", weber(mpmath.mpc(0, sqrt2), "f1") ** 2, sqrt2)
         tau7 = mpmath.mpc(0, mpmath.sqrt(7))
-        g2_7, _ = _gamma2_j(eta, tau7)
-        note("gamma2(sqrt-7)=255", g2_7, 255)
-        roots = sorted(
-            [
-                mpmath.re(-weber_(tau7, "f") ** 8),
-                mpmath.re(weber_(tau7, "f1") ** 8),
-                mpmath.re(weber_(tau7, "f2") ** 8),
-            ]
-        )
+        note("gamma2(sqrt-7)=255", eta.gamma2(tau7), 255)
+        roots = sorted(mpmath.re(sign * weber(tau7, which) ** 8)
+                       for sign, which in ((-1, "f"), (1, "f1"), (1, "f2")))
         root7 = 3 * mpmath.sqrt(7)
         expected = sorted([mpmath.mpf(-16), 8 - root7, 8 + root7])
         for r, e in zip(roots, expected):
             note("cubic-roots(sqrt-7)", r, e)
 
-        tol = mpmath.mpf(2) ** (-(prec // 2))
-        return [_checked(name, worst[name] < tol, worst[name]) for name in sorted(worst)]
+        tol2 = mpmath.mpf(2) ** (-2 * (prec // 2))
+        return [_checked(name, worst[name] < tol2, mpmath.sqrt(worst[name]))
+                for name in sorted(worst)]

@@ -23,10 +23,8 @@ from supercong.highprec import (
     cm_table,
     cm_target,
     eta_num,
-    gamma2_j,
     hauptmodul_value,
     identity_suite,
-    weber,
 )
 from supercong.congruence import catalog, lookup
 from supercong.qseries import HAUPTMODUL_SEQUENCE, QSeries, hauptmodul_q
@@ -260,39 +258,39 @@ def test_eta_at_i_is_real():
 def test_weber_identities_fixed_point():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(-2) / 7, mpmath.mpf(9) / 8)
-        f = weber(tau, "f", PREC)
-        f1 = weber(tau, "f1", PREC)
-        f2 = weber(tau, "f2", PREC)
+        f = hauptmodul_value("f", tau, PREC)
+        f1 = hauptmodul_value("f1", tau, PREC)
+        f2 = hauptmodul_value("f2", tau, PREC)
         assert _close(f * f1 * f2, mpmath.sqrt(2))
-        assert _close(weber(2 * tau, "f1", PREC) * f2, mpmath.sqrt(2))
-        assert _close(weber(-1 / tau, "f2", PREC), f1)
+        assert _close(hauptmodul_value("f1", 2 * tau, PREC) * f2, mpmath.sqrt(2))
+        assert _close(hauptmodul_value("f2", -1 / tau, PREC), f1)
         # f1(sqrt(-2))^2 = sqrt(2)
-        s2 = weber(mpmath.mpc(0, mpmath.sqrt(2)), "f1", PREC) ** 2
+        s2 = hauptmodul_value("f1", mpmath.mpc(0, mpmath.sqrt(2)), PREC) ** 2
         assert _close(s2, mpmath.sqrt(2))
     with pytest.raises(ValueError):
-        weber(mpmath.mpc(0, 1), "f3", PREC)
+        hauptmodul_value("f3", mpmath.mpc(0, 1), PREC)
 
 
 def test_gamma2_j_special_values():
     with mp.workprec(PREC):
-        _, j_i = gamma2_j(mpmath.mpc(0, 1), PREC)
+        j_i = hauptmodul_value("j", mpmath.mpc(0, 1), PREC)
         assert _close(j_i, mpmath.mpf(1728))
         omega = mpmath.mpc(mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2)
-        _, j_omega = gamma2_j(omega, PREC)
+        j_omega = hauptmodul_value("j", omega, PREC)
         assert abs(j_omega) < mpmath.mpf(2) ** (-200)
         pt7 = QuadraticPoint(Fraction(3, 2), Fraction(1, 2), 7).to_mpc(PREC)
-        _, j7 = gamma2_j(pt7, PREC)
+        j7 = hauptmodul_value("j", pt7, PREC)
         assert _close(j7, mpmath.mpf(-3375))
-        g2_7, _ = gamma2_j(mpmath.mpc(0, mpmath.sqrt(7)), PREC)
+        g2_7 = hauptmodul_value("gamma2", mpmath.mpc(0, mpmath.sqrt(7)), PREC)
         assert _close(g2_7, mpmath.mpf(255))
 
 
 def test_weber_eighth_powers_distinct():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(1) / 5, mpmath.mpf(11) / 10)
-        vals = [-weber(tau, "f", PREC) ** 8, weber(tau, "f1", PREC) ** 8,
-                weber(tau, "f2", PREC) ** 8]
-        g2, j = gamma2_j(tau, PREC)
+        vals = [-hauptmodul_value("f", tau, PREC) ** 8, hauptmodul_value("f1", tau, PREC) ** 8,
+                hauptmodul_value("f2", tau, PREC) ** 8]
+        j = hauptmodul_value("j", tau, PREC)
         assert abs(j - 12**3) > 1
         for i in range(3):
             for k in range(i + 1, 3):
@@ -407,12 +405,12 @@ def test_identity_suite():
 def test_gamma2_transform_identity_matrix_trivial():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.mpf(4) / 5)
-        g2, _ = gamma2_j(tau, PREC)
+        g2 = hauptmodul_value("gamma2", tau, PREC)
         # (a,b,c,d) = (1,0,0,1): exponent a*c - a*b + a^2*c*d - c*d = 0
         a, b, c, d = 1, 0, 0, 1
         expo = (a * c - a * b + a * a * c * d - c * d) % 3
         assert expo == 0
-        g2m, _ = gamma2_j((a * tau + b) / (c * tau + d), PREC)
+        g2m = hauptmodul_value("gamma2", (a * tau + b) / (c * tau + d), PREC)
         assert _close(g2m, g2)
 
 
@@ -431,15 +429,62 @@ def test_identity_suite_evaluates_each_point_once_per_call(monkeypatch):
     assert calls == Counter({key: 2 for key in first})  # nothing kept between calls
 
 
+def _counted_expjpi(monkeypatch) -> list:
+    calls = []
+    real = mpmath.expjpi
+    monkeypatch.setattr(highprec.mpmath, "expjpi", lambda x: calls.append(x) or real(x))
+    return calls
+
+
+def test_identity_suite_binds_its_roots_of_unity_once(monkeypatch):
+    # zeta24 and zeta48^-1, once per call however many samples are drawn
+    calls = _counted_expjpi(monkeypatch)
+    identity_suite(4, 256, seed=4)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "f", "f1", "f2", "gamma2", "j"])
+def test_hauptmodul_value_makes_one_evaluator_per_call(monkeypatch, tag):
+    calls = _counted_expjpi(monkeypatch)
+    with mp.workprec(288):
+        tau = mpmath.mpc("0.1", "1.1")
+    hauptmodul_value(tag, tau, 256)
+    assert len(calls) == 1
+
+
 def test_residuals_are_relative_to_the_sides_compared():
     with mp.workprec(288):
         left = mpmath.mpc("1.5", "-0.25")
         right = left * (1 + mpmath.mpf(2) ** -100)
         big = mpmath.mpf(10) ** 50
-        base = highprec._relative_residual(left, right)
-        scaled = highprec._relative_residual(big * left, big * right)
+        base = highprec._residual(left - right, left, right)
+        scaled = highprec._residual(big * left - big * right, big * left, big * right)
         assert abs(scaled / base - 1) < 1e-20
         assert abs(big * left - big * right) > 1e30 * abs(left - right)
+        # squared: the relative difference is 2^-100 / (1 + 2^-100)
+        assert abs(base * mpmath.mpf(2) ** 200 - 1) < 1e-20
+
+
+def _random_mpc(rng: random.Random) -> mpmath.mpc:
+    return mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpmath.mpf(10) ** rng.randint(-30, 30)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_squared_residual_is_the_square_of_the_relative_residual(seed):
+    rng = random.Random(seed)
+    with mp.workprec(288):
+        for _ in range(50):
+            left = _random_mpc(rng)
+            right = left * (1 + _random_mpc(rng) * mpmath.mpf(2) ** -rng.randint(0, 200))
+            if rng.random() < 0.2:
+                right = _random_mpc(rng)  # sides far apart too
+            got = mpmath.sqrt(highprec._residual(left - right, left, right))
+            want = abs(left - right) / max(abs(left), abs(right))
+            assert abs(got / want - 1) < mpmath.mpf(2) ** -280, (left, right)
+        # r^2 < tol^2 decides as r < tol does, next to the tolerance
+        tol = mpmath.mpf(2) ** -128
+        for r in (tol * (1 - mpmath.mpf(2) ** -20), tol * (1 + mpmath.mpf(2) ** -20)):
+            assert (r * r < tol * tol) == (r < tol)
 
 
 def test_identity_suite_deterministic():
