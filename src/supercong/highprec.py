@@ -21,8 +21,15 @@ relative, for K pentagonal pairs (K <= 6 at prec 256, <= 12 at prec 1024;
 one more only below Im(tau) = 10^-6), plus up to about 4/Im(tau) *
 2^-(prec+32) below Im(tau) = 1 from rounding the reduced argument; the
 fixed-point argument carries about log2(1/Im tau) extra bits to keep that
-so next to tau = 0.  identity_suite evaluates eta once per distinct
-argument in each call and reports residuals relative to the sides compared.
+so next to tau = 0.
+
+hauptmodul_value is the one numeric entry point: the six Hauptmoduls, the
+Weber functions f, f1, f2, gamma2 and j.  Each call, and each identity_suite
+call, makes one evaluator (_Eta), which memoises eta_num on the exact
+argument and binds zeta48^-1 and sqrt(2) once.  CM rows report the residual
+that their check bounds, relative below |expected| = 1; identity residuals
+are relative to the sides compared, kept squared against the squared
+tolerance, and take one square root per identity, for the report.
 """
 
 from __future__ import annotations
@@ -318,19 +325,18 @@ def _checked(name: str, ok: bool, residual: mpmath.mpf) -> CheckResult:
 
 
 def _certify(name: str, digits: int, evaluate) -> CheckResult:
-    """Check max(|Re v - expected|, |Im v|) < 10^-digits * min(1, |expected|)
+    """Check r = max(|Re v - expected|, |Im v|) / min(1, |expected|) < 10^-digits
     for (v, expected) = evaluate(prec), run at a working precision of
-    max(digits + 20, 80) digits.  The bound is relative below |expected| = 1,
-    so a small value still agrees to `digits` significant digits; the
-    reported residual is the absolute one."""
+    max(digits + 20, 80) digits.  r is relative below |expected| = 1, so a
+    small value still agrees to `digits` significant digits, and r is the
+    residual the row reports."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
     prec = int(max(digits + 20, 80) * 3.33) + 8
     with mp.workprec(prec):
         val, expected = evaluate(prec)
-        residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val)))
-        bound = mpmath.mpf(10) ** (-digits) * min(1, abs(expected))
-        return _checked(name, residual < bound, residual)
+        residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val))) / min(1, abs(expected))
+        return _checked(name, residual < mpmath.mpf(10) ** (-digits), residual)
 
 
 def _cm_value(target: CMTarget, prec: int):
@@ -520,8 +526,13 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         note("f1(sqrt-2)^2", weber(mpmath.mpc(0, sqrt2), "f1") ** 2, sqrt2)
         tau7 = mpmath.mpc(0, mpmath.sqrt(7))
         note("gamma2(sqrt-7)=255", eta.gamma2(tau7), 255)
-        roots = sorted(mpmath.re(sign * weber(tau7, which) ** 8)
-                       for sign, which in ((-1, "f"), (1, "f1"), (1, "f2")))
+        roots = sorted(
+            [
+                mpmath.re(-weber(tau7, "f") ** 8),
+                mpmath.re(weber(tau7, "f1") ** 8),
+                mpmath.re(weber(tau7, "f2") ** 8),
+            ]
+        )
         root7 = 3 * mpmath.sqrt(7)
         expected = sorted([mpmath.mpf(-16), 8 - root7, 8 + root7])
         for r, e in zip(roots, expected):

@@ -41,6 +41,7 @@ constructions are compared by first_mismatch.
 
 from __future__ import annotations
 
+from math import perm
 from operator import mul
 
 from .sequences import RECURRENCES, SequenceId, exact_terms, recurrence_break
@@ -417,18 +418,39 @@ def t_j_relation_check(nterms: int) -> int | None:
     return first_mismatch(t.scale(16).add_const(-1) ** 3, -(j2 * t * t))
 
 
+# The ODE of Y(s) = sum V_n (-s)^n that v_ode_check states: the polynomial
+# coefficients (ascending in s) of Y, Y', Y'' and Y'''.
+V_ODE = ([8, 256], [1, 112, 1792], [0, 3, 144, 1536], [0, 0, 1, 32, 256])
+
+
 def v_ode_check(nterms: int) -> int | None:
     """Third-order ODE for Y(s) = sum V_n (-s)^n, cleared of denominators:
 
         s^2 (16s+1)^2 Y''' + 3 s (32s+1)(16s+1) Y''
-            + (1792 s^2 + 112 s + 1) Y' + 8 (32s+1) Y = 0
+            + (1792 s^2 + 112 s + 1) Y' + 8 (32s+1) Y = 0,
 
-    Its left side times s is the operator of V's RECURRENCES row pulled back
-    to s = -x (the tests pin this), and that operator's coefficient of
-    s^(n+1) is, up to sign, the recurrence at n.  So the ODE is checked as
-    the row on the defining sums; returns the first failing degree <= nterms
-    or None.
+    stated as V_ODE.  Its left side times s is the operator of V's
+    RECURRENCES row pulled back to s = -x,
+
+        theta^3 + s P(theta) + e s^2 (theta + 1)^3,        theta = s d/ds,
+
+    and that operator's coefficient of s^(n+1) is, up to sign, the recurrence
+    at n.  So the ODE is checked in two steps.  First the identity of the two
+    operators, compared on s^0..s^11: each is a sum of s^i times a cubic in
+    theta, so s^0..s^3 already fix it, and it holds for every n; raises
+    ArithmeticError when it fails.  Then the row on the defining sums: returns
+    the first failing degree <= nterms or None.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
+    rec = RECURRENCES[SequenceId.V]
+    for k in range(12):
+        ode = {}  # s * V_ODE applied to s^k, by power of s
+        for j, poly in enumerate(V_ODE):
+            for i, coef in enumerate(poly):
+                ode[k - j + 1 + i] = ode.get(k - j + 1 + i, 0) + perm(k, j) * coef
+        p_k = sum(coef * k**i for i, coef in enumerate(rec.p_coeffs))
+        row = {k: k**3, k + 1: p_k, k + 2: rec.e * (k + 1) ** 3}
+        if {pw: v for pw, v in ode.items() if v} != {pw: v for pw, v in row.items() if v}:
+            raise ArithmeticError(f"s * V_ODE is not V's recurrence operator on s^{k}")
     return recurrence_break(SequenceId.V, exact_terms(SequenceId.V, nterms + 2))

@@ -134,6 +134,23 @@ def test_numeric_rows_state_residuals_in_whole_digits(capsys):
             assert 10.0 ** -(check.digits + 1) < check.residual <= 10.0 ** -check.digits
 
 
+@pytest.mark.parametrize("args, flag, sizes", [
+    (["verify", "identities", "--samples", "2"], "--prec", ("256", "512")),
+    (["verify", "cm"], "--digits", ("60", "100")),  # below 60 the check works at 80 digits
+], ids=["identities", "cm"])
+def test_numeric_json_rows_change_with_their_size_flag(capsys, args, flag, sizes):
+    # CI pins these outputs as JSON: each row, not only the run record, states
+    # the size that was checked (an exact zero residual reads "=0" at any size)
+    rows = []
+    for size in sizes:
+        code, out, _ = run_cli(capsys, args + [flag, size, "--format", "json"])
+        assert code == EXIT_OK
+        rows.append(json.loads(out)["rows"])
+    pairs = [(a, b) for a, b in zip(*rows) if "digits=" in a["details"]]
+    assert len(pairs) >= len(rows[0]) - 2
+    assert all(a["spec_id"] == b["spec_id"] and a["details"] != b["details"] for a, b in pairs)
+
+
 def test_verify_lemma23_quick(capsys):
     code, out, _ = run_cli(capsys, ["verify", "lemma23", "--trials", "10"])
     assert code == EXIT_OK

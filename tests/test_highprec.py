@@ -330,18 +330,35 @@ def test_cm_check_detects_perturbation():
                          base.expected + Fraction(1, 10**30))
     res = cm_check(perturbed, 60)
     assert not res.ok
-    assert 1e-31 < res.residual < 1e-29
+    # the residual is relative: 10^-30 over the value 1/4096
+    assert 1e-31 < res.residual * float(base.expected) < 1e-29
 
 
 def test_cm_check_is_relative_for_small_values():
     # u(sqrt(-58)/2) = 1/396^4 ~ 4.1e-11: a relative error of 1e-50 leaves an
-    # absolute residual of ~4e-61, under 10^-60, yet only 50 digits agree
+    # absolute residual of ~4e-61, under 10^-60, yet only 50 digits agree;
+    # the row reports the relative 1e-50
     base = next(t for t in cm_table() if t.expected == Fraction(1, 396**4))
     perturbed = CMTarget(base.name, base.fn, base.point,
                          base.expected * (1 + Fraction(1, 10**50)))
     res = cm_check(perturbed, 60)
     assert not res.ok
-    assert 1e-61 < res.residual < 1e-60
+    assert 1e-51 < res.residual < 1e-49
+
+
+def test_cm_rows_claim_no_more_digits_than_their_precision():
+    # at 60 digits the check works at 274 bits, about 82.5 digits, and
+    # hauptmodul_value at 306 (92.1 digits).  A CM point that the working
+    # precision rounds, such as 3/2*sqrt(-2), cannot agree past 83 relative
+    # digits; one that it holds exactly (i/2, (1 + i)/2) carries no rounding
+    # of tau, and its residual measures the 306-bit evaluation.  An exact
+    # zero (u(sqrt(-2)/2) = 1/256 to the last bit) states no digits
+    rows = [(t, cm_check(t, 60)) for t in cm_table()]
+    stated = [(t, res.digits) for t, res in rows if res.digits is not None]
+    assert all(res.ok for _, res in rows) and max(d for _, d in stated) <= 92
+    rounded = [d for t, d in stated if t.point.to_mpc(274) != t.point.to_mpc(1024)]
+    assert len(rounded) >= 25 and max(rounded) <= 83
+    assert max(res.digits or 0 for res in class_invariant_check(60)) <= 83
 
 
 def test_cm_check_stability_under_higher_precision():
@@ -463,6 +480,10 @@ def test_residuals_are_relative_to_the_sides_compared():
         assert abs(big * left - big * right) > 1e30 * abs(left - right)
         # squared: the relative difference is 2^-100 / (1 + 2^-100)
         assert abs(base * mpmath.mpf(2) ** 200 - 1) < 1e-20
+        # r^2 < tol^2 decides as r < tol does, next to the suite's tolerance
+        tol = mpmath.mpf(2) ** -128
+        for r in (tol * (1 - mpmath.mpf(2) ** -20), tol * (1 + mpmath.mpf(2) ** -20)):
+            assert (r * r < tol * tol) == (r < tol)
 
 
 def _random_mpc(rng: random.Random) -> mpmath.mpc:
@@ -481,10 +502,6 @@ def test_squared_residual_is_the_square_of_the_relative_residual(seed):
             got = mpmath.sqrt(highprec._residual(left - right, left, right))
             want = abs(left - right) / max(abs(left), abs(right))
             assert abs(got / want - 1) < mpmath.mpf(2) ** -280, (left, right)
-        # r^2 < tol^2 decides as r < tol does, next to the tolerance
-        tol = mpmath.mpf(2) ** -128
-        for r in (tol * (1 - mpmath.mpf(2) ** -20), tol * (1 + mpmath.mpf(2) ** -20)):
-            assert (r * r < tol * tol) == (r < tol)
 
 
 def test_identity_suite_deterministic():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from supercong.qseries import (
     ETA_QUOTIENTS,
     HAUPTMODUL_SEQUENCE,
+    V_ODE,
     WEIGHT2_FORMS,
     QSeries,
     _euler_product,
@@ -414,11 +415,6 @@ def test_v_ode_low_order_balance():
     assert -v[1] + 8 * v[0] == 0
 
 
-# The ODE of Y(s) = sum V_n (-s)^n as stated: the polynomial coefficients
-# (ascending in s) of Y, Y', Y'' and Y'''.
-V_ODE = ([8, 256], [1, 112, 1792], [0, 3, 144, 1536], [0, 0, 1, 32, 256])
-
-
 def test_v_recurrence_row_is_the_stated_ode():
     # s * ODE equals V's RECURRENCES operator pulled back to s = -x,
     #   theta^3 + c s (2 theta + 1)(alpha theta^2 + alpha theta + beta) + e s^2 (theta + 1)^3;
@@ -451,6 +447,23 @@ def test_v_ode_negative_control(monkeypatch):
 
         monkeypatch.setattr(qs, "exact_terms", corrupted)
         assert qs.v_ode_check(nterms) == corrupt - 1
+
+
+@pytest.mark.parametrize("j, i", [(0, 0), (1, 2), (3, 4)])
+def test_v_ode_with_a_wrong_coefficient_is_an_error_row(monkeypatch, capsys, j, i):
+    # the identity with V's recurrence operator fails, so the row does not
+    # pass: v_ode_check raises, and verify qseries reports an error row
+    import supercong.qseries as qs
+    from supercong.cli import EXIT_FAIL, main
+
+    wrong = tuple(list(poly) for poly in qs.V_ODE)
+    wrong[j][i] += 1
+    monkeypatch.setattr(qs, "V_ODE", wrong)
+    with pytest.raises(ArithmeticError, match="V_ODE"):
+        qs.v_ode_check(20)
+    assert main(["verify", "qseries", "--terms", "20", "--format", "csv"]) == EXIT_FAIL
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("v-ode,")]
+    assert rows == ["v-ode,,error,,,,"]
 
 
 # -- ring laws, up to truncation ---------------------------------------------
