@@ -166,24 +166,28 @@ def _guarded(name: str, rows) -> list[Row]:
         return [error_row(name, None, exc)]
 
 
-def _mismatch_row(name: str, miss: int | None, where: str) -> Row:
-    return Row(name, None, "pass") if miss is None else Row(name, None, "fail", f"{where}^{miss}")
+def _agreement_row(name: str, agree: qseries.Agreement, what: str, var: str) -> Row:
+    """A q-series row; its detail states the last exponent compared."""
+    through = f"through {var}^{agree.through}"
+    if agree.mismatch is None:
+        return Row(name, None, "pass", through)
+    return Row(name, None, "fail", f"{what} at {var}^{agree.mismatch}, {through}")
 
 
 def _verify_qseries(args) -> tuple[Report, dict]:
     n = args.terms
     report = Report()
 
-    def add(name: str, check, where: str = "first mismatch at q") -> None:
-        report.extend(_guarded(name, lambda: [_mismatch_row(name, check(), where)]))
+    def add(name: str, check, what: str = "first mismatch", var: str = "q") -> None:
+        report.extend(_guarded(name, lambda: [_agreement_row(name, check(), what, var)]))
 
     for tag in QSERIES_CHECKS:
-        add(f"genfun-{tag}", lambda: qseries.genfun_identity_check(tag, n))
+        add(f"genfun-{tag}", lambda: qseries.genfun_identity(tag, n))
     for tag in ("u", "s", "w"):
-        add(f"dual-{tag}", lambda: qseries.first_mismatch(
+        add(f"dual-{tag}", lambda: qseries.agreement(
             qseries.hauptmodul_q(tag, n), qseries.hauptmodul_alt_q(tag, n)))
-    add("t-j-cubic", lambda: qseries.t_j_relation_check(n), "nonzero at q")
-    add("v-ode", lambda: qseries.v_ode_check(n), "nonzero at s")
+    add("t-j-cubic", lambda: qseries.t_j_relation(n), "nonzero")
+    add("v-ode", lambda: qseries.v_ode(n), "nonzero", "s")
     return report, {}
 
 
@@ -191,7 +195,8 @@ def _check_rows(results, label: str) -> list[Row]:
     """Rows of numeric checks, each residual in whole digits, which read the
     same on every host and at any precision."""
     return [Row(r.name, None, "pass" if r.ok else "fail",
-                f"{label}=0" if r.digits is None else f"{label} digits={r.digits}")
+                f"{label}=0" if r.digits is None
+                else f"{label} digits{'>=' if r.at_floor else '='}{r.digits}")
             for r in results]
 
 

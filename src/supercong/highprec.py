@@ -26,10 +26,12 @@ so next to tau = 0.
 hauptmodul_value is the one numeric entry point: the six Hauptmoduls, the
 Weber functions f, f1, f2, gamma2 and j.  Each call, and each identity_suite
 call, makes one evaluator (_Eta), which memoises eta_num on the exact
-argument and binds zeta48^-1 and sqrt(2) once.  CM rows report the residual
-that their check bounds, relative below |expected| = 1; identity residuals
-are relative to the sides compared, kept squared against the squared
-tolerance, and take one square root per identity, for the report.
+argument and binds zeta48^-1 (on first use) and sqrt(2) once.  CM rows
+report the residual that their check bounds, relative below |expected| = 1,
+or the rounding bound of the working precision where the residual falls
+below it; identity residuals are relative to the sides compared, kept
+squared against the squared tolerance, and take one square root per
+identity, for the report.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import mpmath
 from mpmath import mp
@@ -226,16 +228,21 @@ class _Eta:
     """eta_num at one precision, with the Weber functions and gamma2 on it.
 
     Made per numeric call, inside that call's mp.workprec(prec + guard): it
-    binds zeta48^-1 and sqrt(2) there once, and memoises eta on the exact
-    argument, so each distinct point is evaluated once per call.  eta_num
-    fixes its own working precision, so a shared value is bit for bit the
-    one a second evaluation would give; a miss looks eta_num up anew."""
+    binds sqrt(2) there once and zeta48^-1 on first use, and memoises eta on
+    the exact argument, so each distinct point is evaluated once per call.
+    eta_num fixes its own working precision, so a shared value is bit for bit
+    the one a second evaluation would give; a miss looks eta_num up anew."""
 
     def __init__(self, prec: int):
         self.prec = prec
         self.memo: dict[mpmath.mpc, mpmath.mpc] = {}
-        self.zeta48_inv = mpmath.expjpi(mpmath.mpf(-1) / 24)
         self.sqrt2 = mpmath.sqrt(2)
+
+    @cached_property
+    def zeta48_inv(self) -> mpmath.mpc:
+        """zeta48^-1, computed on first use: only f, gamma2 and j read it."""
+        with mp.workprec(self.prec + _GUARD_BITS):
+            return mpmath.expjpi(mpmath.mpf(-1) / 24)
 
     def __call__(self, tau: mpmath.mpc) -> mpmath.mpc:
         if tau not in self.memo:
@@ -311,32 +318,39 @@ class CheckResult:
     """One numeric check.  `residual` is the float of the residual, which
     underflows below 1e-308; `digits`, floor(-log10 residual) taken from the
     mpf, states it in whole digits at any precision (None for an exact zero
-    or when not given)."""
+    or when not given).  `at_floor`: the residual fell below the rounding
+    bound of the working precision, and `residual` and `digits` state that
+    bound, which the true residual does not exceed."""
 
     name: str
     ok: bool
     residual: float
     digits: int | None = None
+    at_floor: bool = False
 
 
-def _checked(name: str, ok: bool, residual: mpmath.mpf) -> CheckResult:
+def _checked(name: str, ok: bool, residual: mpmath.mpf, at_floor: bool = False) -> CheckResult:
     digits = int(mpmath.floor(-mpmath.log10(residual))) if residual else None
-    return CheckResult(name, ok, float(residual), digits)
+    return CheckResult(name, ok, float(residual), digits, at_floor)
 
 
 def _certify(name: str, digits: int, evaluate) -> CheckResult:
     """Check r = max(|Re v - expected|, |Im v|) / min(1, |expected|) < 10^-digits
     for (v, expected) = evaluate(prec), run at a working precision of
     max(digits + 20, 80) digits.  r is relative below |expected| = 1, so a
-    small value still agrees to `digits` significant digits, and r is the
-    residual the row reports."""
+    small value still agrees to `digits` significant digits.  The row reports
+    r, or the rounding bound 2^-prec of the working precision where r falls
+    below it: a smaller r, down to an exact 0, measures guard bits and
+    binary-exact points, not agreement."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
     prec = int(max(digits + 20, 80) * 3.33) + 8
     with mp.workprec(prec):
         val, expected = evaluate(prec)
         residual = max(abs(mpmath.re(val) - expected), abs(mpmath.im(val))) / min(1, abs(expected))
-        return _checked(name, residual < mpmath.mpf(10) ** (-digits), residual)
+        ok = residual < mpmath.mpf(10) ** (-digits)
+        floor = mpmath.ldexp(1, -prec)
+        return _checked(name, ok, max(residual, floor), residual < floor)
 
 
 def _cm_value(target: CMTarget, prec: int):

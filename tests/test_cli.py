@@ -140,15 +140,43 @@ def test_numeric_rows_state_residuals_in_whole_digits(capsys):
 ], ids=["identities", "cm"])
 def test_numeric_json_rows_change_with_their_size_flag(capsys, args, flag, sizes):
     # CI pins these outputs as JSON: each row, not only the run record, states
-    # the size that was checked (an exact zero residual reads "=0" at any size)
+    # the size that was checked (an exact zero identity residual reads "=0" at
+    # any size; a CM residual below the rounding bound states the bound)
     rows = []
     for size in sizes:
         code, out, _ = run_cli(capsys, args + [flag, size, "--format", "json"])
         assert code == EXIT_OK
         rows.append(json.loads(out)["rows"])
-    pairs = [(a, b) for a, b in zip(*rows) if "digits=" in a["details"]]
+    pairs = [(a, b) for a, b in zip(*rows) if " digits" in a["details"]]
     assert len(pairs) >= len(rows[0]) - 2
     assert all(a["spec_id"] == b["spec_id"] and a["details"] != b["details"] for a, b in pairs)
+
+
+def test_qseries_json_rows_state_the_exponent_they_were_checked_through(monkeypatch, capsys):
+    # CI pins this output as JSON: each row states the last exponent that its
+    # check compared, read from the series compared, so the rows move with --terms
+    rows = {}
+    for terms in (20, 30):
+        code, out, _ = run_cli(capsys, ["verify", "qseries", "--terms", str(terms),
+                                        "--format", "json"])
+        assert code == EXIT_OK
+        rows[terms] = {r["spec_id"]: r["details"] for r in json.loads(out)["rows"]}
+    names = [f"genfun-{tag}" for tag in cli.QSERIES_CHECKS] + ["dual-u", "dual-s", "dual-w"]
+    assert rows[30] == {**{name: "through q^30" for name in names},
+                        "t-j-cubic": "through q^33", "v-ode": "through s^30"}
+    assert all(rows[20][name] != rows[30][name] for name in rows[30])
+    real = qseries.genfun_rhs_q
+
+    def perturbed(tag, nterms):
+        g = real(tag, nterms)
+        return qseries.QSeries(g.off24, [c + (i == 5) for i, c in enumerate(g.coeffs)])
+
+    monkeypatch.setattr(qseries, "genfun_rhs_q", perturbed)
+    code, out, _ = run_cli(capsys, ["verify", "qseries", "--terms", "20", "--format", "json"])
+    assert code == EXIT_FAIL
+    details = {r["spec_id"]: r["details"] for r in json.loads(out)["rows"]}
+    assert all(details[f"genfun-{tag}"] == "first mismatch at q^5, through q^20"
+               for tag in cli.QSERIES_CHECKS)
 
 
 def test_verify_lemma23_quick(capsys):
@@ -563,7 +591,7 @@ def test_raising_qseries_check_becomes_an_error_row(monkeypatch, capsys, argv):
     def broken(nterms):
         raise ArithmeticError("boom")
 
-    monkeypatch.setattr(qseries, "t_j_relation_check", broken)
+    monkeypatch.setattr(qseries, "t_j_relation", broken)
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_FAIL
     assert "ArithmeticError: boom" in err  # the traceback
@@ -614,7 +642,7 @@ def test_size_floors_are_checked_before_any_check_runs(monkeypatch, capsys, argv
     def never(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    for module, name in ((congruence, "sweep"), (qseries, "genfun_identity_check"),
+    for module, name in ((congruence, "sweep"), (qseries, "genfun_identity"),
                          (highprec, "cm_check"), (highprec, "identity_suite")):
         monkeypatch.setattr(module, name, never)
     code, out, err = run_cli(capsys, argv)

@@ -361,6 +361,22 @@ def test_cm_rows_claim_no_more_digits_than_their_precision():
     assert max(res.digits or 0 for res in class_invariant_check(60)) <= 83
 
 
+def test_cm_rows_below_the_rounding_bound_state_the_bound():
+    # at 60 digits the check works at 274 bits, floor(274 log10 2) = 82
+    # digits; a residual below 2^-274 measures guard bits or a binary-exact
+    # point (u(1/2*sqrt(-2)) and g22^2 read 0, s(1/2*i) 91), so the row
+    # states the bound instead
+    results = [cm_check(t, 60) for t in cm_table()] + class_invariant_check(60)
+    assert all(r.ok for r in results)
+    assert max(r.digits for r in results) == 82
+    floored = {r.name for r in results if r.at_floor}
+    assert {"u(1/2*sqrt(-2))", "g22^2=(1+1*sqrt(2))/1", "s(1/2*i)", "s(-1/4 + 1/4*i)",
+            "t(1/2 + 1/2*i)"} <= floored
+    bound = float(mpmath.ldexp(1, -274))
+    for r in results:
+        assert (r.residual == bound and r.digits == 82) if r.at_floor else r.residual >= bound
+
+
 def test_cm_check_stability_under_higher_precision():
     for target in cm_table()[::6]:
         r80 = cm_check(target, 60)  # 80 working digits
@@ -462,11 +478,24 @@ def test_identity_suite_binds_its_roots_of_unity_once(monkeypatch):
 
 @pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "f", "f1", "f2", "gamma2", "j"])
 def test_hauptmodul_value_makes_one_evaluator_per_call(monkeypatch, tag):
+    made = []
+    real = highprec._Eta
+    monkeypatch.setattr(highprec, "_Eta", lambda prec: made.append(prec) or real(prec))
     calls = _counted_expjpi(monkeypatch)
     with mp.workprec(288):
         tau = mpmath.mpc("0.1", "1.1")
     hauptmodul_value(tag, tau, 256)
-    assert len(calls) == 1
+    assert made == [256]
+    # zeta48^-1 is computed only where it is read: f, and gamma2 and j through f
+    assert len(calls) == (tag in ("f", "gamma2", "j"))
+
+
+def test_lazy_zeta48_inverse_is_bit_identical():
+    with mp.workprec(256 + highprec._GUARD_BITS):
+        eager = mpmath.expjpi(mpmath.mpf(-1) / 24)
+    with mp.workprec(53):  # the property fixes its own precision
+        lazy = highprec._Eta(256).zeta48_inv
+    assert (lazy.real, lazy.imag) == (eager.real, eager.imag)
 
 
 def test_residuals_are_relative_to_the_sides_compared():

@@ -10,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supercong.qseries as qs
 from supercong.qseries import (
     ETA_QUOTIENTS,
     HAUPTMODUL_SEQUENCE,
+    HAUPTMODUL_SIGN,
     V_ODE,
     WEIGHT2_FORMS,
+    Agreement,
     QSeries,
     _euler_product,
+    agreement,
     compose,
     e2_q,
     eta_q,
@@ -28,7 +32,9 @@ from supercong.qseries import (
     hauptmodul_q,
     j_2tau_q,
     one_plus_q_product,
+    t_j_relation,
     t_j_relation_check,
+    v_ode,
     v_ode_check,
     weber_f_2tau_pow24_q,
 )
@@ -281,6 +287,24 @@ def test_dual_constructions_agree_to_200():
         assert first_mismatch(a, b) is None, tag
 
 
+def test_dual_u_is_the_old_quotient_of_eta_squares_to_the_fourth():
+    # the quotient squared twice (up to about 3,600 bits at q^200) against
+    # the fourth power of the narrow weight-2 form divided once
+    e1, e2 = eta_q(1, 201), eta_q(2, 201)
+    old = ((e1 * e1 * e2 * e2) / genfun_rhs_q("u", 201)) ** 4
+    assert agreement(hauptmodul_alt_q("u", 201), old) == Agreement(None, 201)
+
+
+def test_checks_state_the_exponent_they_compared_through():
+    assert qs.genfun_identity("t", 30) == Agreement(None, 30)
+    assert t_j_relation(30) == Agreement(None, 33)  # t and j(2tau) carry 4 extra terms
+    assert v_ode(30) == Agreement(None, 30)
+    assert agreement(QSeries(24, [1, 2, 3]), QSeries(24, [1, 2])) == Agreement(None, 2)
+    assert agreement(QSeries(-48, [1, 2, 3]), QSeries(-48, [1, 5, 3, 4])) == Agreement(-1, 0)
+    with pytest.raises(ValueError, match="integral offsets"):
+        agreement(QSeries(12, [1]), QSeries(12, [1]))
+
+
 def test_genfun_identities_to_200():
     for tag in ("t", "u", "s", "w", "v", "h"):
         assert genfun_identity_check(tag, 200) is None, tag
@@ -313,6 +337,79 @@ def test_genfun_check_reports_perturbed_coefficient(monkeypatch, k):
     for tag in TAGS:
         assert qs.genfun_identity_check(tag, 60) == k, tag
         assert first_mismatch(_composed(tag, 60), perturbed(tag, 61).truncate(61)) == k, tag
+
+
+def r_based_first_nonzero(tag, nterms, x=None, g=None):
+    """First nonzero exponent of L_q G through q^nterms, with theta_x = r theta_q
+    and r = x / theta_q x: one division, and r's coefficients grow exponentially
+    (907 bits for t and 1,283 for u at q^200).  x defaults to the Hauptmodul,
+    G to the stated weight-2 form."""
+    seq = HAUPTMODUL_SEQUENCE[tag]
+    if x is None:
+        x = hauptmodul_q(tag, nterms + 1).scale(HAUPTMODUL_SIGN[tag])
+    if g is None:
+        g = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
+    if g.coeff_at(0) != 1:
+        return 0
+    r = x / x.theta()
+    d1 = r * g.theta()
+    d2 = r * d1.theta()
+    d3 = r * d2.theta()
+    p0, p1, p2, p3 = RECURRENCES[seq].p_coeffs
+    e = RECURRENCES[seq].e
+    inner = -(d3.scale(p3) + d2.scale(p2) + d1.scale(p1) + g.scale(p0))
+    if e:
+        inner = inner + x * (d3 + d2.scale(3) + d1.scale(3) + g).scale(e)
+    return (d3 + x * inner).truncate(nterms + 1).first_nonzero()
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 23, 60])
+@pytest.mark.parametrize("tag", TAGS)
+def test_cleared_check_matches_the_r_based_oracle(monkeypatch, tag, k):
+    real = qs.genfun_rhs_q
+
+    def perturbed(tag, nterms):
+        g = real(tag, nterms)
+        return QSeries(g.off24, [c + (i == k) for i, c in enumerate(g.coeffs)])
+
+    monkeypatch.setattr(qs, "genfun_rhs_q", perturbed)
+    want = r_based_first_nonzero(tag, 100, g=perturbed(tag, 101).truncate(101))
+    assert want == k
+    # L_q G does not see G_0, so a G_0 other than 1 is all that is compared
+    assert qs.genfun_identity(tag, 100) == Agreement(want, 0 if k == 0 else 100)
+
+
+@pytest.mark.parametrize("k", [2, 5, 17])
+@pytest.mark.parametrize("tag", TAGS)
+def test_hauptmodul_with_an_extra_factor_fails_where_the_oracle_does(monkeypatch, tag, k):
+    # x and B both come from a logarithmic derivative with an extra factor
+    # (1 - q^k)^-1, so that A theta x = x B still holds for a wrong x
+    real, exps = qs._eta_log_derivative, qs._eta_exps(tag)
+
+    def with_extra_factor(got_exps, nterms):
+        s = real(got_exps, nterms)
+        if got_exps == exps:
+            for j in range(k, nterms, k):
+                s[j] += k
+        return s
+
+    monkeypatch.setattr(qs, "_eta_log_derivative", with_extra_factor)
+    x, _, _, den = qs._pullback(tag, 81)
+    want = r_based_first_nonzero(tag, 80, x=x if den is None else x / den)
+    assert want is not None
+    assert qs.genfun_identity_check(tag, 80) == want
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_pullback_factors_state_theta_x(tag):
+    # x = X / D is the Hauptmodul times its sign, and A theta_q x = x B, so
+    # that theta_x = (A / B) theta_q, exactly through q^200
+    big_x, a, b, den = qs._pullback(tag, 201)
+    x = hauptmodul_q(tag, 201).scale(HAUPTMODUL_SIGN[tag])
+    assert agreement(big_x if den is None else big_x / den, x) == Agreement(None, 201)
+    assert [s.coeffs[0] for s in (a, b, den) if s is not None] == [1] * (1 + 2 * (tag == "u"))
+    a_theta_x = x.theta() if a is None else a * x.theta()
+    assert agreement(a_theta_x, x * b) == Agreement(None, 201)
 
 
 def test_genfun_check_rejects_corrupted_exact_term(monkeypatch):
@@ -519,6 +616,64 @@ def test_qseries_product_is_the_truncated_cauchy_product(a, b):
     assert prod.off24 == a.off24 + b.off24
     assert prod.coeffs == [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
                            for k in range(n)]
+
+
+def double_loop_product(a, b):
+    """c_k = sum_{i<=k} a_i b_(k-i) below the shorter length, one term at a time."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        c = 0
+        for i in range(k + 1):
+            c += a[i] * b[k - i]
+        out.append(c)
+    return out
+
+
+@st.composite
+def _wide_series(draw):
+    """Signed and zero coefficients below 2^bits, bits on both sides of half
+    the crossover, lengths 0..300, fractional offsets included."""
+    bits = draw(st.integers(0, qs._KRONECKER_MAX_BITS // 2 + 80))
+    coeff = st.one_of(st.just(0), st.integers(-(1 << bits) + 1, (1 << bits) - 1),
+                      st.sampled_from([(1 << bits) - 1, 1 - (1 << bits)]))
+    return QSeries(draw(_OFF24), draw(st.lists(coeff, max_size=300)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_wide_series(), b=_wide_series())
+def test_product_matches_the_double_loop(a, b):
+    prod = a * b
+    assert prod.off24 == a.off24 + b.off24
+    assert prod.coeffs == double_loop_product(a.coeffs, b.coeffs)
+
+
+_HALF = qs._KRONECKER_MAX_BITS // 2
+
+
+@pytest.mark.parametrize("bits, kronecker", [(0, True), (1, True), (_HALF, True),
+                                             (_HALF + 1, False), (2 * _HALF, False)])
+@pytest.mark.parametrize("n", [1, 2, 201])
+def test_product_packs_up_to_the_crossover(monkeypatch, bits, kronecker, n):
+    calls = []
+    real = qs._kronecker_product
+    monkeypatch.setattr(qs, "_kronecker_product", lambda *args: calls.append(1) or real(*args))
+    a = QSeries(0, [(1 << bits) - 1, 1 - (1 << bits)] * n)  # widest coefficient: `bits` bits
+    assert (a * a).coeffs == double_loop_product(a.coeffs, a.coeffs)
+    assert bool(calls) == kronecker
+
+
+@pytest.mark.parametrize("bits_a, bits_b, n", [(8, 8, 3), (30, 50, 7), (100, 90, 63),
+                                               (_HALF, _HALF, 255)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_packer_one_byte_too_narrow_is_caught(bits_a, bits_b, n, sign):
+    # every coefficient as wide as allowed and of one sign: c_(n-1) =
+    # n (2^a - 1)(2^b - 1) with n = 2^L - 1 needs all but the spare bit of the slot
+    a = [sign * ((1 << bits_a) - 1)] * n
+    b = [(1 << bits_b) - 1] * n
+    slot = qs._slot_bytes(bits_a + bits_b, n)
+    want = double_loop_product(a, b)
+    assert qs._kronecker_product(a, b, slot) == want
+    assert qs._kronecker_product(a, b, slot - 1) != want
 
 
 @settings(max_examples=200, deadline=None)
