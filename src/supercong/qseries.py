@@ -15,11 +15,13 @@ and the third-order differential equation of the V generating function,
 which is V's RECURRENCES row in s = -x).  Every Hauptmodul but u and its
 paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
 once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
-evaluates the same table.  u is h / (1 + 64 h)^2 of h = eta(2tau)^24 /
-eta(tau)^24 here, but Weber's f2^24 / (f2^24 + 64)^2 in highprec.  Eta
-quotients and (1+q^e) products come from one Euler-product recurrence,
-n c_n = sum s_k c_(n-k), never factor by factor, and E2(m tau) is (24/m)
-times the logarithmic derivative s of eta(m tau).
+evaluates the same table.  u is X / G^4 here, X = eta(tau)^8 eta(2tau)^8
+over the fourth power of its paired weight-2 form G = 2E2(2tau) - E2(tau),
+but Weber's f2^24 / (f2^24 + 64)^2 in highprec; its dual construction
+h / (1 + 64 h)^2 of h = eta(2tau)^24 / eta(tau)^24 = f2^24 / 2^12 ties the
+two.  Eta quotients and (1+q^e) products come from one Euler-product
+recurrence, n c_n = sum s_k c_(n-k), never factor by factor, and E2(m tau)
+is (24/m) times the logarithmic derivative s of eta(m tau).
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -34,24 +36,27 @@ when G_0 = 1 and L_q G vanishes through q^N, and the first nonzero
 coefficient of L_q G sits at the first mismatch.  The check divides by
 nothing: theta_x = (A/B) theta_q with A = 1 and B = theta_q x / x for an eta
 quotient (the logarithmic derivative its Euler product is built from), and
-A = 1 + 64h, B = (theta_q h / h)(1 - 64h) for u.  Then theta_x^k G =
-N_k / B^(2k-1) with N_1 = A theta G and N_(k+1) = A (B theta N_k -
-(2k-1) theta B N_k), and B^5 L_q G (for u also times (1 + 64h)^2, so that x
-enters as h) is a polynomial in N_k, B and x.  Every multiplier is 1 + O(q),
-so the first nonzero coefficient does not move.  That costs about a dozen
-products of series of length N+1, whose coefficients stay below 83 bits at
-N = 200 (432 for u), instead of the N powers of x that composing needs.  The
-same call checks, by sequences.recurrence_break, that the defining sums obey
-the recurrence, so the statement proved is still about the sums; `compose`,
-built in the ring, stays as the literal-definition oracle.  The t-j relation and
-the dual constructions are compared by `agreement`, and every check states
-the last exponent it compared.
+A = G, B = G (theta_q X / X) - 4 theta_q G for u = X / G^4.  Then
+theta_x^k G = N_k / B^(2k-1) with N_1 = A theta G and N_(k+1) =
+A (B theta N_k - (2k-1) theta B N_k), and B^5 L_q G (for u also times G^8,
+so that x enters as X) is a polynomial in N_k, B and x.  Every multiplier
+is 1 + O(q), so the first nonzero coefficient does not move.  u's x is built
+from the G under test, but its coefficient of q^k depends only on G below
+q^k, so a G wrong first at q^k still fails at q^k.  That costs about a dozen
+products of series of length N+1, whose coefficients have at most 164 bits
+at N = 200 (t itself; 147 for u), instead of the N powers of x that
+composing needs.  The same call checks, by sequences.recurrence_break, that
+the defining sums obey the recurrence, so the statement proved is still
+about the sums; `compose`, built in the ring, stays as the literal-definition
+oracle.  The t-j relation and the dual constructions are compared by
+`agreement`, and every check states the last exponent it compared.
 
-A product of two series whose widest coefficients together have at most
-_KRONECKER_MAX_BITS bits is one big-integer product by Kronecker substitution
-(Harvey, J. Symbolic Comput. 44, 2009): each operand packed into fixed-width
-slots of one integer, the low slots of the product unpacked.  Wider products
-take the Cauchy sum.
+Every product of two series is one big-integer product by Kronecker
+substitution (Harvey, J. Symbolic Comput. 44, 2009): each operand packed into
+fixed-width slots of one integer, the low slots of the product unpacked.
+Every slot is as wide as the widest coefficient, so where widths grow along
+the series (the powers that `compose` takes) it packs more bits than the
+Cauchy sum would multiply; the tests keep that sum as the oracle.
 """
 
 from __future__ import annotations
@@ -61,17 +66,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .sequences import RECURRENCES, SequenceId, exact_terms, recurrence_break
-
-# A product whose factors' widest coefficients sum to at most this many bits
-# is taken by Kronecker substitution, a wider one by the Cauchy sum.  Kronecker
-# pads every slot to the widest coefficient, so it loses where widths grow
-# along the series.  Measured on the 82 products of `verify qseries` (2-core
-# Xeon, Python 3.11.7, best of 3 per product), their summed time at 200 terms
-# was 164 ms all by Cauchy, 88 ms with the cut at 256 bits, 84 at 384, 87 at
-# 512 and 92 all by Kronecker; at 400 terms 704, 374, 352, 344 and 371 ms; at
-# 800 terms 2394, 1452, 1270, 1235 and 1167 ms (1146 at a cut of 1024).
-_KRONECKER_MAX_BITS = 384
-
 
 def _slot_bytes(width: int, n: int) -> int:
     """The fewest bytes per slot that hold a coefficient c_k of the product
@@ -173,17 +167,12 @@ class QSeries:
         return self + QSeries(0, [value] + [0] * (n - 1))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        """Product c_k = sum_{i<=k} a_i b_(k-i), as long as the shorter factor:
-        by Kronecker substitution when the factors' widths sum to at most
-        _KRONECKER_MAX_BITS, else by the Cauchy sum."""
+        """Product c_k = sum_{i<=k} a_i b_(k-i), as long as the shorter factor,
+        by Kronecker substitution in slots wide enough for the widest c_k."""
         n = min(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs[:n], other.coeffs[:n]
         width = max(map(int.bit_length, a), default=0) + max(map(int.bit_length, b), default=0)
-        if width <= _KRONECKER_MAX_BITS:
-            out = _kronecker_product(a, b, _slot_bytes(width, n))
-        else:
-            out = [sum(map(mul, a, b[k::-1])) for k in range(n)]
-        return QSeries(self.off24 + other.off24, out)
+        return QSeries(self.off24 + other.off24, _kronecker_product(a, b, _slot_bytes(width, n)))
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient as long as the shorter operand, c_i = (a_i - sum_{1<=j<=i} b_j
@@ -341,7 +330,8 @@ def compose(outer: list, inner: QSeries) -> QSeries:
 
 # Hauptmodul tag -> ({m: e_m}, power): the Hauptmodul is
 # (prod eta(m tau)^(e_m))^power, numerator factors listed first.  u is not an
-# eta-quotient power but a rational function of one (hauptmodul_q).
+# eta-quotient power but one over the fourth power of its weight-2 form
+# (hauptmodul_q).
 ETA_QUOTIENTS = {
     "t": ({1: 1, 4: 1, 2: -2}, 24),
     "s": ({4: 1, 1: -1}, 8),
@@ -350,7 +340,8 @@ ETA_QUOTIENTS = {
     "h": ({1: 1, 6: 1, 2: -1, 3: -1}, 12),
 }
 
-# u = h / (1 + 64 h)^2 of h = eta(2tau)^24 / eta(tau)^24 = q prod (1+q^n)^24 = f2^24 / 2^12
+# u's dual construction is h / (1 + 64 h)^2 of
+# h = eta(2tau)^24 / eta(tau)^24 = q prod (1+q^n)^24 = f2^24 / 2^12
 _U_BASE = {2: 24, 1: -24}
 
 # Hauptmodul tag -> {m: e_m} of the paired weight-2 form; u's is 2E2(2tau) - E2(tau).
@@ -388,9 +379,9 @@ def weber_f_2tau_pow24_q(nterms: int) -> QSeries:
 
 
 def _eta_exps(tag: str) -> dict[int, int]:
-    """{m: e_m} of the Hauptmodul's eta quotient; for u, that of h."""
+    """{m: e_m} of the Hauptmodul's eta quotient; for u = X / G^4, that of X."""
     if tag == "u":
-        return _U_BASE
+        return {1: 8, 2: 8}
     if tag not in ETA_QUOTIENTS:
         raise ValueError(f"unknown hauptmodul tag {tag!r}")
     exps, power = ETA_QUOTIENTS[tag]
@@ -402,20 +393,20 @@ def hauptmodul_q(tag: str, nterms: int) -> QSeries:
     if nterms < 2:
         raise ValueError("need at least 2 terms")
     x = eta_quotient_q(_eta_exps(tag), nterms)
-    return x / (x.scale(64).add_const(1) ** 2) if tag == "u" else x
+    return x / _u_weight2_q(nterms) ** 4 if tag == "u" else x
 
 
 def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
     """Independent second construction, where one is stated.
 
-    u:  quotient of eta-squares by the weight-2 Eisenstein combination
-        2E2(2t) - E2(t); that combination leads with 1, which is the
-        normalization under which the quotient starts q + O(q^2).
+    u:  h / (1 + 64h)^2 of the eta quotient h = eta(2tau)^24 / eta(tau)^24,
+        which is Weber's f2^24 / (f2^24 + 64)^2 that highprec evaluates.
     s:  the direct product q prod (1+q^n)^8 (1+q^2n)^8.
     w:  the quotient f2(4tau)^8 / f2(tau)^8 built from (1+q^n) products.
     """
     if tag == "u":
-        return eta_quotient_q({1: 8, 2: 8}, nterms) / genfun_rhs_q("u", nterms) ** 4
+        h = eta_quotient_q(_U_BASE, nterms)
+        return h / (h.scale(64).add_const(1) ** 2)
     if tag == "s":
         prod = one_plus_q_product(1, 1, 8, nterms) * one_plus_q_product(2, 2, 8, nterms)
         return prod.shift24(24)
@@ -426,30 +417,35 @@ def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
     raise ValueError(f"no alternative construction for {tag!r}")
 
 
+def _u_weight2_q(nterms: int) -> QSeries:
+    """2E2(2tau) - E2(tau), u's paired weight-2 form; it leads with 1."""
+    return e2_q(2, nterms).scale(2) - e2_q(1, nterms)
+
+
 def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
     """Stated weight-2 form equal to the composed generating function."""
     if tag == "u":
-        return e2_q(2, nterms).scale(2) - e2_q(1, nterms)
+        return _u_weight2_q(nterms)
     if tag not in WEIGHT2_FORMS:
         raise ValueError(f"unknown hauptmodul tag {tag!r}")
     return eta_quotient_q(WEIGHT2_FORMS[tag], nterms)
 
 
-def _pullback(tag: str, nterms: int) -> tuple[QSeries, QSeries | None, QSeries, QSeries | None]:
-    """(X, A, B, D) with the Hauptmodul paired with tag, times its sign, x = X/D
-    through q^nterms and theta_x = (A/B) theta_q; None stands for 1.
+def _pullback(tag: str, g: QSeries) -> tuple[QSeries, QSeries | None, QSeries, QSeries | None]:
+    """(X, A, B, D), as long as g, with x = X/D the Hauptmodul paired with tag,
+    times its sign, and theta_x = (A/B) theta_q; None stands for 1.
 
     An eta quotient x has A = 1 and B = theta_q x / x = 1 + sum s_k q^k, the
-    logarithmic derivative its Euler product is built from.  u = h/(1+64h)^2
-    has X = h, D = (1+64h)^2, A = 1+64h and B = (theta_q h / h)(1-64h).
-    A, B and D all start with 1."""
-    s = _eta_log_derivative(_eta_exps(tag), nterms)
+    logarithmic derivative its Euler product is built from.  u = X/G^4, with
+    X = eta(tau)^8 eta(2tau)^8 and G = g the weight-2 form, has A = G,
+    B = G (theta_q X / X) - 4 theta_q G and D = G^4.  A, B and D all start
+    with 1, for u when G does."""
+    s = _eta_log_derivative(_eta_exps(tag), g.length)
     x = QSeries(24, _euler_product(s))
     b = QSeries(0, [1] + s[1:])
     if tag != "u":
         return x.scale(HAUPTMODUL_SIGN[tag]), None, b, None
-    a = x.scale(64).add_const(1)
-    return x, a, b * x.scale(-64).add_const(1), a * a
+    return x, g, g * b - g.theta().scale(4), g ** 4
 
 
 def genfun_identity(tag: str, nterms: int) -> Agreement:
@@ -458,8 +454,9 @@ def genfun_identity(tag: str, nterms: int) -> Agreement:
     Applies the family's recurrence operator, pulled back to q and cleared of
     denominators, to the stated weight-2 form G (see the module docstring),
     and compares the result with 0 through q^nterms; a G that does not start
-    with 1 fails at q^0.  Raises ArithmeticError when the defining sums do not
-    obey the recurrence.
+    with 1 fails at q^0.  For u, x = X/G^4 is built from the same G, whose
+    one fixed point the check then tests (see the module docstring).  Raises
+    ArithmeticError when the defining sums do not obey the recurrence.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
@@ -471,10 +468,10 @@ def genfun_identity(tag: str, nterms: int) -> Agreement:
     if n is not None:
         raise ArithmeticError(
             f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
-    g = genfun_rhs_q(tag, nterms + 1).truncate(nterms + 1)
+    g = genfun_rhs_q(tag, nterms + 1)
     if g.coeff_at(0) != 1:
         return Agreement(0, 0)
-    x, a, b, den = _pullback(tag, nterms + 1)
+    x, a, b, den = _pullback(tag, g)
     # theta_x^k G = N_k / B^(2k-1): N_1 = A theta G,
     # N_(k+1) = A (B theta N_k - (2k-1) theta B N_k)
     tb = b.theta()

@@ -7,7 +7,7 @@ from math import comb
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import supercong.qseries as qs
@@ -267,11 +267,12 @@ def test_hauptmoduls_normalized_and_integral():
 
 @pytest.mark.parametrize("nterms", [65, 201, 401])
 def test_u_is_the_weber_f2_quotient(nterms):
-    # u = f / (f + 64)^2 with f = f2^24 = 4096 q prod (1+q^n)^24, multiplied out
+    # u = f / (f + 64)^2 with f = f2^24 = 4096 q prod (1+q^n)^24 = 2^12 h,
+    # multiplied out: both u = X / G^4 and its dual h / (1 + 64h)^2
     f = one_plus_q_product(1, 1, 24, nterms).scale(4096).shift24(24)
     want = f / (f.add_const(64) ** 2)
-    got = hauptmodul_q("u", nterms)
-    assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
+    for got in (hauptmodul_q("u", nterms), hauptmodul_alt_q("u", nterms)):
+        assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
 
 
 def test_hauptmodul_leading_terms():
@@ -292,7 +293,7 @@ def test_dual_u_is_the_old_quotient_of_eta_squares_to_the_fourth():
     # the fourth power of the narrow weight-2 form divided once
     e1, e2 = eta_q(1, 201), eta_q(2, 201)
     old = ((e1 * e1 * e2 * e2) / genfun_rhs_q("u", 201)) ** 4
-    assert agreement(hauptmodul_alt_q("u", 201), old) == Agreement(None, 201)
+    assert agreement(hauptmodul_q("u", 201), old) == Agreement(None, 201)
 
 
 def test_checks_state_the_exponent_they_compared_through():
@@ -393,8 +394,9 @@ def test_hauptmodul_with_an_extra_factor_fails_where_the_oracle_does(monkeypatch
                 s[j] += k
         return s
 
+    # for u the factor goes into X = eta(tau)^8 eta(2tau)^8, not into G
     monkeypatch.setattr(qs, "_eta_log_derivative", with_extra_factor)
-    x, _, _, den = qs._pullback(tag, 81)
+    x, _, _, den = qs._pullback(tag, genfun_rhs_q(tag, 81))
     want = r_based_first_nonzero(tag, 80, x=x if den is None else x / den)
     assert want is not None
     assert qs.genfun_identity_check(tag, 80) == want
@@ -403,8 +405,13 @@ def test_hauptmodul_with_an_extra_factor_fails_where_the_oracle_does(monkeypatch
 @pytest.mark.parametrize("tag", TAGS)
 def test_pullback_factors_state_theta_x(tag):
     # x = X / D is the Hauptmodul times its sign, and A theta_q x = x B, so
-    # that theta_x = (A / B) theta_q, exactly through q^200
-    big_x, a, b, den = qs._pullback(tag, 201)
+    # that theta_x = (A / B) theta_q, exactly through q^200; u's factors are
+    # built from its weight-2 form G: A = G and D = G^4
+    g = genfun_rhs_q(tag, 201)
+    big_x, a, b, den = qs._pullback(tag, g)
+    assert all(s.length == 201 for s in (big_x, a, b, den) if s is not None)
+    if tag == "u":
+        assert agreement(a, g) == agreement(den, g ** 4) == Agreement(None, 200)
     x = hauptmodul_q(tag, 201).scale(HAUPTMODUL_SIGN[tag])
     assert agreement(big_x if den is None else big_x / den, x) == Agreement(None, 201)
     assert [s.coeffs[0] for s in (a, b, den) if s is not None] == [1] * (1 + 2 * (tag == "u"))
@@ -631,27 +638,47 @@ def double_loop_product(a, b):
 
 @st.composite
 def _wide_series(draw):
-    """Signed and zero coefficients below 2^bits, bits on both sides of half
-    the crossover, lengths 0..300, fractional offsets included."""
-    bits = draw(st.integers(0, qs._KRONECKER_MAX_BITS // 2 + 80))
-    coeff = st.one_of(st.just(0), st.integers(-(1 << bits) + 1, (1 << bits) - 1),
-                      st.sampled_from([(1 << bits) - 1, 1 - (1 << bits)]))
-    return QSeries(draw(_OFF24), draw(st.lists(coeff, max_size=300)))
+    """Signed and zero coefficients below 2^bits with bits up to 2,000, either
+    all as wide or growing along the series as r = x / theta x does; lengths
+    0..300, fractional offsets included.  The coefficients come from a drawn
+    Random, since 300 of them at 2,000 bits overrun hypothesis's buffer."""
+    bits, growing = draw(st.integers(0, 2000)), draw(st.booleans())
+    n, rnd = draw(st.integers(0, 300)), draw(st.randoms(use_true_random=False))
+    coeffs = []
+    for i in range(n):
+        top = (1 << (bits * (i + 1) // n if growing else bits)) - 1
+        coeffs.append(rnd.choice([0, top, -top, rnd.randint(-top, top)]))
+    return QSeries(draw(_OFF24), coeffs)
 
 
 @settings(max_examples=80, deadline=None)
 @given(a=_wide_series(), b=_wide_series())
+@example(a=QSeries(7, [(-1) ** i * ((1 << (20 * i // 3)) - 1) for i in range(301)]),
+         b=QSeries(-30, [(1 << 2000) - 1 - i for i in range(300)]))
 def test_product_matches_the_double_loop(a, b):
     prod = a * b
     assert prod.off24 == a.off24 + b.off24
     assert prod.coeffs == double_loop_product(a.coeffs, b.coeffs)
 
 
-_HALF = qs._KRONECKER_MAX_BITS // 2
+def test_every_product_packs(monkeypatch, capsys):
+    # one kernel: each product that verify qseries makes, and one 4,000 bits
+    # wide, goes through _kronecker_product
+    from supercong.cli import EXIT_OK, main
+
+    packed, products = [], []
+    real_pack, real_mul = qs._kronecker_product, QSeries.__mul__
+    monkeypatch.setattr(qs, "_kronecker_product",
+                        lambda *args: packed.append(1) or real_pack(*args))
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    assert main(["verify", "qseries", "--terms", "30", "--format", "csv"]) == EXIT_OK
+    capsys.readouterr()
+    wide = QSeries(0, [(1 << 2000) - 1, 1 - (1 << 2000)] * 20)
+    assert (wide * wide).coeffs == double_loop_product(wide.coeffs, wide.coeffs)
+    assert len(packed) == len(products) > 80
 
 
-@pytest.mark.parametrize("bits, kronecker", [(0, True), (1, True), (_HALF, True),
-                                             (_HALF + 1, False), (2 * _HALF, False)])
+@pytest.mark.parametrize("bits, kronecker", [(0, True), (1, True), (192, True)])
 @pytest.mark.parametrize("n", [1, 2, 201])
 def test_product_packs_up_to_the_crossover(monkeypatch, bits, kronecker, n):
     calls = []
@@ -663,7 +690,7 @@ def test_product_packs_up_to_the_crossover(monkeypatch, bits, kronecker, n):
 
 
 @pytest.mark.parametrize("bits_a, bits_b, n", [(8, 8, 3), (30, 50, 7), (100, 90, 63),
-                                               (_HALF, _HALF, 255)])
+                                               (192, 192, 255), (1000, 1000, 255)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_packer_one_byte_too_narrow_is_caught(bits_a, bits_b, n, sign):
     # every coefficient as wide as allowed and of one sign: c_(n-1) =
