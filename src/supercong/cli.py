@@ -272,7 +272,7 @@ VERIFY_FLAGS = {
     "workers": {"type": _int_at_least(1), "default": 1},
     "terms": {"type": _int_at_least(10), "default": 64},
     "digits": {"type": _int_at_least(10), "default": 40},
-    "samples": {"type": _int_at_least(1), "default": 12},
+    "samples": {"type": _int_at_least(1), "default": 24},
     "prec": {"type": _int_at_least(64), "default": 256},
     "trials": {"type": _int_at_least(1), "default": 25},
     "seed": {"type": int, "default": 20240},

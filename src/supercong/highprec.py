@@ -1,15 +1,15 @@
 """Arbitrary-precision evaluation of eta, the Weber functions, gamma2/j and
 the six Hauptmoduls at points of the upper half-plane.
 
-Values are mpmath complex numbers; every function takes the working precision
-in bits explicitly.  Hauptmoduls other than u are evaluated from
-qseries.ETA_QUOTIENTS, the eta-exponent table the exact layer expands.  CM
-points are carried exactly (rational + rational multiple of sqrt(-D)) and
-realized to floating point only at evaluation time.  The CM targets are the
-congruence catalog's own: a row with CM point tau and denominator m claims
-x(tau) = sign/m for its family's Hauptmodul x and qseries.HAUPTMODUL_SIGN.
-eta_num works on Gaussian fixed-point integers from its input to its one
-conversion back to mpc.  It first moves tau toward the fundamental domain:
+Every function takes the working precision in bits explicitly.  Hauptmoduls
+other than u are evaluated from qseries.ETA_QUOTIENTS, the eta-exponent table
+the exact layer expands.  CM points are carried exactly (rational + rational
+multiple of sqrt(-D)) and realized to floating point only at evaluation time.
+The CM targets are the congruence catalog's own: a row with CM point tau and
+denominator m claims x(tau) = sign/m for its family's Hauptmodul x and
+qseries.HAUPTMODUL_SIGN.
+The eta kernel works on Gaussian fixed-point integers from its input to its
+output.  It first moves tau toward the fundamental domain:
 T steps centre it, and an S step, carrying the multiplier 1/sqrt(-i tau),
 follows only while |tau|^2 < 1/2, so every S step at least doubles Im(tau)
 and the reduced point has Im(tau) >= 1/2.  The pentagonal series is then
@@ -23,15 +23,31 @@ one more only below Im(tau) = 10^-6), plus up to about 4/Im(tau) *
 fixed-point argument carries about log2(1/Im tau) extra bits to keep that
 so next to tau = 0.
 
+The kernel returns a Gaussian binary value: a tuple (re, im, exp) of
+integers standing for (re + i im) * 2^exp.  eta_num converts it to one mpc;
+everything else keeps it in this form up to the verdict.  The Weber
+functions, gamma2, j and the Hauptmoduls are products and quotients of such
+values, and each product or quotient rounds its mantissa once, by flooring
+it to prec + 32 bits of its larger part (a relative error below
+2^-(prec+30)); the exponent is carried apart, so the error stays relative at
+any tau, however large or small the value.  The sums of the identities are
+exact; the sums with a constant in u and gamma2 cut an addend below
+2^-(2 (prec + 32)) of the other and round the sum once.  mpmath stays at
+the edges: it converts tau and the arguments made from it, and computes the
+constants (roots of unity, sqrt(2), sqrt(7)) and the multipliers sqrt(-i tau)
+and sqrt(c tau + d), each converted exactly to a binary value.
+
 hauptmodul_value is the one numeric entry point: the six Hauptmoduls, the
-Weber functions f, f1, f2, gamma2 and j.  Each call, and each identity_suite
-call, makes one evaluator (_Eta), which memoises eta_num on the exact
-argument and binds zeta48^-1 (on first use) and sqrt(2) once.  CM rows
-report the residual that their check bounds, relative below |expected| = 1,
-or the rounding bound of the working precision where the residual falls
-below it; identity residuals are relative to the sides compared, kept
-squared against the squared tolerance, and take one square root per
-identity, for the report.
+Weber functions f, f1, f2, gamma2 and j, converted to mpc once, at its end.
+Each call, and each identity_suite call, makes one evaluator (_Eta), which
+memoises the kernel on the exact argument and binds zeta48^-1 (on first use)
+and sqrt(2) once.  CM rows report the residual that their check bounds,
+relative below |expected| = 1, or the rounding bound of the working precision
+where the residual falls below it.  Identity residuals are relative to the
+sides compared and exact: |l - r|^2 / max(|l|^2, |r|^2) is a ratio of
+integers, compared exactly with the squared tolerance; only each identity's
+worst ratio is rounded, to the square root its row reports, and identity
+rows state the rounding bound as CM rows do.
 """
 
 from __future__ import annotations
@@ -44,7 +60,7 @@ from functools import cached_property, partial
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from .arith import jacobi
@@ -165,21 +181,23 @@ def _eta_series(re: int, im: int, work: int) -> tuple[tuple[int, int], int]:
     lo, q_k, q_2k1 = q, q, _gmul(q2, q, work)  # q^(k(3k-1)/2), q^k, q^(2k+1) at k = 1
     total_re, total_im = 1 << work, 0
     k = 1
-    while k * (3 * k - 1) // 2 <= bound:
+    while True:  # bound >= 3, so k = 1 is always summed
         hi = _gmul(lo, q_k, work)  # q^(k(3k+1)/2)
         sign = -1 if k % 2 else 1
         total_re += sign * (lo[0] + hi[0])
         total_im += sign * (lo[1] + hi[1])
+        k += 1
+        if k * (3 * k - 1) // 2 > bound:  # no step past the last pair summed
+            break
         lo = _gmul(hi, q_2k1, work)
         q_k = _gmul(q_k, q, work)
         q_2k1 = _gmul(q_2k1, q2, work)
-        k += 1
     return _gmul(x, (total_re, total_im), work), n - work
 
 
-def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """eta(tau), summed after moving tau toward the fundamental domain, in
-    Gaussian fixed point from the input to the one conversion of the result.
+def _eta_kernel(tau: mpmath.mpc, prec: int) -> tuple[int, int, int]:
+    """eta(tau) as a Gaussian binary value (re, im, exp), summed after moving
+    tau toward the fundamental domain, in Gaussian fixed point throughout.
 
     tau is converted once, to (re + i im) / 2^work with work = prec + 32 +
     max(0, -mag) bits, where Im(tau) < 2^mag <= 2 Im(tau).  The extra bits,
@@ -195,8 +213,8 @@ def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
     one integer division per part, the multiplier one math.isqrt for each of
     |tau| and its real part.  The T shifts, mod 24, go back into the
     argument of the series, whose q is 1-periodic, so they cost no extra
-    exponential.  x * sum / multiplier is formed in integers and converted to
-    one mpc of prec + 32 bits, whatever the caller's mp.prec is.
+    exponential.  x * sum / multiplier is formed in integers, a mantissa of
+    about work + 4 bits, whatever the caller's mp.prec is.
 
     Error: truncation at the reduced point is below 2^-(prec+32) relative
     (there |sum - 1| < 0.05); with rounding, the total is about
@@ -218,74 +236,199 @@ def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
         to_fixed(tau.real._mpf_, work), to_fixed(tau.imag._mpf_, work), work)
     value, exp = _eta_series(re + ((shift % 24) << work), im, work)
     out_re, out_im = _gdiv(value, scale, work + 4)
-    exp -= scale_exp + work + 4
-    wp = prec + _GUARD_BITS
-    return mp.make_mpc((from_man_exp(out_re, exp, wp, round_nearest),
-                        from_man_exp(out_im, exp, wp, round_nearest)))
+    return out_re, out_im, exp - scale_exp - work - 4
+
+
+def eta_num(tau: mpmath.mpc, prec: int) -> mpmath.mpc:
+    """eta(tau): the kernel's value, converted to one mpc of prec + 32 bits."""
+    return _to_mpc(_eta_kernel(tau, prec), prec + _GUARD_BITS)
+
+
+# -- Gaussian binary values: (re, im, exp) stands for (re + i im) * 2^exp ------
+
+
+def _to_mpc(z: tuple[int, int, int], wp: int) -> mpmath.mpc:
+    """z rounded to nearest at wp bits."""
+    re, im, exp = z
+    return mp.make_mpc((from_man_exp(re, exp, wp, round_nearest),
+                        from_man_exp(im, exp, wp, round_nearest)))
+
+
+def _from_mpmath(z, bits: int) -> tuple[int, int, int]:
+    """An mpf or mpc as a binary value, exact unless one part reaches below
+    2^-(2 bits) of the larger, which is then cut there."""
+    parts = z._mpc_ if isinstance(z, mpmath.mpc) else (z._mpf_, fzero)
+    live = [p for p in parts if p[1]]
+    if not live:
+        return 0, 0, 0
+    exp = max(min(p[2] for p in live), max(p[2] + p[3] for p in live) - 2 * bits)
+    return to_fixed(parts[0], -exp), to_fixed(parts[1], -exp), exp
+
+
+def _mag(z) -> int:
+    """The bit length of the larger part of a mantissa."""
+    return max(abs(z[0]), abs(z[1])).bit_length()
+
+
+def _rounded(re: int, im: int, exp: int, bits: int) -> tuple[int, int, int]:
+    """(re + i im) * 2^exp with its mantissa floored to `bits` bits of its larger part."""
+    drop = max(abs(re), abs(im)).bit_length() - bits
+    if drop <= 0:
+        return re, im, exp
+    return re >> drop, im >> drop, exp + drop
+
+
+def _bmul(a, b, bits: int) -> tuple[int, int, int]:
+    """a * b, its mantissa rounded once."""
+    re, im = _gmul(a, b, 0)
+    return _rounded(re, im, a[2] + b[2], bits)
+
+
+def _bdiv(a, b, bits: int) -> tuple[int, int, int]:
+    """a / b by one floored division per part, scaled by 2^shift so that the
+    quotient keeps bits + 1 to bits + 4 bits."""
+    shift = bits + 2 + _mag(b) - _mag(a)
+    if shift >= 0:
+        re, im = _gdiv(a, b, shift)
+    else:
+        re, im = _gdiv(a, (b[0] << -shift, b[1] << -shift), 0)
+    return re, im, a[2] - b[2] - shift
+
+
+def _bpow(z, n: int, bits: int) -> tuple[int, int, int]:
+    """z^n for n >= 1 by squaring, each product rounded once."""
+    out = z
+    for bit in bin(n)[3:]:
+        out = _bmul(out, out, bits)
+        if bit == "1":
+            out = _bmul(out, z, bits)
+    return out
+
+
+def _aligned(z, exp: int) -> tuple[int, int]:
+    """z's mantissa at exponent exp: exact for exp <= z's exponent, floored above it."""
+    shift = z[2] - exp
+    if shift >= 0:
+        return z[0] << shift, z[1] << shift
+    return z[0] >> -shift, z[1] >> -shift
+
+
+def _bsum(*terms) -> tuple[int, int, int]:
+    """The exact sum of binary values."""
+    exp = min(t[2] for t in terms)
+    return (sum(t[0] << (t[2] - exp) for t in terms),
+            sum(t[1] << (t[2] - exp) for t in terms), exp)
+
+
+def _badd(a, b, bits: int) -> tuple[int, int, int]:
+    """a + b with an addend below 2^-(2 bits) of the other cut there, rounded once."""
+    top = max(_top(a), _top(b))
+    exp = max(min(a[2], b[2]), top - 2 * bits)
+    (ar, ai), (br, bi) = _aligned(a, exp), _aligned(b, exp)
+    return _rounded(ar + br, ai + bi, exp, bits)
+
+
+def _top(z) -> int:
+    """The exponent just above z's larger part."""
+    return _mag(z) + z[2]
+
+
+def _neg(z) -> tuple[int, int, int]:
+    return -z[0], -z[1], z[2]
+
+
+def _ratio(diff, *sides) -> tuple[int, int]:
+    """|diff|^2 / max |side|^2, exactly, as a pair of integers (num, den)."""
+    exp = min(z[2] for z in (diff, *sides))
+
+    def norm(z) -> int:
+        return (z[0] * z[0] + z[1] * z[1]) << (2 * (z[2] - exp))
+
+    return norm(diff), max(map(norm, sides))
 
 
 class _Eta:
-    """eta_num at one precision, with the Weber functions and gamma2 on it.
+    """The eta kernel at one precision, with the Weber functions and gamma2
+    on its binary values.
 
     Made per numeric call, inside that call's mp.workprec(prec + guard): it
-    binds sqrt(2) there once and zeta48^-1 on first use, and memoises eta on
-    the exact argument, so each distinct point is evaluated once per call.
-    eta_num fixes its own working precision, so a shared value is bit for bit
-    the one a second evaluation would give; a miss looks eta_num up anew."""
+    binds sqrt(2) there once and zeta48^-1 on first use, and memoises the
+    kernel on the exact argument, so each distinct point is evaluated once
+    per call.  Values are Gaussian binary values (re, im, exp); each product
+    and quotient rounds its mantissa once, to `bits` = prec + 32 bits.
+
+        f = zeta48^-1 eta((tau + 1)/2) / eta(tau)      f1 = eta(tau/2) / eta(tau)
+        f2 = sqrt(2) eta(2 tau) / eta(tau)              gamma2 = (f^24 - 16) / f^8
+
+    At the points identity_suite draws (Im(tau) down to about 10^-3), f, f1
+    and f2 come within 2^-(prec+20) relative of their exact values, and
+    gamma2 within 2^-(prec+16) * (|f|^16 + 16 |f|^-8), the size of its terms:
+    the kernel's error, up to about 4/Im(tau) * 2^-(prec+32), and a few
+    roundings of 2^-(prec+31), times 24 in f^24.  The tests hold them to
+    these bounds against mpc quotients at prec + 64.
+    """
 
     def __init__(self, prec: int):
         self.prec = prec
-        self.memo: dict[mpmath.mpc, mpmath.mpc] = {}
-        self.sqrt2 = mpmath.sqrt(2)
+        self.bits = prec + _GUARD_BITS
+        self.memo: dict[tuple, tuple[int, int, int]] = {}
+        self.sqrt2 = _from_mpmath(mpmath.sqrt(2), self.bits)
 
     @cached_property
-    def zeta48_inv(self) -> mpmath.mpc:
+    def zeta48_inv(self) -> tuple[int, int, int]:
         """zeta48^-1, computed on first use: only f, gamma2 and j read it."""
-        with mp.workprec(self.prec + _GUARD_BITS):
-            return mpmath.expjpi(mpmath.mpf(-1) / 24)
+        with mp.workprec(self.bits):
+            return _from_mpmath(mpmath.expjpi(mpmath.mpf(-1) / 24), self.bits)
 
-    def __call__(self, tau: mpmath.mpc) -> mpmath.mpc:
-        if tau not in self.memo:
-            self.memo[tau] = eta_num(tau, self.prec)
-        return self.memo[tau]
+    def __call__(self, tau: mpmath.mpc) -> tuple[int, int, int]:
+        key = tau._mpc_
+        if key not in self.memo:
+            self.memo[key] = _eta_kernel(tau, self.prec)
+        return self.memo[key]
 
-    def weber(self, tau: mpmath.mpc, which: str) -> mpmath.mpc:
+    def weber(self, tau: mpmath.mpc, which: str) -> tuple[int, int, int]:
         """Weber f, f1, f2 as eta quotients at shifted and scaled arguments."""
+        bits = self.bits
         if which == "f":
-            return self.zeta48_inv * self((tau + 1) / 2) / self(tau)
+            return _bmul(self.zeta48_inv, _bdiv(self((tau + 1) / 2), self(tau), bits), bits)
         if which == "f1":
-            return self(tau / 2) / self(tau)
-        return self.sqrt2 * self(2 * tau) / self(tau)
+            return _bdiv(self(tau / 2), self(tau), bits)
+        return _bmul(self.sqrt2, _bdiv(self(2 * tau), self(tau), bits), bits)
 
-    def gamma2(self, tau: mpmath.mpc) -> mpmath.mpc:
+    def gamma2(self, tau: mpmath.mpc) -> tuple[int, int, int]:
         """gamma2 = (f^24 - 16) / f^8, the cube root of j."""
-        f8 = self.weber(tau, "f") ** 8
-        return (f8**3 - 16) / f8
+        f8 = _bpow(self.weber(tau, "f"), 8, self.bits)
+        f24 = _bpow(f8, 3, self.bits)
+        return _bdiv(_badd(f24, (-16, 0, 0), self.bits), f8, self.bits)
 
 
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
     """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS), a Weber
-    function f, f1 or f2, gamma2 or j, from one evaluator."""
+    function f, f1 or f2, gamma2 or j, from one evaluator, converted to mpc
+    once, at the end."""
     with mp.workprec(prec + _GUARD_BITS):
         eta = _Eta(prec)
+        bits = eta.bits
         if tag == "u":
-            f24 = eta.weber(tau, "f2") ** 24
-            return f24 / (f24 + 64) ** 2
-        if tag in ETA_QUOTIENTS:
+            f24 = _bpow(eta.weber(tau, "f2"), 24, bits)
+            value = _bdiv(f24, _bpow(_badd(f24, (64, 0, 0), bits), 2, bits), bits)
+        elif tag in ETA_QUOTIENTS:
             exps, power = ETA_QUOTIENTS[tag]
-            val = mpmath.mpc(1)
+            value = (1, 0, 0)
             for m, e in exps.items():  # numerator factors first
                 factor = eta(m * tau)
                 for _ in range(abs(e)):
-                    val = val * factor if e > 0 else val / factor
-            return val**power
-        if tag in ("f", "f1", "f2"):
-            return eta.weber(tau, tag)
-        if tag == "gamma2":
-            return eta.gamma2(tau)
-        if tag == "j":
-            return eta.gamma2(tau) ** 3
-    raise ValueError(f"unknown function tag {tag!r}")
+                    value = _bmul(value, factor, bits) if e > 0 else _bdiv(value, factor, bits)
+            value = _bpow(value, power, bits)
+        elif tag in ("f", "f1", "f2"):
+            value = eta.weber(tau, tag)
+        elif tag == "gamma2":
+            value = eta.gamma2(tau)
+        elif tag == "j":
+            value = _bpow(eta.gamma2(tau), 3, bits)
+        else:
+            raise ValueError(f"unknown function tag {tag!r}")
+        return _to_mpc(value, bits)
 
 
 @dataclass(frozen=True)
@@ -438,9 +581,9 @@ def _random_sl2(rng: random.Random) -> tuple[int, int, int, int]:
             return _sl2(a, c)
 
 
-def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, zeta24_powers):
-    """The multiplier eta((a tau + b)/(c tau + d)) / eta(tau) on Gamma_0(4);
-    zeta24_powers[k] is zeta24^k."""
+def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The multiplier eta((a tau + b)/(c tau + d)) / eta(tau) on Gamma_0(4) is
+    sign * zeta24^k * sqrt(c tau + d); returns (sign, k)."""
     r = 0
     c0 = c
     while c0 % 2 == 0:
@@ -453,105 +596,120 @@ def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int, tau, zeta24_powers):
         + 3 * c0 * (a - 1)
         + r * 3 * (a * a - 1) // 2
     ) % 24  # zeta24^24 = 1; unreduced, expo reaches about 10^7
-    return jacobi(a, c0) * zeta24_powers[expo] * mpmath.sqrt(c * tau + d)
-
-
-def _norm(z) -> mpmath.mpf:
-    """|z|^2 of an int, mpf or mpc, without a square root."""
-    return z.real * z.real + z.imag * z.imag
-
-
-def _residual(diff, *sides) -> mpmath.mpf:
-    """|diff|^2 over the largest |side|^2: the squared residual relative to
-    the sides compared."""
-    return _norm(diff) / max(map(_norm, sides))
+    return jacobi(a, c0), expo
 
 
 def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResult]:
     """Numeric checks of the transformation and Weber-function identities.
 
-    Runs `samples` random draws per identity and reports the worst residual,
-    relative to the larger side of each comparison; all residuals must sit
-    far below 2^(-prec/2).  Residuals are kept squared and compared with the
-    squared tolerance, and each identity takes one square root, for its row.
-    One evaluator serves the call, so each distinct point's eta is evaluated
-    once per call.
+    Runs `samples` random draws per identity.  Both sides of each comparison
+    are Gaussian binary values, and the residual |l - r|^2 / max(|l|^2, |r|^2)
+    is an exact ratio of integers, compared exactly with the squared
+    tolerance 2^(-2 (prec // 2)): every residual must sit below 2^(-prec/2).
+    Each identity keeps its worst ratio, and only that is rounded, to the
+    square root its row reports.  The values carry prec + 32 bits, so a
+    residual below 2^-prec measures guard bits, down to an exact 0, not
+    agreement: as in a CM row, such a row reports the bound 2^-prec and is
+    marked at_floor.  One evaluator serves the call, so each distinct point's
+    eta is evaluated once per call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if prec < 64:
         raise ValueError("prec must be >= 64: the tolerance 2^(-prec/2) would mean nothing")
     rng = random.Random(seed)
-    worst: dict[str, mpmath.mpf] = {}
+    bits = prec + _GUARD_BITS
+    worst: dict[str, tuple[int, int]] = {}
+
+    def mul(*factors):
+        out = factors[0]
+        for z in factors[1:]:
+            out = _bmul(out, z, bits)
+        return out
+
+    def note_ratio(name: str, num: int, den: int) -> None:
+        old = worst.get(name)
+        if old is None or num * old[1] > old[0] * den:
+            worst[name] = num, den
 
     def note(name: str, left, right) -> None:
-        worst[name] = max(worst.get(name, 0), _residual(left - right, left, right))
+        note_ratio(name, *_ratio(_bsum(left, _neg(right)), left, right))
 
-    with mp.workprec(prec + _GUARD_BITS):
+    def value(z):
+        return _from_mpmath(z, bits)
+
+    with mp.workprec(bits):
         eta = _Eta(prec)
         weber, sqrt2 = eta.weber, eta.sqrt2
         zeta24 = mpmath.expjpi(mpmath.mpf(1) / 12)
         zeta24_powers = [mpmath.mpc(1)]
         for _ in range(23):
             zeta24_powers.append(zeta24_powers[-1] * zeta24)
-        omega = (-1 + mpmath.sqrt(-3)) / 2
+        zeta24_powers = [value(z) for z in zeta24_powers]
+        omega = mpmath.mpc(-1, mpmath.sqrt(3)) / 2
+        omega_powers = [(1, 0, 0), value(omega), value(omega * omega)]
         for _ in range(samples):
             tau = _random_tau(rng)
             e_tau = eta(tau)
             inv_tau = -1 / tau
-            note("eta-shift", eta(tau + 1), zeta24 * e_tau)
-            note("eta-inversion", eta(inv_tau), mpmath.sqrt(-1j * tau) * e_tau)
+            note("eta-shift", eta(tau + 1), mul(zeta24_powers[1], e_tau))
+            note("eta-inversion", eta(inv_tau), mul(value(mpmath.sqrt(-1j * tau)), e_tau))
             a, b, c, d = _random_gamma0_4(rng)
+            sign, k = _eta_mult_gamma0_4(a, b, c, d)
+            root = value(sign * mpmath.sqrt(c * tau + d))
             note("eta-gamma0(4)", eta((a * tau + b) / (c * tau + d)),
-                 _eta_mult_gamma0_4(a, b, c, d, tau, zeta24_powers) * e_tau)
+                 mul(zeta24_powers[k], root, e_tau))
 
             f = weber(tau, "f")
             f1 = weber(tau, "f1")
             f2 = weber(tau, "f2")
-            note("f*f1*f2=sqrt2", f * f1 * f2, sqrt2)
-            note("f1(2t)f2(t)=sqrt2", weber(2 * tau, "f1") * f2, sqrt2)
+            note("f*f1*f2=sqrt2", mul(f, f1, f2), sqrt2)
+            note("f1(2t)f2(t)=sqrt2", mul(weber(2 * tau, "f1"), f2), sqrt2)
             note("f(-1/t)=f(t)", weber(inv_tau, "f"), f)
             note("f1(-1/t)=f2(t)", weber(inv_tau, "f1"), f2)
             note("f2(-1/t)=f1(t)", weber(inv_tau, "f2"), f1)
-            note("f(t+1)=z48^-1 f1", weber(tau + 1, "f"), eta.zeta48_inv * f1)
+            note("f(t+1)=z48^-1 f1", weber(tau + 1, "f"), mul(eta.zeta48_inv, f1))
 
             # conjugation symmetry at tau = x + i*y
             x = rng.uniform(-1.5, 1.5)
             y = rng.uniform(0.6, 1.8)
             for which in ("f", "f1", "f2"):
-                left = mpmath.conj(weber(mpmath.mpc(x, y), which))
-                note("conjugation", left, weber(mpmath.mpc(-x, y), which))
+                re, im, exp = weber(mpmath.mpc(x, y), which)
+                note("conjugation", (re, -im, exp), weber(mpmath.mpc(-x, y), which))
 
             # -f^8, f1^8, f2^8 are the roots of X^3 - gamma2 X + 16
             g2 = eta.gamma2(tau)
-            x0, x1, x2 = -(f**8), f1**8, f2**8
+            x0, x1, x2 = _neg(_bpow(f, 8, bits)), _bpow(f1, 8, bits), _bpow(f2, 8, bits)
             # the right-hand side is 0, so the size is the largest root
-            cubic_sum = _residual(x0 + x1 + x2, x0, x1, x2)
-            worst["cubic-sum"] = max(worst.get("cubic-sum", 0), cubic_sum)
-            note("cubic-product", x0 * x1 * x2, -16)
-            note("cubic-pairsum", x0 * x1 + x0 * x2 + x1 * x2, -g2)
+            note_ratio("cubic-sum", *_ratio(_bsum(x0, x1, x2), x0, x1, x2))
+            note("cubic-product", mul(x0, x1, x2), (-16, 0, 0))
+            note("cubic-pairsum", _bsum(mul(x0, x1), mul(x0, x2), mul(x1, x2)), _neg(g2))
 
             a, b, c, d = _random_sl2(rng)
             g2m = eta.gamma2((a * tau + b) / (c * tau + d))
             expo = (a * c - a * b + a * a * c * d - c * d) % 3
-            note("gamma2-transform", g2m, omega**expo * g2)
+            note("gamma2-transform", g2m, mul(omega_powers[expo], g2))
 
         # fixed-point facts
-        note("f1(sqrt-2)^2", weber(mpmath.mpc(0, sqrt2), "f1") ** 2, sqrt2)
+        root2 = mpmath.sqrt(2)
+        note("f1(sqrt-2)^2", _bpow(weber(mpmath.mpc(0, root2), "f1"), 2, bits), sqrt2)
         tau7 = mpmath.mpc(0, mpmath.sqrt(7))
-        note("gamma2(sqrt-7)=255", eta.gamma2(tau7), 255)
-        roots = sorted(
-            [
-                mpmath.re(-weber(tau7, "f") ** 8),
-                mpmath.re(weber(tau7, "f1") ** 8),
-                mpmath.re(weber(tau7, "f2") ** 8),
-            ]
-        )
+        note("gamma2(sqrt-7)=255", eta.gamma2(tau7), (255, 0, 0))
+        roots = [_neg(_bpow(weber(tau7, "f"), 8, bits)),
+                 _bpow(weber(tau7, "f1"), 8, bits), _bpow(weber(tau7, "f2"), 8, bits)]
+        roots = sorted(((re, 0, exp) for re, _, exp in roots),
+                       key=lambda z: Fraction(z[0]) * Fraction(2) ** z[2])
         root7 = 3 * mpmath.sqrt(7)
-        expected = sorted([mpmath.mpf(-16), 8 - root7, 8 + root7])
-        for r, e in zip(roots, expected):
+        for r, e in zip(roots, [(-16, 0, 0), value(8 - root7), value(8 + root7)]):
             note("cubic-roots(sqrt-7)", r, e)
 
-        tol2 = mpmath.mpf(2) ** (-2 * (prec // 2))
-        return [_checked(name, worst[name] < tol2, mpmath.sqrt(worst[name]))
-                for name in sorted(worst)]
+        tol_bits, floor = 2 * (prec // 2), _checked("", True, mpmath.ldexp(1, -prec), True)
+        rows = []
+        for name in sorted(worst):
+            num, den = worst[name]
+            ok = num << tol_bits < den
+            if num << (2 * prec) < den:  # below the bound 2^-prec
+                rows.append(CheckResult(name, ok, floor.residual, floor.digits, True))
+            else:
+                rows.append(_checked(name, ok, mpmath.sqrt(mpmath.mpf(num) / den)))
+        return rows

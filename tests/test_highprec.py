@@ -29,6 +29,8 @@ from supercong.highprec import (
 from supercong.congruence import catalog, lookup
 from supercong.qseries import HAUPTMODUL_SEQUENCE, QSeries, hauptmodul_q
 
+import weber_oracle
+
 PREC = 280
 
 
@@ -435,6 +437,128 @@ def test_identity_suite():
         assert row.residual < 1e-30
 
 
+def test_identity_rows_state_the_rounding_floor():
+    # the values carry prec + 32 bits, so a residual below 2^-prec measures
+    # guard bits: f1(sqrt-2)^2 is exact to the last bit at 256, where its mpc
+    # residual read 0; such a row states the bound, as a CM row does
+    for prec, samples in ((256, 12), (1024, 3)):
+        rows = {r.name: r for r in identity_suite(samples, prec)}
+        bound = mpmath.ldexp(1, -prec)
+        digits = int(mpmath.floor(-mpmath.log10(bound)))
+        assert rows["f1(sqrt-2)^2"].at_floor
+        for r in rows.values():
+            assert r.ok and r.digits is not None
+            if r.at_floor:
+                assert (r.residual, r.digits) == (float(bound), digits)
+            else:
+                assert r.residual > float(bound)
+
+
+def _suite_points(prec: int, seed: int, count: int) -> list:
+    """Points of the kind identity_suite evaluates: tau, -1/tau, tau + 1,
+    2 tau and an SL(2, Z) image of tau, which lies close to the real line."""
+    rng = random.Random(seed)
+    points = []
+    with mp.workprec(prec + 32):
+        for _ in range(count):
+            tau = highprec._random_tau(rng)
+            a, b, c, d = highprec._random_sl2(rng)
+            points += [tau, -1 / tau, tau + 1, 2 * tau, (a * tau + b) / (c * tau + d)]
+    return points
+
+
+@pytest.mark.parametrize("prec", [192, 256, 1024])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weber_values_meet_the_stated_bound(prec, seed):
+    # against the mpc quotients of eta_num at prec + 64: f, f1, f2 within
+    # 2^-(prec+20) relative, gamma2 within 2^-(prec+16) (|f|^16 + 16 |f|^-8)
+    for tau in _suite_points(prec, seed, 2):
+        with mp.workprec(prec + 32):
+            eta = highprec._Eta(prec)
+            got = {w: eta.weber(tau, w) for w in ("f", "f1", "f2")}
+            got["gamma2"] = eta.gamma2(tau)
+        with mp.workprec(prec + 96):
+            oracle = weber_oracle.MpcEta(prec + 64)
+            for which, value in got.items():
+                value = highprec._to_mpc(value, prec + 96)
+                if which == "gamma2":
+                    f8 = abs(oracle.weber(tau, "f")) ** 8
+                    exact, size, bits = oracle.gamma2(tau), f8 * f8 + 16 / f8, 16
+                else:
+                    exact = oracle.weber(tau, which)
+                    size, bits = abs(exact), 20
+                assert abs(value - exact) < size * mpmath.ldexp(1, -(prec + bits)), (which, tau)
+
+
+def _verdicts(rows) -> dict[str, bool]:
+    return {r.name: r.ok for r in rows}
+
+
+def _zeta24_step_off(monkeypatch) -> None:
+    real = highprec._eta_mult_gamma0_4
+    monkeypatch.setattr(highprec, "_eta_mult_gamma0_4",
+                        lambda *m: (real(*m)[0], (real(*m)[1] + 1) % 24))
+
+
+def _f_without_zeta48(monkeypatch) -> None:
+    # f alone loses the constant; the right side zeta48^-1 f1 keeps it
+    real = highprec._Eta.weber
+
+    def weber(self, tau, which):
+        value = real(self, tau, which)
+        return highprec._bdiv(value, self.zeta48_inv, self.bits) if which == "f" else value
+
+    monkeypatch.setattr(highprec._Eta, "weber", weber)
+
+
+CONTROLS = {
+    "eta-gamma0(4)": _zeta24_step_off,
+    "f(t+1)=z48^-1 f1": _f_without_zeta48,
+}
+
+
+@pytest.mark.parametrize("name", list(CONTROLS))
+def test_a_wrong_constant_fails_its_identity(monkeypatch, name):
+    CONTROLS[name](monkeypatch)
+    assert not _verdicts(identity_suite(6, 256, seed=4))[name]
+
+
+@pytest.mark.parametrize("samples, prec", [(4, 192), (4, 256), (2, 1024)])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_identity_verdicts_match_the_mpc_oracle(samples, prec, seed):
+    oracle = weber_oracle.identity_suite(samples, prec, seed)
+    rows = identity_suite(samples, prec, seed)
+    assert _verdicts(rows) == {name: ok for name, (ok, _) in oracle.items()}
+    # both residuals measure rounding only: each is far below the tolerance
+    tol = mpmath.ldexp(1, -(prec // 2))
+    for r in rows:
+        assert r.residual < tol * 2.0**-60 and oracle[r.name][1] < (tol * 2.0**-60) ** 2
+
+
+@pytest.mark.parametrize("mutant", ["zeta24 step off", *ETA_MUTANTS])
+def test_failing_verdicts_match_the_mpc_oracle(monkeypatch, mutant):
+    # a wrong multiplier or reduction reaches both suites; each fails the same identities
+    if mutant in ETA_MUTANTS:
+        _reduced_eta(monkeypatch, *ETA_MUTANTS[mutant])
+    else:
+        _zeta24_step_off(monkeypatch)
+    verdicts = _verdicts(identity_suite(4, 256, seed=5))
+    assert not all(verdicts.values())
+    assert verdicts == {n: ok for n, (ok, _) in weber_oracle.identity_suite(4, 256, 5).items()}
+
+
+@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "j"])
+def test_hauptmodul_value_stays_relative_far_up(tag):
+    # at Im(tau) = 300 each Hauptmodul is q (1 + O(q)) and j is (1 + O(q)) / q,
+    # |q| = e^(-600 pi) ~ 10^-819: the exponent is carried apart from the
+    # mantissa, so the value keeps its relative precision
+    with mp.workprec(400):
+        tau = mpmath.mpc("0.3", 300)
+        q = mpmath.expjpi(2 * tau)
+        want = 1 / q if tag == "j" else q
+        assert abs(hauptmodul_value(tag, tau, 256) / want - 1) < mpmath.mpf(2) ** -250
+
+
 def test_gamma2_transform_identity_matrix_trivial():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.mpf(4) / 5)
@@ -450,11 +574,13 @@ def test_gamma2_transform_identity_matrix_trivial():
 def test_identity_suite_evaluates_each_point_once_per_call(monkeypatch):
     calls = Counter()
 
+    kernel = highprec._eta_kernel
+
     def counted(tau, prec):
         calls[tau, prec] += 1
-        return eta_num(tau, prec)
+        return kernel(tau, prec)
 
-    monkeypatch.setattr(highprec, "eta_num", counted)
+    monkeypatch.setattr(highprec, "_eta_kernel", counted)
     identity_suite(4, 256, seed=4)
     first = dict(calls)
     assert first and max(first.values()) == 1
@@ -492,27 +618,45 @@ def test_hauptmodul_value_makes_one_evaluator_per_call(monkeypatch, tag):
 
 def test_lazy_zeta48_inverse_is_bit_identical():
     with mp.workprec(256 + highprec._GUARD_BITS):
-        eager = mpmath.expjpi(mpmath.mpf(-1) / 24)
+        eager = highprec._from_mpmath(mpmath.expjpi(mpmath.mpf(-1) / 24), 288)
     with mp.workprec(53):  # the property fixes its own precision
         lazy = highprec._Eta(256).zeta48_inv
-    assert (lazy.real, lazy.imag) == (eager.real, eager.imag)
+    assert lazy == eager
+
+
+def _binary(z) -> tuple[int, int, int]:
+    return highprec._from_mpmath(mpmath.mpc(z), 1024)
+
+
+def _ratio(left, right) -> Fraction:
+    """The suite's squared residual of two binary values, as an exact fraction."""
+    return Fraction(*highprec._ratio(highprec._bsum(left, highprec._neg(right)), left, right))
 
 
 def test_residuals_are_relative_to_the_sides_compared():
     with mp.workprec(288):
-        left = mpmath.mpc("1.5", "-0.25")
-        right = left * (1 + mpmath.mpf(2) ** -100)
-        big = mpmath.mpf(10) ** 50
-        base = highprec._residual(left - right, left, right)
-        scaled = highprec._residual(big * left - big * right, big * left, big * right)
-        assert abs(scaled / base - 1) < 1e-20
-        assert abs(big * left - big * right) > 1e30 * abs(left - right)
-        # squared: the relative difference is 2^-100 / (1 + 2^-100)
-        assert abs(base * mpmath.mpf(2) ** 200 - 1) < 1e-20
-        # r^2 < tol^2 decides as r < tol does, next to the suite's tolerance
-        tol = mpmath.mpf(2) ** -128
-        for r in (tol * (1 - mpmath.mpf(2) ** -20), tol * (1 + mpmath.mpf(2) ** -20)):
-            assert (r * r < tol * tol) == (r < tol)
+        left = _binary(mpmath.mpc("1.5", "-0.25"))
+        right = _binary(mpmath.mpc("1.5", "-0.25") * (1 + mpmath.mpf(2) ** -100))
+    big = 10**50
+    scaled = [(z[0] * big, z[1] * big, z[2]) for z in (left, right)]
+    assert _ratio(*scaled) == _ratio(left, right)  # exactly, not to a rounding
+    diff = highprec._bsum(scaled[0], highprec._neg(scaled[1]))
+    assert highprec._top(diff) > 100 + highprec._top(highprec._bsum(left, highprec._neg(right)))
+    # squared: the relative difference is 2^-100 / (1 + 2^-100)
+    assert abs(_ratio(left, right) * 2**200 - 1) < Fraction(1, 10**20)
+
+
+def test_residual_verdict_is_exact_at_the_tolerance():
+    # the suite decides num * 2^(2 (prec // 2)) < den in integers: at prec 256
+    # a residual of exactly 2^-128 fails, and one 2^-300 either side of it is
+    # decided as r < 2^-128 is
+    one = (1 << 300, 0, -300)
+    for step, ok in ((1, True), (0, False), (-1, False)):
+        # right = 1 - 2^-128 + step 2^-300 against left = 1: r = 2^-128 - step 2^-300
+        right = ((1 << 300) - (1 << 172) + step, 0, -300)
+        num, den = highprec._ratio(highprec._bsum(one, highprec._neg(right)), one, right)
+        assert Fraction(num, den) == Fraction((1 << 172) - step, 1 << 300) ** 2
+        assert (num << 256 < den) == ok
 
 
 def _random_mpc(rng: random.Random) -> mpmath.mpc:
@@ -521,16 +665,21 @@ def _random_mpc(rng: random.Random) -> mpmath.mpc:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_squared_residual_is_the_square_of_the_relative_residual(seed):
+    # the exact integer ratio against |l - r| / max(|l|, |r|) and against the
+    # mpc oracle's squared residual, both at 1024 bits
     rng = random.Random(seed)
-    with mp.workprec(288):
+    with mp.workprec(1024):
         for _ in range(50):
             left = _random_mpc(rng)
             right = left * (1 + _random_mpc(rng) * mpmath.mpf(2) ** -rng.randint(0, 200))
             if rng.random() < 0.2:
                 right = _random_mpc(rng)  # sides far apart too
-            got = mpmath.sqrt(highprec._residual(left - right, left, right))
+            got = _ratio(_binary(left), _binary(right))
+            got = mpmath.mpf(got.numerator) / got.denominator
             want = abs(left - right) / max(abs(left), abs(right))
-            assert abs(got / want - 1) < mpmath.mpf(2) ** -280, (left, right)
+            assert abs(mpmath.sqrt(got) / want - 1) < mpmath.mpf(2) ** -500, (left, right)
+            oracle = weber_oracle.residual(left - right, left, right)
+            assert abs(got / oracle - 1) < mpmath.mpf(2) ** -500, (left, right)
 
 
 def test_identity_suite_deterministic():
