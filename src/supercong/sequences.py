@@ -1,19 +1,26 @@
 """The seven binomial / Apery-like sequence families, as exact facts.
 
 Two independent descriptions.  The defining sums give exact big-integer
-terms: each summand is the one before times its term ratio, so only the
-first calls comb, and term * num // den is exact because every summand is an
-integer (the tests keep the literal comb sums).  One table of three-term
-recurrences, RECURRENCES, is what the prime sweep runs mod p^3
-(congruence.PrimeContext.terms and congruence._walk); recurrence_break
-checks exact terms against the same table.  Nothing here reduces modulo
-anything.
+terms, in two evaluation orders chosen by the access pattern.  exact_term(n)
+sums one term, k by k: each summand is the one before times its term ratio
+in k, so only the first calls comb.  exact_terms(count) builds a prefix a
+whole row of summands at a time: row n is row n - 1 times each summand's
+ratio in n, one map over the row with no Python step per summand, and a_n is
+its sum (V pairs C(2k,k)^2 with C(2n-2k,n-k)^2, half the products by
+symmetry; the binomial products step C(2k,k) by its ratio).  Each quotient
+term * num // den is exact because it is an integer summand.  The two
+orders check each other, and the tests keep the literal comb sums as the
+oracle for both.  One table of three-term recurrences, RECURRENCES, is what
+the prime sweep runs mod p^3 (congruence.PrimeContext.terms and
+congruence._walk); recurrence_break checks exact terms against the same
+table, which the sums never read.  Nothing here reduces modulo anything.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from math import comb
+from operator import floordiv, mul
 from typing import NamedTuple
 
 
@@ -125,6 +132,84 @@ def exact_term(seq: SequenceId, n: int) -> int:
     return _CANONICAL[SequenceId(seq)](n)
 
 
-def exact_terms(seq: SequenceId, count: int) -> list[int]:
-    return [exact_term(seq, n) for n in range(count)]
+def _central_binomials(count: int) -> list[int]:
+    """C(2k,k) for k < count, each from the one before by its ratio 2(2k-1)/k."""
+    c = [1]
+    for k in range(1, count):
+        c.append(c[-1] * (4 * k - 2) // k)
+    return c
 
+
+def _squares(r: range):
+    return map(mul, r, r)
+
+
+# Row n of A, T or D, read from its end: s(n, n - j) for j = 0, 1, ...  Entry
+# j >= 1 is entry j - 1 of row n - 1 times the summand's exact ratio in n,
+# s(n, k) / s(n - 1, k) with k = n - j; each ratio function below gives it
+# for n >= 1 as (numerators, denominators).  Entries past the numerators have
+# left the support (T's k < ceil(n/2)).  Entry 0 is s(n, n) = C(2n,n)^power.
+def _a_ratio(n: int):
+    # ((n+k)/(n-k))^2 = ((2n-j)/j)^2
+    return _squares(range(2 * n - 1, n - 1, -1)), _squares(range(1, n + 1))
+
+
+def _t_ratio(n: int):
+    # ((2k-n+1)/(n-k))^2 = ((n-2j+1)/j)^2 for k >= ceil(n/2)
+    return _squares(range(n - 1, 0, -2)), _squares(range(1, n // 2 + 1))
+
+
+def _d_ratio(n: int):
+    # 2n^2 (2j-1) / j^3
+    j = range(1, n + 1)
+    return range(2 * n * n, 4 * n**3, 4 * n * n), map(mul, _squares(j), j)
+
+
+_ROW_STEPS = {SequenceId.A: (_a_ratio, 2), SequenceId.T: (_t_ratio, 2), SequenceId.D: (_d_ratio, 1)}
+
+
+def _row_sums(seq: SequenceId, count: int) -> list[int]:
+    ratio, power = _ROW_STEPS[seq]
+    c = _central_binomials(count)
+    row, sums = [1], [1]
+    for n in range(1, count):
+        nums, dens = ratio(n)
+        row = [c[n] ** power, *map(floordiv, map(mul, row, nums), dens)]
+        sums.append(sum(row))
+    return sums
+
+
+def _v_sums(count: int) -> list[int]:
+    # V_n = sum b_k b_(n-k), b_k = C(2k,k)^2: the pairs k < n - k twice, and
+    # the middle square when n is even
+    b = [c * c for c in _central_binomials(count)]
+    sums = []
+    for n in range(count):
+        half = (n + 1) // 2
+        total = 2 * sum(map(mul, b[:half], b[n:n - half:-1]))
+        sums.append(total + b[n // 2] ** 2 if n % 2 == 0 else total)
+    return sums
+
+
+def _binomial_products(seq: SequenceId, count: int) -> list[int]:
+    if seq is SequenceId.CB3:
+        return [c**3 for c in _central_binomials(count)]
+    if seq is SequenceId.CB4:
+        c = _central_binomials(2 * count)
+        return [c[k] ** 2 * c[2 * k] for k in range(count)]
+    c, t = _central_binomials(3 * count), [1]  # t_k = C(3k,k)
+    for k in range(1, count):
+        t.append(t[-1] * 3 * (3 * k - 1) * (3 * k - 2) // (2 * k * (2 * k - 1)))
+    return [c[k] * t[k] * c[3 * k] for k in range(count)]
+
+
+def exact_terms(seq: SequenceId, count: int) -> list[int]:
+    """a_0 .. a_(count-1) by the defining sums, a whole row at a time."""
+    seq = SequenceId(seq)
+    if count <= 0:
+        return []
+    if seq in _ROW_STEPS:
+        return _row_sums(seq, count)
+    if seq is SequenceId.V:
+        return _v_sums(count)
+    return _binomial_products(seq, count)

@@ -1,9 +1,10 @@
 """Every stated defining formula of the four families whose terms are sums.
 
 The first formula of each family is the literal comb sum that
-supercong.sequences.exact_term steps through by term ratios; the others are
-independent sums stated for V and T.  The tests use them as the oracle for
-exact_term.
+supercong.sequences evaluates in two orders: exact_term steps one sum by the
+summands' ratios in k, exact_terms a whole row of summands by their ratios
+in n.  The others are independent sums stated for V and T.  The tests use
+them as the oracle for both orders.
 """
 
 from math import comb

@@ -26,6 +26,7 @@ from supercong.qseries import (
     eta_q,
     eta_quotient_q,
     first_mismatch,
+    genfun_identity,
     genfun_identity_check,
     genfun_rhs_q,
     hauptmodul_alt_q,
@@ -433,6 +434,25 @@ def test_genfun_check_rejects_corrupted_exact_term(monkeypatch):
     monkeypatch.setattr(qs, "exact_terms", corrupted)
     with pytest.raises(ArithmeticError, match="D: .* n = 29"):
         qs.genfun_identity_check("v", 40)
+
+
+def test_genfun_identity_rejects_a_wrong_row_step(monkeypatch):
+    # D's numerator off by one from n = 25 on: the sums change first at
+    # a_25, which the recurrence first reads at n = 24
+    import supercong.sequences as sequences
+
+    ratio, power = sequences._ROW_STEPS[SequenceId.D]
+
+    def wrong(n):
+        nums, dens = ratio(n)
+        return (map(lambda x: x + 1, nums) if n >= 25 else nums), dens
+
+    good = exact_terms(SequenceId.D, 201)
+    monkeypatch.setitem(sequences._ROW_STEPS, SequenceId.D, (wrong, power))
+    bad = exact_terms(SequenceId.D, 201)
+    assert bad[:25] == good[:25] and bad[25] != good[25]
+    with pytest.raises(ArithmeticError, match="D: defining sums break the recurrence at n = 24;"):
+        genfun_identity("v", 200)
 
 
 def test_genfun_check_rejects_corrupted_recurrence_row(monkeypatch):

@@ -70,9 +70,19 @@ def test_all_formulas_agree_to_100():
 
 @pytest.mark.parametrize("seq", list(FORMULAS))
 def test_stepped_sums_match_literal_comb_sums(seq):
-    # exact_terms steps each summand by its term ratio; the oracle calls comb
-    literal = FORMULAS[seq][0]
-    assert exact_terms(seq, 401) == [literal(n) for n in range(401)]
+    # exact_terms steps whole rows by the summands' ratios in n, exact_term
+    # steps one sum by the ratios in k; the oracle calls comb
+    literal = [FORMULAS[seq][0](n) for n in range(401)]
+    assert exact_terms(seq, 401) == literal
+    assert [exact_term(seq, n) for n in range(0, 401, 50)] == literal[::50]
+
+
+@pytest.mark.parametrize("seq", list(SequenceId))
+def test_row_order_matches_single_terms(seq):
+    # the two evaluation orders of the defining sums check each other
+    singles = [exact_term(seq, n) for n in range(301)]
+    for count in (0, 1, 2, 301):
+        assert exact_terms(seq, count) == singles[:count], count
 
 
 def test_terms_mod_examples():
