@@ -41,7 +41,7 @@ from functools import partial
 from . import congruence, highprec, qseries
 from .quadforms import lemma23_trials
 from .report import Report, Row, error_row
-from .sequences import SequenceId, exact_terms
+from .sequences import SequenceId, iter_terms
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,7 +145,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    for a in exact_terms(args.sequence, args.count):
+    for a in iter_terms(args.sequence, args.count):
         print(a)
     return EXIT_OK
 

@@ -3,11 +3,12 @@
 Two independent descriptions.  The defining sums give exact big-integer
 terms, in two evaluation orders chosen by the access pattern.  exact_term(n)
 sums one term, k by k: each summand is the one before times its term ratio
-in k, so only the first calls comb.  exact_terms(count) builds a prefix a
-whole row of summands at a time: row n is row n - 1 times each summand's
-ratio in n, one map over the row with no Python step per summand, and a_n is
-its sum (V pairs C(2k,k)^2 with C(2n-2k,n-k)^2, half the products by
-symmetry; the binomial products step C(2k,k) by its ratio).  Each quotient
+in k, so only the first calls comb.  exact_terms(count) (iter_terms streams
+the same prefix) builds a whole row of summands at a time: row n is row
+n - 1 times each summand's ratio in n, one map over the row with no Python
+step per summand, and a_n is its sum (V pairs C(2k,k)^2 with
+C(2n-2k,n-k)^2, half the products by symmetry; CB3 and CB4 step C(2k,k) by
+its ratio, CB6 takes its closed form term by term).  Each quotient
 term * num // den is exact because it is an integer summand.  The two
 orders check each other, and the tests keep the literal comb sums as the
 oracle for both.  One table of three-term recurrences, RECURRENCES, is what
@@ -18,7 +19,9 @@ table, which the sums never read.  Nothing here reduces modulo anything.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
+from itertools import islice
 from math import comb
 from operator import floordiv, mul
 from typing import NamedTuple
@@ -132,12 +135,13 @@ def exact_term(seq: SequenceId, n: int) -> int:
     return _CANONICAL[SequenceId(seq)](n)
 
 
-def _central_binomials(count: int) -> list[int]:
-    """C(2k,k) for k < count, each from the one before by its ratio 2(2k-1)/k."""
-    c = [1]
-    for k in range(1, count):
-        c.append(c[-1] * (4 * k - 2) // k)
-    return c
+def _central_binomials() -> Iterator[int]:
+    """C(2k,k) for k = 0, 1, ..., each from the one before by its ratio 2(2k-1)/k."""
+    c, k = 1, 0
+    while True:
+        yield c
+        k += 1
+        c = c * (4 * k - 2) // k
 
 
 def _squares(r: range):
@@ -168,48 +172,50 @@ def _d_ratio(n: int):
 _ROW_STEPS = {SequenceId.A: (_a_ratio, 2), SequenceId.T: (_t_ratio, 2), SequenceId.D: (_d_ratio, 1)}
 
 
-def _row_sums(seq: SequenceId, count: int) -> list[int]:
+def _row_sums(seq: SequenceId, count: int) -> Iterator[int]:
     ratio, power = _ROW_STEPS[seq]
-    c = _central_binomials(count)
-    row, sums = [1], [1]
+    central = _central_binomials()
+    row = [next(central)]
+    yield 1
     for n in range(1, count):
         nums, dens = ratio(n)
-        row = [c[n] ** power, *map(floordiv, map(mul, row, nums), dens)]
-        sums.append(sum(row))
-    return sums
+        row = [next(central) ** power, *map(floordiv, map(mul, row, nums), dens)]
+        yield sum(row)
 
 
-def _v_sums(count: int) -> list[int]:
+def _v_sums(count: int) -> Iterator[int]:
     # V_n = sum b_k b_(n-k), b_k = C(2k,k)^2: the pairs k < n - k twice, and
     # the middle square when n is even
-    b = [c * c for c in _central_binomials(count)]
-    sums = []
-    for n in range(count):
+    b = []
+    for n, c in zip(range(count), _central_binomials()):
+        b.append(c * c)
         half = (n + 1) // 2
         total = 2 * sum(map(mul, b[:half], b[n:n - half:-1]))
-        sums.append(total + b[n // 2] ** 2 if n % 2 == 0 else total)
-    return sums
+        yield total + b[n // 2] ** 2 if n % 2 == 0 else total
 
 
-def _binomial_products(seq: SequenceId, count: int) -> list[int]:
+def _binomial_products(seq: SequenceId, count: int) -> Iterator[int]:
     if seq is SequenceId.CB3:
-        return [c**3 for c in _central_binomials(count)]
+        return (c**3 for c in islice(_central_binomials(), count))
     if seq is SequenceId.CB4:
-        c = _central_binomials(2 * count)
-        return [c[k] ** 2 * c[2 * k] for k in range(count)]
-    c, t = _central_binomials(3 * count), [1]  # t_k = C(3k,k)
-    for k in range(1, count):
-        t.append(t[-1] * 3 * (3 * k - 1) * (3 * k - 2) // (2 * k * (2 * k - 1)))
-    return [c[k] * t[k] * c[3 * k] for k in range(count)]
+        c = list(islice(_central_binomials(), 2 * count))
+        return (c[k] ** 2 * c[2 * k] for k in range(count))
+    return (exact_term(seq, n) for n in range(count))
 
 
-def exact_terms(seq: SequenceId, count: int) -> list[int]:
-    """a_0 .. a_(count-1) by the defining sums, a whole row at a time."""
+def iter_terms(seq: SequenceId, count: int) -> Iterator[int]:
+    """a_0 .. a_(count-1) by the defining sums, a whole row at a time, each
+    yielded as soon as it is summed."""
     seq = SequenceId(seq)
     if count <= 0:
-        return []
+        return iter(())
     if seq in _ROW_STEPS:
         return _row_sums(seq, count)
     if seq is SequenceId.V:
         return _v_sums(count)
     return _binomial_products(seq, count)
+
+
+def exact_terms(seq: SequenceId, count: int) -> list[int]:
+    """a_0 .. a_(count-1) by the defining sums, a whole row at a time."""
+    return list(iter_terms(seq, count))

@@ -10,6 +10,7 @@ from supercong.sequences import (
     SequenceId,
     exact_term,
     exact_terms,
+    iter_terms,
     recurrence_break,
 )
 
@@ -74,15 +75,26 @@ def test_stepped_sums_match_literal_comb_sums(seq):
     # steps one sum by the ratios in k; the oracle calls comb
     literal = [FORMULAS[seq][0](n) for n in range(401)]
     assert exact_terms(seq, 401) == literal
-    assert [exact_term(seq, n) for n in range(0, 401, 50)] == literal[::50]
+    assert [exact_term(seq, n) for n in range(401)] == literal
 
 
 @pytest.mark.parametrize("seq", list(SequenceId))
 def test_row_order_matches_single_terms(seq):
-    # the two evaluation orders of the defining sums check each other
-    singles = [exact_term(seq, n) for n in range(301)]
-    for count in (0, 1, 2, 301):
-        assert exact_terms(seq, count) == singles[:count], count
+    # the two evaluation orders of the defining sums check each other; the
+    # sums of FORMULAS are held to the literal comb sums above
+    count = 2 if seq in FORMULAS else 301
+    singles = [exact_term(seq, n) for n in range(count)]
+    assert exact_terms(seq, 0) == []
+    for c in sorted({1, 2, count}):
+        assert exact_terms(seq, c) == singles[:c], c
+
+
+@pytest.mark.parametrize("seq", [SequenceId.V, SequenceId.T, SequenceId.D, SequenceId.A])
+def test_iter_terms_yields_each_term_as_it_is_summed(seq):
+    # supercong sequence prints from iter_terms; a prefix far past what is
+    # read costs nothing up front
+    terms = iter_terms(seq, 10**9)
+    assert [next(terms) for _ in range(5)] == exact_terms(seq, 5)
 
 
 def test_terms_mod_examples():
