@@ -22,8 +22,8 @@ shares, per prime, one cofactorial table and one term list, and each row runs
 a Horner in m over them.  A family with one row walks: the recurrence and the
 accumulating product Z_{n+1} = n^3 m Z_n + x_n step together for n <= L, in
 one pass with no table that depends on p.  For T1.1 at p = 1103 the walk
-took 0.28 ms and the shared path 0.57 ms; for the full catalog's left sides
-at every prime to 300 a walk per row took 114 ms and the shared terms 52 ms.
+took 0.24 ms and the shared path 0.48 ms; for the full catalog's left sides
+at every prime to 300 a walk per row took 148 ms and the shared terms 53 ms.
 
 Statuses: "proven" rows form the default verification gate; "conjectural"
 and "cited" rows are swept separately (a failure there points at a catalog
@@ -405,16 +405,15 @@ _COEFFICIENTS: dict[Recurrence, tuple[list[int], list[int]]] = {}
 
 
 def coefficients(rec: Recurrence, count: int) -> tuple[list[int], list[int]]:
-    """The tables P and Q of rec, each holding at least count values (Q stays
-    empty when e = 0).  Every caller shares them, so none may modify them."""
+    """The tables P and Q of rec, each holding at least count values.  Every
+    caller shares them, so none may modify them."""
     P, Q = _COEFFICIENTS.setdefault(rec, ([], []))
     if len(P) < count:
         p0, p1, p2, p3 = rec.p_coeffs
         e = rec.e
         new = range(len(P), count)
         P.extend([((p3 * n + p2) * n + p1) * n + p0 for n in new])
-        if e:
-            Q.extend([e * n**6 for n in new])
+        Q.extend([e * n**6 for n in new])
     return P, Q
 
 
@@ -425,8 +424,8 @@ class PrimeContext:
 
     lhs_sum walks a row of any other family on its own (see _walk).  sweep
     shares exactly the families that have two or more of its rows: on the
-    full catalog's left sides at p <= 300 the shared terms took 52 ms where a
-    walk per row took 114 ms, while one lone row walks in about half the time
+    full catalog's left sides at p <= 300 the shared terms took 53 ms where a
+    walk per row took 148 ms, while one lone row walks in about half the time
     of building the table and the terms for it alone.  The default, every
     family, keeps a context made as PrimeContext(p) on the shared path.
 
@@ -469,46 +468,35 @@ class PrimeContext:
         return self._reps[form]
 
     def terms(self, seq: SequenceId) -> list[int]:
-        """t_n = a_n ((p-1)!)^3 mod p^3 for n < p, every n on one scale.  One loop
-        runs the family's RECURRENCES row times (n!)^3, which never divides,
-        x_{n+1} = P(n) x_n - Q(n) x_{n-1}, x_0 = 1, for x_n = a_n (n!)^3, with
-        P and Q read from the row's coefficient tables, and stores t_n = x_n c_n."""
+        """t_n = a_n ((p-1)!)^3 mod p^3 for n < p, every n on one scale.  One loop,
+        the same for every family, runs its RECURRENCES row times (n!)^3, which
+        never divides, x_{n+1} = P(n) x_n - Q(n) x_{n-1}, x_0 = 1, for
+        x_n = a_n (n!)^3, with P and Q read from the row's coefficient tables,
+        and stores t_n = x_n c_n."""
         if seq not in self._terms:
             rec = RECURRENCES[seq]
             P, Q = coefficients(rec, self.p - 1)
             pk, cof = self.pk, self.cofactorials
-            cur, terms = 1, [cof[0]]
-            if rec.e:
-                prev = 0
-                for pn, qn, cn in zip(P, Q, cof[1:]):
-                    prev, cur = cur, (pn * cur - qn * prev) % pk
-                    terms.append(cur * cn % pk)
-            else:
-                for pn, cn in zip(P, cof[1:]):
-                    cur = pn * cur % pk
-                    terms.append(cur * cn % pk)
+            prev, cur, terms = 0, 1, [cof[0]]
+            for pn, qn, cn in zip(P, Q, cof[1:]):
+                prev, cur = cur, (pn * cur - qn * prev) % pk
+                terms.append(cur * cn % pk)
             self._terms[seq] = terms
         return self._terms[seq]
 
 
 def _walk(rec: Recurrence, m: int, limit: int, modulus: int) -> int:
     """Z_{L+1} = (L!)^3 m^L sum_{k<=L} a_k m^-k mod modulus, L = limit, in one
-    pass over n = 1..L: the row's recurrence for x_n = a_n (n!)^3,
-    x_{n+1} = P(n) x_n - Q(n) x_{n-1}, steps together with the accumulating
-    product Z_{n+1} = n^3 m Z_n + x_n from Z_1 = x_0 = 1 (the form of Costa,
-    Gerbicz & Harvey's Wilson-prime search).  It builds no table that depends
-    on p, and a half row stops at (p-1)/2."""
+    pass over n = 1..L: the row's recurrence for x_n = a_n (n!)^3, the same
+    step for every family, x_{n+1} = P(n) x_n - Q(n) x_{n-1}, steps together
+    with the accumulating product Z_{n+1} = n^3 m Z_n + x_n from Z_1 = x_0 = 1
+    (the form of Costa, Gerbicz & Harvey's Wilson-prime search).  It builds no
+    table that depends on p, and a half row stops at (p-1)/2."""
     P, Q = coefficients(rec, limit)
-    z = cur = 1
-    if rec.e:
-        prev = 0
-        for n, pn, qn in zip(range(1, limit + 1), P, Q):
-            prev, cur = cur, (pn * cur - qn * prev) % modulus
-            z = (z * (n * n * n * m) + cur) % modulus
-    else:
-        for n, pn in zip(range(1, limit + 1), P):
-            cur = pn * cur % modulus
-            z = (z * (n * n * n * m) + cur) % modulus
+    prev, cur, z = 0, 1, 1
+    for n, pn, qn in zip(range(1, limit + 1), P, Q):
+        prev, cur = cur, (pn * cur - qn * prev) % modulus
+        z = (z * (n * n * n * m) + cur) % modulus
     return z
 
 

@@ -460,10 +460,10 @@ def cm_table() -> list[CMTarget]:
 class CheckResult:
     """One numeric check.  `residual` is the float of the residual, which
     underflows below 1e-308; `digits`, floor(-log10 residual) taken from the
-    mpf, states it in whole digits at any precision (None for an exact zero
-    or when not given).  `at_floor`: the residual fell below the rounding
-    bound of the working precision, and `residual` and `digits` state that
-    bound, which the true residual does not exceed."""
+    mpf, states it in whole digits at any precision (None when not given).
+    `at_floor`: the residual fell below the rounding bound of the working
+    precision, and `residual` and `digits` state that bound, which the true
+    residual does not exceed."""
 
     name: str
     ok: bool
@@ -473,7 +473,7 @@ class CheckResult:
 
 
 def _checked(name: str, ok: bool, residual: mpmath.mpf, at_floor: bool = False) -> CheckResult:
-    digits = int(mpmath.floor(-mpmath.log10(residual))) if residual else None
+    digits = int(mpmath.floor(-mpmath.log10(residual)))
     return CheckResult(name, ok, float(residual), digits, at_floor)
 
 
@@ -703,13 +703,11 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         for r, e in zip(roots, [(-16, 0, 0), value(8 - root7), value(8 + root7)]):
             note("cubic-roots(sqrt-7)", r, e)
 
-        tol_bits, floor = 2 * (prec // 2), _checked("", True, mpmath.ldexp(1, -prec), True)
+        tol_bits, floor = 2 * (prec // 2), mpmath.ldexp(1, -prec)
         rows = []
         for name in sorted(worst):
             num, den = worst[name]
-            ok = num << tol_bits < den
-            if num << (2 * prec) < den:  # below the bound 2^-prec
-                rows.append(CheckResult(name, ok, floor.residual, floor.digits, True))
-            else:
-                rows.append(_checked(name, ok, mpmath.sqrt(mpmath.mpf(num) / den)))
+            at_floor = num << (2 * prec) < den  # below the bound 2^-prec
+            residual = floor if at_floor else mpmath.sqrt(mpmath.mpf(num) / den)
+            rows.append(_checked(name, num << tol_bits < den, residual, at_floor))
         return rows

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,20 @@ def test_sequence_command(capsys):
     code, out, _ = run_cli(capsys, ["sequence", "A", "--count", "5"])
     assert code == EXIT_OK
     assert out.split() == ["1", "5", "73", "1445", "33001"]
+
+
+def test_sequence_prints_terms_past_the_int_digit_limit(capsys):
+    # A_422 has 645 digits; the command lifts the limit only while it prints
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, ["sequence", "A", "--count", "450"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 450 and len(lines[-1]) > 640
 
 
 def test_verify_single_theorem_json(capsys):
@@ -130,10 +145,7 @@ def test_numeric_rows_state_residuals_in_whole_digits(capsys):
     assert len(details) == len(digits) == 17, details  # no row reads "=0"
     assert min(digits) > 361  # the tolerance is 2^-1200
     for check in highprec.class_invariant_check(25):
-        if check.digits is None:
-            assert check.residual == 0
-        else:
-            assert 10.0 ** -(check.digits + 1) < check.residual <= 10.0 ** -check.digits
+        assert 10.0 ** -(check.digits + 1) < check.residual <= 10.0 ** -check.digits
 
 
 @pytest.mark.parametrize("args, flag, sizes", [

@@ -230,6 +230,28 @@ def test_walk_catches_one_changed_coefficient(monkeypatch, spec_id, p):
     assert lhs_sum(spec, p) != want
 
 
+@pytest.mark.parametrize("spec_id, p, shared", [("T1.1", 1103, False), ("T1.5", 1097, True)])
+def test_first_order_rows_step_their_q_table(monkeypatch, spec_id, p, shared):
+    # an e = 0 row runs the same three-term step as every row, reading its Q
+    # table of zeros: one nonzero entry changes the left side, on the walk and
+    # on the shared terms of PrimeContext(p)
+    spec = lookup(spec_id)
+    assert RECURRENCES[spec.sequence].e == 0 and spec.qualifies(p)
+    context = PrimeContext if shared else lambda p: None
+    want = recurrence_lhs(spec, p)
+    assert lhs_sum(spec, p, context(p)) == want
+    real = congruence.coefficients
+
+    def one_nonzero(rec, count):
+        P, Q = real(rec, count)
+        Q = list(Q)
+        Q[count // 2] += 1
+        return P, Q
+
+    monkeypatch.setattr(congruence, "coefficients", one_nonzero)
+    assert lhs_sum(spec, p, context(p)) != want
+
+
 def test_lhs_sum_raises_when_p_divides_m():
     spec = lookup("T1.9")  # m = 28^4
     for ctx in (None, PrimeContext(7)):
@@ -289,7 +311,7 @@ def test_coefficient_tables_are_the_recurrence_polynomials():
         P, Q = coefficients(rec, 3000)
         assert P[:3000] == [c * (2 * n + 1) * (alpha * n * n + alpha * n + beta)
                             for n in range(3000)]
-        assert Q[:3000] == ([e * n**6 for n in range(3000)] if e else [])
+        assert Q[:3000] == [e * n**6 for n in range(3000)]  # zeros for CB3, CB4, CB6
     # a row no table holds yet: a short table grows by extension, never rebuilt
     rec = Recurrence(3, 7, 2, 5)
     short = [list(table) for table in coefficients(rec, 10)]

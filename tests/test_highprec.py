@@ -353,14 +353,12 @@ def test_cm_rows_claim_no_more_digits_than_their_precision():
     # hauptmodul_value at 306 (92.1 digits).  A CM point that the working
     # precision rounds, such as 3/2*sqrt(-2), cannot agree past 83 relative
     # digits; one that it holds exactly (i/2, (1 + i)/2) carries no rounding
-    # of tau, and its residual measures the 306-bit evaluation.  An exact
-    # zero (u(sqrt(-2)/2) = 1/256 to the last bit) states no digits
+    # of tau, and its residual measures the 306-bit evaluation
     rows = [(t, cm_check(t, 60)) for t in cm_table()]
-    stated = [(t, res.digits) for t, res in rows if res.digits is not None]
-    assert all(res.ok for _, res in rows) and max(d for _, d in stated) <= 92
-    rounded = [d for t, d in stated if t.point.to_mpc(274) != t.point.to_mpc(1024)]
+    assert all(res.ok for _, res in rows) and max(res.digits for _, res in rows) <= 92
+    rounded = [res.digits for t, res in rows if t.point.to_mpc(274) != t.point.to_mpc(1024)]
     assert len(rounded) >= 25 and max(rounded) <= 83
-    assert max(res.digits or 0 for res in class_invariant_check(60)) <= 83
+    assert max(res.digits for res in class_invariant_check(60)) <= 83
 
 
 def test_cm_rows_below_the_rounding_bound_state_the_bound():
