@@ -21,9 +21,12 @@ sweep from its rows alone.  A family with two or more rows in the sweep
 shares, per prime, one cofactorial table and one term list, and each row runs
 a Horner in m over them.  A family with one row walks: the recurrence and the
 accumulating product Z_{n+1} = n^3 m Z_n + x_n step together for n <= L, in
-one pass with no table that depends on p.  For T1.1 at p = 1103 the walk
-took 0.24 ms and the shared path 0.48 ms; for the full catalog's left sides
-at every prime to 300 a walk per row took 148 ms and the shared terms 53 ms.
+one pass with no table that depends on p.  Both kernels take two indices per
+pass, so each pair of indices costs three reductions mod p^3 in the walk and
+one in the Horner.  Above p = 1024, p^3 needs two 30-bit CPython digits and
+each reduction costs two to four times as much.  For T1.1 at p = 1103 the walk
+took 0.22 ms and the shared path 0.49 ms; for the full catalog's left sides
+at every prime to 300 a walk per row took 150 ms and the shared terms 50 ms.
 
 Statuses: "proven" rows form the default verification gate; "conjectural"
 and "cited" rows are swept separately (a failure there points at a catalog
@@ -417,6 +420,23 @@ def coefficients(rec: Recurrence, count: int) -> tuple[list[int], list[int]]:
     return P, Q
 
 
+# The walk's pair weights (n+1)^3 and (n(n+1))^3 for n = 0, 1, ...: they
+# depend on neither p nor the row, so each process builds one table on first
+# use and extends it when a larger p asks for more.
+_PAIR_WEIGHTS: tuple[list[int], list[int]] = ([], [])
+
+
+def pair_weights(count: int) -> tuple[list[int], list[int]]:
+    """The tables (n+1)^3 and (n(n+1))^3, each holding at least count values.
+    Every caller shares them, so none may modify them."""
+    cubes, products = _PAIR_WEIGHTS
+    if len(cubes) < count:
+        new = range(len(cubes), count)
+        cubes.extend([(n + 1) ** 3 for n in new])
+        products.extend([(n * (n + 1)) ** 3 for n in new])
+    return _PAIR_WEIGHTS
+
+
 class PrimeContext:
     """All of the sweep's work at p that rows at p share: each form's
     representation and, for the families in shared, the cofactorial table and
@@ -424,10 +444,12 @@ class PrimeContext:
 
     lhs_sum walks a row of any other family on its own (see _walk).  sweep
     shares exactly the families that have two or more of its rows: on the
-    full catalog's left sides at p <= 300 the shared terms took 53 ms where a
-    walk per row took 148 ms, while one lone row walks in about half the time
+    full catalog's left sides at p <= 300 the shared terms took 50 ms where a
+    walk per row took 150 ms, while one lone row walks in about half the time
     of building the table and the terms for it alone.  The default, every
     family, keeps a context made as PrimeContext(p) on the shared path.
+    terms keeps one term per index, each reduced, so that a row reads any
+    prefix of it; lhs_sum pairs them up.
 
     Every index here is below p, so every factorial is a p-adic unit: terms
     need no division, and lhs_sum and rhs_value each invert once.
@@ -487,16 +509,33 @@ class PrimeContext:
 
 def _walk(rec: Recurrence, m: int, limit: int, modulus: int) -> int:
     """Z_{L+1} = (L!)^3 m^L sum_{k<=L} a_k m^-k mod modulus, L = limit, in one
-    pass over n = 1..L: the row's recurrence for x_n = a_n (n!)^3, the same
-    step for every family, x_{n+1} = P(n) x_n - Q(n) x_{n-1}, steps together
-    with the accumulating product Z_{n+1} = n^3 m Z_n + x_n from Z_1 = x_0 = 1
-    (the form of Costa, Gerbicz & Harvey's Wilson-prime search).  It builds no
-    table that depends on p, and a half row stops at (p-1)/2."""
-    P, Q = coefficients(rec, limit)
-    prev, cur, z = 0, 1, 1
-    for n, pn, qn in zip(range(1, limit + 1), P, Q):
-        prev, cur = cur, (pn * cur - qn * prev) % modulus
-        z = (z * (n * n * n * m) + cur) % modulus
+    pass: the row's recurrence for x_n = a_n (n!)^3, the same step for every
+    family, x_{n+1} = P(n) x_n - Q(n) x_{n-1}, steps together with the
+    accumulating product Z_{n+1} = n^3 m Z_n + x_n (the form of Costa, Gerbicz &
+    Harvey's Wilson-prime search).  Each pass merges the steps at n and n+1, the
+    first level of their product tree, from (x_{n-1}, x_n, Z_n):
+
+        x_{n+1} = P(n) x_n - Q(n) x_{n-1}
+        Z_{n+2} = (n(n+1))^3 m^2 Z_n + (n+1)^3 m x_n + x_{n+1}
+        x_{n+2} = P(n+1) x_{n+1} - Q(n+1) x_n
+
+    three reductions for two indices, with the weights from pair_weights.  An
+    even count L+1 of indices starts from (x_{-1}, x_0, Z_0) = (0, 1, 0) at
+    n = 0, an odd one from (x_0, x_1, Z_1) = (1, P(0), 1) at n = 1.  The walk
+    builds no table that depends on p, and a half row stops at (p-1)/2."""
+    P, Q = coefficients(rec, limit + 1)
+    cubes, products = pair_weights(limit)
+    m2 = m * m % modulus
+    if limit % 2:
+        start, prev, cur, z = 0, 0, 1, 0
+    else:
+        start, prev, cur, z = 1, 1, P[0], 1
+    for p0, p1, q0, q1, w1, w2 in zip(P[start:limit:2], P[start + 1:limit + 1:2],
+                                      Q[start:limit:2], Q[start + 1:limit + 1:2],
+                                      cubes[start:limit:2], products[start:limit:2]):
+        nxt = (p0 * cur - q0 * prev) % modulus
+        z = (z * m2 * w2 + cur * m * w1 + nxt) % modulus
+        prev, cur = nxt, (p1 * nxt - q1 * cur) % modulus
     return z
 
 
@@ -514,10 +553,12 @@ def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> in
     """sum_{k<=L} a_k m^-k mod p^mod_exp; it raises ValueError when p | m.
 
     A family in ctx.shared reads the context's terms t_k = a_k ((p-1)!)^3:
-    Horner in m, z <- z m + t_k for k = 0..L, gives z = ((p-1)!)^3 m^L times
-    the sum.  Any other row, and every row without a context, walks
-    (_walk), which gives z = (L!)^3 m^L times the sum.  Either way one
-    inversion of the scale finishes it.
+    Horner in m, two terms a step, z <- z m^2 + t_k m + t_{k+1} for
+    k = 0, 2, .., with m^2 mod p^3 made once per row and one zero term put in
+    front when the count L+1 is odd, gives z = ((p-1)!)^3 m^L times the sum.
+    Any other row, and every row without a context, walks (_walk), which gives
+    z = (L!)^3 m^L times the sum.  Either way one inversion of the scale
+    finishes it.
     """
     if ctx is None:
         ctx = PrimeContext(p, frozenset())
@@ -525,9 +566,14 @@ def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> in
     mm = spec.m % pk
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
     if spec.sequence in ctx.shared:
+        terms = ctx.terms(spec.sequence)[:limit + 1]
+        if len(terms) % 2:
+            terms.insert(0, 0)
+        m2 = mm * mm % pk
+        pairs = iter(terms)
         z = 0
-        for t in ctx.terms(spec.sequence)[:limit + 1]:
-            z = (z * mm + t) % pk
+        for t0, t1 in zip(pairs, pairs):
+            z = (z * m2 + t0 * mm + t1) % pk
         cube = ctx.cofactorials[0]
     else:
         z = _walk(RECURRENCES[spec.sequence], mm, limit, pk)

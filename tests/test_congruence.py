@@ -3,7 +3,6 @@ independent big-integer oracle."""
 
 import dataclasses
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from supercong.congruence import (
     coefficients,
     lhs_sum,
     lookup,
+    pair_weights,
     rhs_value,
     sweep,
     verify,
@@ -135,16 +135,20 @@ def test_verify_examples():
 
 
 def test_lhs_sum_against_oracle():
-    rng = random.Random(131)
-    specs = list(catalog())
-    checked = 0
-    while checked < 40:
-        spec = rng.choice(specs)
-        p = rng.choice(primes_in(5, 80))
-        if spec.m % p == 0:
-            continue
-        assert lhs_sum(spec, p, PrimeContext(p)) == oracle_lhs_fraction(spec, p), (spec.id, p)
-        checked += 1
+    """Every row at every prime 5 <= p < 80 with p not dividing m, on the walk
+    and on the shared terms.  Both kernels step two indices a pass, so the
+    rows cover both parities of the count L+1: half rows at p = 1 and 3 mod 4,
+    full rows always odd; p = 5 and 7 run the pair loop once or twice."""
+    parities = set()
+    for p in primes_in(5, 79):
+        ctx = PrimeContext(p)
+        for spec in catalog():
+            if spec.m % p == 0:
+                continue
+            want = oracle_lhs_fraction(spec, p)
+            assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx) == want, (spec.id, p)
+            parities.add(((p - 1) // 2 if spec.limit == "half" else p - 1) % 2)
+    assert parities == {0, 1}
 
 
 def recurrence_lhs(spec, p):
@@ -227,6 +231,25 @@ def test_walk_catches_one_changed_coefficient(monkeypatch, spec_id, p):
         return P, Q
 
     monkeypatch.setattr(congruence, "coefficients", off_by_one)
+    assert lhs_sum(spec, p) != want
+
+
+@pytest.mark.parametrize("table", [0, 1], ids=["cubes", "products"])
+@pytest.mark.parametrize("spec_id, p", [("T1.1", 1103), ("T1.29", 1117)])
+def test_walk_catches_one_changed_weight(monkeypatch, spec_id, p, table):
+    # an even count (half, e = 0) and an odd count (full, e != 0); (n+1)^3 or
+    # (n(n+1))^3 one too large at one n the walk reads, n = L-1 mod 2
+    spec = lookup(spec_id)
+    want = recurrence_lhs(spec, p)
+    assert lhs_sum(spec, p) == want
+    real = congruence.pair_weights
+
+    def off_by_one(count):
+        weights = [list(w) for w in real(count)]
+        weights[table][count - 1 - 2 * (count // 4)] += 1
+        return weights
+
+    monkeypatch.setattr(congruence, "pair_weights", off_by_one)
     assert lhs_sum(spec, p) != want
 
 
@@ -319,6 +342,20 @@ def test_coefficient_tables_are_the_recurrence_polynomials():
     assert (len(short[0]), len(P), len(Q)) == (10, 3000, 3000)
     assert [P[:10], Q[:10]] == short
     assert coefficients(rec, 5) == (P, Q)  # a shorter request keeps the long table
+
+
+def test_pair_weights_are_cubes_and_products():
+    cubes, products = pair_weights(3000)
+    assert cubes[:3000] == [(n + 1) ** 3 for n in range(3000)]
+    assert products[:3000] == [(n * (n + 1)) ** 3 for n in range(3000)]
+    # one table per process: a longer request extends it, never rebuilt
+    short = [cubes[:10], products[:10]]
+    count = len(cubes) + 7
+    longer = pair_weights(count)
+    assert longer[0] is cubes and longer[1] is products
+    assert (len(cubes), len(products)) == (count, count)
+    assert [cubes[:10], products[:10]] == short
+    assert pair_weights(5)[0] is cubes  # a shorter request keeps the long table
 
 
 def test_shared_representation_is_represent():
