@@ -1,4 +1,4 @@
-"""Arbitrary-precision evaluation of eta, the Weber functions, gamma2/j and
+"""Arbitrary-precision evaluation of eta, the Weber functions, gamma2 and
 the six Hauptmoduls at points of the upper half-plane.
 
 Every function takes the working precision in bits explicitly.  Hauptmoduls
@@ -26,7 +26,7 @@ so next to tau = 0.
 The kernel returns a Gaussian binary value: a tuple (re, im, exp) of
 integers standing for (re + i im) * 2^exp.  eta_num converts it to one mpc;
 everything else keeps it in this form up to the verdict.  The Weber
-functions, gamma2, j and the Hauptmoduls are products and quotients of such
+functions, gamma2 and the Hauptmoduls are products and quotients of such
 values, and each product or quotient rounds its mantissa once, by flooring
 it to prec + 32 bits of its larger part (a relative error below
 2^-(prec+30)); the exponent is carried apart, so the error stays relative at
@@ -37,8 +37,9 @@ the edges: it converts tau and the arguments made from it, and computes the
 constants (roots of unity, sqrt(2), sqrt(7)) and the multipliers sqrt(-i tau)
 and sqrt(c tau + d), each converted exactly to a binary value.
 
-hauptmodul_value is the one numeric entry point: the six Hauptmoduls, the
-Weber functions f, f1, f2, gamma2 and j, converted to mpc once, at its end.
+hauptmodul_value is the one numeric entry point: the six Hauptmoduls and
+the Weber functions f and f1 of the class invariants, converted to mpc once,
+at its end.
 Each call, and each identity_suite call, makes one evaluator (_Eta), which
 memoises the kernel on the exact argument and binds zeta48^-1 (on first use)
 and sqrt(2) once.  CM rows report the residual that their check bounds,
@@ -376,7 +377,7 @@ class _Eta:
 
     @cached_property
     def zeta48_inv(self) -> tuple[int, int, int]:
-        """zeta48^-1, computed on first use: only f, gamma2 and j read it."""
+        """zeta48^-1, computed on first use: f and gamma2 read it, f1 and f2 do not."""
         with mp.workprec(self.bits):
             return _from_mpmath(mpmath.expjpi(mpmath.mpf(-1) / 24), self.bits)
 
@@ -403,9 +404,9 @@ class _Eta:
 
 
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
-    """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS), a Weber
-    function f, f1 or f2, gamma2 or j, from one evaluator, converted to mpc
-    once, at the end."""
+    """A Hauptmodul (u from Weber's f2, the rest from ETA_QUOTIENTS) or the
+    Weber function f or f1 of the class invariants, from one evaluator,
+    converted to mpc once, at the end."""
     with mp.workprec(prec + _GUARD_BITS):
         eta = _Eta(prec)
         bits = eta.bits
@@ -420,12 +421,8 @@ def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
                 for _ in range(abs(e)):
                     value = _bmul(value, factor, bits) if e > 0 else _bdiv(value, factor, bits)
             value = _bpow(value, power, bits)
-        elif tag in ("f", "f1", "f2"):
+        elif tag in ("f", "f1"):
             value = eta.weber(tau, tag)
-        elif tag == "gamma2":
-            value = eta.gamma2(tau)
-        elif tag == "j":
-            value = _bpow(eta.gamma2(tau), 3, bits)
         else:
             raise ValueError(f"unknown function tag {tag!r}")
         return _to_mpc(value, bits)

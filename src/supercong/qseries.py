@@ -17,11 +17,12 @@ paired weight-2 form are eta quotients prod eta(m tau)^(e_m), each stated
 once as an exponent vector in ETA_QUOTIENTS or WEIGHT2_FORMS; highprec
 evaluates the same table.  u is X / G^4 here, X = eta(tau)^8 eta(2tau)^8
 over the fourth power of its paired weight-2 form G = 2E2(2tau) - E2(tau),
-but Weber's f2^24 / (f2^24 + 64)^2 in highprec; its dual construction
-h / (1 + 64 h)^2 of h = eta(2tau)^24 / eta(tau)^24 = f2^24 / 2^12 ties the
-two.  Eta quotients and (1+q^e) products come from one Euler-product
-recurrence, n c_n = sum s_k c_(n-k), never factor by factor, and E2(m tau)
-is (24/m) times the logarithmic derivative s of eta(m tau).
+but Weber's f2^24 / (f2^24 + 64)^2 in highprec.  The duals of u, s and w
+are q times (1+q^e) products, each an exponent vector in DUAL_PRODUCTS; u's,
+h / (1 + 64 h)^2 of h = q prod (1+q^n)^24 = f2^24 / 2^12, ties the two.
+Every infinite product, from an eta or a (1+q^e) exponent vector, is one
+Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor,
+and E2(m tau) is (24/m) times the logarithmic derivative s of eta(m tau).
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
@@ -227,10 +228,13 @@ class Agreement(NamedTuple):
 
 
 def agreement(a: QSeries, b: QSeries) -> Agreement:
-    """Compare a and b (integer series only) at every exponent both know."""
+    """Compare a and b (integer series only) at every exponent both know;
+    raises ValueError where they know no exponent in common."""
     d = a - b
     if d.off24 % 24:
         raise ValueError("comparison needs integral offsets")
+    if not d.length:
+        raise ValueError("the series share no known exponent")
     off, i = d.off24 // 24, d.first_nonzero()
     return Agreement(None if i is None else off + i, off + d.length - 1)
 
@@ -285,13 +289,15 @@ def _eta_log_derivative(exps: dict[int, int], nterms: int) -> list[int]:
     return s
 
 
-def one_plus_q_product(step: int, start: int, power: int, nterms: int) -> QSeries:
-    """prod_{n>=1} (1 + q^(start + (n-1)*step))^power, truncated, for any integer
-    power: an Euler product, as theta log (1 + q^e) = sum_j (-1)^(j+1) e q^(e j)."""
+def one_plus_q_product(factors: dict[tuple[int, int], int], nterms: int) -> QSeries:
+    """prod over factors' entries (step, start): power of
+    prod_{n>=1} (1 + q^(start + (n-1)*step))^power, truncated, for any integer
+    powers: one Euler product, as theta log (1 + q^e) = sum_j (-1)^(j+1) e q^(e j)."""
     s = [0] * nterms
-    for e in range(start, nterms, step):
-        for j, k in enumerate(range(e, nterms, e)):
-            s[k] += -power * e if j % 2 else power * e
+    for (step, start), power in factors.items():
+        for e in range(start, nterms, step):
+            for j, k in enumerate(range(e, nterms, e)):
+                s[k] += -power * e if j % 2 else power * e
     return QSeries(0, _euler_product(s))
 
 
@@ -340,9 +346,9 @@ ETA_QUOTIENTS = {
     "h": ({1: 1, 6: 1, 2: -1, 3: -1}, 12),
 }
 
-# u's dual construction is h / (1 + 64 h)^2 of
-# h = eta(2tau)^24 / eta(tau)^24 = q prod (1+q^n)^24 = f2^24 / 2^12
-_U_BASE = {2: 24, 1: -24}
+# Hauptmodul tag -> {(step, start): power}: its dual construction is q times
+# one_plus_q_product of the vector, for u that of h = f2^24 / 2^12 in h / (1 + 64 h)^2.
+DUAL_PRODUCTS = {"u": {(1, 1): 24}, "s": {(1, 1): 8, (2, 2): 8}, "w": {(4, 4): 8, (1, 1): -8}}
 
 # Hauptmodul tag -> {m: e_m} of the paired weight-2 form; u's is 2E2(2tau) - E2(tau).
 WEIGHT2_FORMS = {
@@ -375,7 +381,7 @@ def eta_quotient_q(exps: dict[int, int], nterms: int) -> QSeries:
 
 def weber_f_2tau_pow24_q(nterms: int) -> QSeries:
     """f(2*tau)^24 = q^-1 prod (1+q^(2n-1))^24."""
-    return one_plus_q_product(2, 1, 24, nterms).shift24(-24)
+    return one_plus_q_product({(2, 1): 24}, nterms).shift24(-24)
 
 
 def _eta_exps(tag: str) -> dict[int, int]:
@@ -397,24 +403,14 @@ def hauptmodul_q(tag: str, nterms: int) -> QSeries:
 
 
 def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
-    """Independent second construction, where one is stated.
-
-    u:  h / (1 + 64h)^2 of the eta quotient h = eta(2tau)^24 / eta(tau)^24,
-        which is Weber's f2^24 / (f2^24 + 64)^2 that highprec evaluates.
-    s:  the direct product q prod (1+q^n)^8 (1+q^2n)^8.
-    w:  the quotient f2(4tau)^8 / f2(tau)^8 built from (1+q^n) products.
-    """
-    if tag == "u":
-        h = eta_quotient_q(_U_BASE, nterms)
-        return h / (h.scale(64).add_const(1) ** 2)
-    if tag == "s":
-        prod = one_plus_q_product(1, 1, 8, nterms) * one_plus_q_product(2, 2, 8, nterms)
-        return prod.shift24(24)
-    if tag == "w":
-        num = one_plus_q_product(4, 4, 8, nterms)
-        den = one_plus_q_product(1, 1, 8, nterms)
-        return (num / den).shift24(24)
-    raise ValueError(f"no alternative construction for {tag!r}")
+    """Independent second construction, where one is stated: q times one Euler
+    product from DUAL_PRODUCTS, s = q prod (1+q^n)^8 (1+q^2n)^8 and
+    w = f2(4tau)^8 / f2(tau)^8 = q prod (1+q^4n)^8 (1+q^n)^-8; u is then
+    h / (1 + 64h)^2 of h = q prod (1+q^n)^24, Weber's f2^24 / (f2^24 + 64)^2."""
+    if tag not in DUAL_PRODUCTS:
+        raise ValueError(f"no alternative construction for {tag!r}")
+    x = one_plus_q_product(DUAL_PRODUCTS[tag], nterms).shift24(24)
+    return x / (x.scale(64).add_const(1) ** 2) if tag == "u" else x
 
 
 def _u_weight2_q(nterms: int) -> QSeries:

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -613,6 +615,21 @@ def test_raising_qseries_check_becomes_an_error_row(monkeypatch, capsys, argv):
     assert want != clean and out == want
 
 
+def test_empty_dual_series_is_an_error_row_not_a_pass(monkeypatch, capsys):
+    # a constructor that returns no coefficients leaves nothing to compare:
+    # agreement raises, and the row reads error, not "pass through q^0"
+    code, clean, _ = run_cli(capsys, ["verify", "qseries", "--terms", "16", "--format", "csv"])
+    assert code == EXIT_OK
+    monkeypatch.setattr(qseries, "hauptmodul_alt_q", lambda tag, nterms: qseries.QSeries(24, []))
+    code, out, err = run_cli(capsys, ["verify", "qseries", "--terms", "16", "--format", "csv"])
+    assert code == EXIT_FAIL
+    assert "ValueError: the series share no known exponent" in err
+    want = clean
+    for tag in ("u", "s", "w"):
+        want = want.replace(f"dual-{tag},,pass,,,,\n", f"dual-{tag},,error,,,,\n")
+    assert want != clean and out == want
+
+
 def test_value_error_inside_cm_check_is_an_error_row_not_a_usage_error(monkeypatch, capsys):
     real = highprec.cm_check
     broken_name = highprec.cm_table()[3].name
@@ -662,3 +679,31 @@ def test_size_floors_are_checked_before_any_check_runs(monkeypatch, capsys, argv
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert f"argument --{needle}: must be >= {SIZE_FLOORS[needle]}, got " in err
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _check_pins(tmp_path, lines):
+    pins = tmp_path / "pins.txt"
+    pins.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
+    run = subprocess.run([sys.executable, str(SCRIPTS / "check_pins.py"), str(pins)],
+                         cwd=tmp_path, capture_output=True, text=True)
+    return run.returncode, run.stdout.splitlines()
+
+
+def test_pin_runner_reports_each_digest_and_fails_on_a_changed_one(tmp_path):
+    table = (SCRIPTS / "pins.txt").read_text().splitlines()
+    pins = [ln for ln in table if ln.strip() and not ln.startswith("#")]
+    assert len(pins) == len({ln.split()[0] for ln in pins}) == 12
+    good = next(ln for ln in pins if ln.startswith("sequenceD401.txt "))
+    name, digest, _ = good.split(" ", 2)
+    assert _check_pins(tmp_path, [good]) == (0, [f"{name} {digest}"])
+    flipped = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+    code, out = _check_pins(tmp_path, [good.replace(digest, flipped)])
+    assert code == 1 and out == [f"{name} {digest} differs from the pin {flipped}"]
+    # a usage error is a failure even where its (empty) output is pinned
+    empty = hashlib.sha256(b"").hexdigest()
+    code, out = _check_pins(tmp_path, [f"usage.txt {empty} verify cm --max-p 7"])
+    assert code == 1 and out == [f"usage.txt {empty} exit code {EXIT_USAGE}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pins.txt"]  # writes no output file

@@ -38,6 +38,20 @@ def _close(a, b, bits=200):
     return abs(a - b) < mpmath.mpf(2) ** (-bits)
 
 
+def _on_evaluator(which, tau, prec):
+    """Weber's f2, gamma2 or j = gamma2^3 from one evaluator _Eta(prec),
+    converted to mpc once: the values that u and the identity suite build on."""
+    with mp.workprec(prec + highprec._GUARD_BITS):
+        eta = highprec._Eta(prec)
+        if which == "f2":
+            value = eta.weber(tau, "f2")
+        else:
+            value = eta.gamma2(tau)
+            if which == "j":
+                value = highprec._bpow(value, 3, eta.bits)
+        return highprec._to_mpc(value, eta.bits)
+
+
 def test_eta_validation():
     with pytest.raises(ValueError):
         eta_num(mpmath.mpc(1, -0.5), 128)
@@ -262,10 +276,10 @@ def test_weber_identities_fixed_point():
         tau = mpmath.mpc(mpmath.mpf(-2) / 7, mpmath.mpf(9) / 8)
         f = hauptmodul_value("f", tau, PREC)
         f1 = hauptmodul_value("f1", tau, PREC)
-        f2 = hauptmodul_value("f2", tau, PREC)
+        f2 = _on_evaluator("f2", tau, PREC)
         assert _close(f * f1 * f2, mpmath.sqrt(2))
         assert _close(hauptmodul_value("f1", 2 * tau, PREC) * f2, mpmath.sqrt(2))
-        assert _close(hauptmodul_value("f2", -1 / tau, PREC), f1)
+        assert _close(_on_evaluator("f2", -1 / tau, PREC), f1)
         # f1(sqrt(-2))^2 = sqrt(2)
         s2 = hauptmodul_value("f1", mpmath.mpc(0, mpmath.sqrt(2)), PREC) ** 2
         assert _close(s2, mpmath.sqrt(2))
@@ -275,15 +289,15 @@ def test_weber_identities_fixed_point():
 
 def test_gamma2_j_special_values():
     with mp.workprec(PREC):
-        j_i = hauptmodul_value("j", mpmath.mpc(0, 1), PREC)
+        j_i = _on_evaluator("j", mpmath.mpc(0, 1), PREC)
         assert _close(j_i, mpmath.mpf(1728))
         omega = mpmath.mpc(mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2)
-        j_omega = hauptmodul_value("j", omega, PREC)
+        j_omega = _on_evaluator("j", omega, PREC)
         assert abs(j_omega) < mpmath.mpf(2) ** (-200)
         pt7 = QuadraticPoint(Fraction(3, 2), Fraction(1, 2), 7).to_mpc(PREC)
-        j7 = hauptmodul_value("j", pt7, PREC)
+        j7 = _on_evaluator("j", pt7, PREC)
         assert _close(j7, mpmath.mpf(-3375))
-        g2_7 = hauptmodul_value("gamma2", mpmath.mpc(0, mpmath.sqrt(7)), PREC)
+        g2_7 = _on_evaluator("gamma2", mpmath.mpc(0, mpmath.sqrt(7)), PREC)
         assert _close(g2_7, mpmath.mpf(255))
 
 
@@ -291,8 +305,8 @@ def test_weber_eighth_powers_distinct():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(1) / 5, mpmath.mpf(11) / 10)
         vals = [-hauptmodul_value("f", tau, PREC) ** 8, hauptmodul_value("f1", tau, PREC) ** 8,
-                hauptmodul_value("f2", tau, PREC) ** 8]
-        j = hauptmodul_value("j", tau, PREC)
+                _on_evaluator("f2", tau, PREC) ** 8]
+        j = _on_evaluator("j", tau, PREC)
         assert abs(j - 12**3) > 1
         for i in range(3):
             for k in range(i + 1, 3):
@@ -423,8 +437,9 @@ def test_class_invariants():
 
 
 def test_hauptmodul_value_unknown_tag():
-    with pytest.raises(ValueError):
-        hauptmodul_value("z", mpmath.mpc(0, 1), 128)
+    for tag in ("z", "f2", "gamma2", "j"):  # the last three live on _Eta only
+        with pytest.raises(ValueError):
+            hauptmodul_value(tag, mpmath.mpc(0, 1), 128)
 
 
 def test_identity_suite():
@@ -545,27 +560,34 @@ def test_failing_verdicts_match_the_mpc_oracle(monkeypatch, mutant):
     assert verdicts == {n: ok for n, (ok, _) in weber_oracle.identity_suite(4, 256, 5).items()}
 
 
-@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "j"])
+@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h"])
 def test_hauptmodul_value_stays_relative_far_up(tag):
-    # at Im(tau) = 300 each Hauptmodul is q (1 + O(q)) and j is (1 + O(q)) / q,
+    # at Im(tau) = 300 each Hauptmodul is q (1 + O(q)),
     # |q| = e^(-600 pi) ~ 10^-819: the exponent is carried apart from the
     # mantissa, so the value keeps its relative precision
     with mp.workprec(400):
         tau = mpmath.mpc("0.3", 300)
         q = mpmath.expjpi(2 * tau)
-        want = 1 / q if tag == "j" else q
-        assert abs(hauptmodul_value(tag, tau, 256) / want - 1) < mpmath.mpf(2) ** -250
+        assert abs(hauptmodul_value(tag, tau, 256) / q - 1) < mpmath.mpf(2) ** -250
+
+
+def test_j_on_the_evaluator_stays_relative_far_up():
+    # j = (1 + O(q)) / q at Im(tau) = 300, from gamma2 on the evaluator
+    with mp.workprec(400):
+        tau = mpmath.mpc("0.3", 300)
+        q = mpmath.expjpi(2 * tau)
+        assert abs(_on_evaluator("j", tau, 256) * q - 1) < mpmath.mpf(2) ** -250
 
 
 def test_gamma2_transform_identity_matrix_trivial():
     with mp.workprec(PREC):
         tau = mpmath.mpc(mpmath.mpf(1) / 7, mpmath.mpf(4) / 5)
-        g2 = hauptmodul_value("gamma2", tau, PREC)
+        g2 = _on_evaluator("gamma2", tau, PREC)
         # (a,b,c,d) = (1,0,0,1): exponent a*c - a*b + a^2*c*d - c*d = 0
         a, b, c, d = 1, 0, 0, 1
         expo = (a * c - a * b + a * a * c * d - c * d) % 3
         assert expo == 0
-        g2m = hauptmodul_value("gamma2", (a * tau + b) / (c * tau + d), PREC)
+        g2m = _on_evaluator("gamma2", (a * tau + b) / (c * tau + d), PREC)
         assert _close(g2m, g2)
 
 
@@ -600,18 +622,35 @@ def test_identity_suite_binds_its_roots_of_unity_once(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "f", "f1", "f2", "gamma2", "j"])
-def test_hauptmodul_value_makes_one_evaluator_per_call(monkeypatch, tag):
+def _counted_evaluators(monkeypatch) -> list:
     made = []
     real = highprec._Eta
     monkeypatch.setattr(highprec, "_Eta", lambda prec: made.append(prec) or real(prec))
+    return made
+
+
+@pytest.mark.parametrize("tag", ["t", "u", "s", "w", "v", "h", "f", "f1"])
+def test_hauptmodul_value_makes_one_evaluator_per_call(monkeypatch, tag):
+    made = _counted_evaluators(monkeypatch)
     calls = _counted_expjpi(monkeypatch)
     with mp.workprec(288):
         tau = mpmath.mpc("0.1", "1.1")
     hauptmodul_value(tag, tau, 256)
     assert made == [256]
-    # zeta48^-1 is computed only where it is read: f, and gamma2 and j through f
-    assert len(calls) == (tag in ("f", "gamma2", "j"))
+    # zeta48^-1 is computed only where it is read: of these tags, by f alone
+    assert len(calls) == (tag == "f")
+
+
+@pytest.mark.parametrize("which", ["f2", "gamma2", "j"])
+def test_evaluator_computes_zeta48_once_where_read(monkeypatch, which):
+    made = _counted_evaluators(monkeypatch)
+    calls = _counted_expjpi(monkeypatch)
+    with mp.workprec(288):
+        tau = mpmath.mpc("0.1", "1.1")
+    _on_evaluator(which, tau, 256)
+    assert made == [256]
+    # gamma2, and j through it, read zeta48^-1 through f; f2 does not
+    assert len(calls) == (which != "f2")
 
 
 def test_lazy_zeta48_inverse_is_bit_identical():

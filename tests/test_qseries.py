@@ -1,5 +1,6 @@
 """Exact q-expansion algebra and the generating-function identity checks."""
 
+import json
 import math
 import random
 from functools import reduce
@@ -108,7 +109,7 @@ def test_non_integral_quotient_raises(num, den, at):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 24])
 def test_one_plus_q_product_negative_power_is_inverse(k):
-    prod = one_plus_q_product(1, 1, -k, 40) * one_plus_q_product(1, 1, k, 40)
+    prod = one_plus_q_product({(1, 1): -k}, 40) * one_plus_q_product({(1, 1): k}, 40)
     assert prod.off24 == 0
     assert prod.coeffs == [1] + [0] * 39
 
@@ -168,8 +169,25 @@ def test_eta_quotient_matches_multiplied_out(exps, nterms):
 @given(step=st.integers(1, 6), start=st.integers(1, 8), power=st.integers(-24, 24),
        nterms=st.integers(1, 80))
 def test_one_plus_q_product_matches_factor_by_factor(step, start, power, nterms):
-    got = one_plus_q_product(step, start, power, nterms)
+    got = one_plus_q_product({(step, start): power}, nterms)
     assert got.coeffs == factor_by_factor_product(step, start, power, nterms).coeffs
+
+
+_FACTORS = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                           st.integers(-24, 24), min_size=2, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=_FACTORS, nterms=st.integers(1, 80))
+@example(factors={(1, 1): 8, (2, 2): 8}, nterms=60)
+@example(factors={(4, 4): 8, (1, 1): -8}, nterms=60)
+@example(factors={(1, 1): 3, (2, 1): -5, (3, 2): 1}, nterms=80)
+def test_one_plus_q_vector_is_the_product_of_its_factors(factors, nterms):
+    # one Euler product for the whole vector against each entry multiplied
+    # out factor by factor, the results multiplied together
+    want = reduce(mul, (factor_by_factor_product(step, start, power, nterms)
+                        for (step, start), power in factors.items()), _one(nterms))
+    assert one_plus_q_product(factors, nterms).coeffs == want.coeffs
 
 
 def test_euler_product_rejects_non_integral_series():
@@ -251,9 +269,9 @@ def test_compose_associates_with_substitution():
 
 def test_one_plus_q_product():
     # prod (1+q^n) counts partitions into distinct parts
-    prod = one_plus_q_product(1, 1, 1, 12)
+    prod = one_plus_q_product({(1, 1): 1}, 12)
     assert prod.coeffs == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12]
-    sq = one_plus_q_product(1, 1, 2, 8)
+    sq = one_plus_q_product({(1, 1): 2}, 8)
     ref = prod.truncate(8) * prod.truncate(8)
     assert sq.coeffs == ref.coeffs
 
@@ -270,7 +288,7 @@ def test_hauptmoduls_normalized_and_integral():
 def test_u_is_the_weber_f2_quotient(nterms):
     # u = f / (f + 64)^2 with f = f2^24 = 4096 q prod (1+q^n)^24 = 2^12 h,
     # multiplied out: both u = X / G^4 and its dual h / (1 + 64h)^2
-    f = one_plus_q_product(1, 1, 24, nterms).scale(4096).shift24(24)
+    f = one_plus_q_product({(1, 1): 24}, nterms).scale(4096).shift24(24)
     want = f / (f.add_const(64) ** 2)
     for got in (hauptmodul_q("u", nterms), hauptmodul_alt_q("u", nterms)):
         assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
@@ -289,6 +307,45 @@ def test_dual_constructions_agree_to_200():
         assert first_mismatch(a, b) is None, tag
 
 
+def _single(step, start, power, nterms):
+    return one_plus_q_product({(step, start): power}, nterms)
+
+
+def _composite_dual(tag, nterms):
+    """The duals built from single-factor products and series algebra:
+    u from the eta quotient h = eta(2tau)^24 / eta(tau)^24 over (1 + 64h)^2,
+    s as the product of two products, w as the quotient of two."""
+    if tag == "u":
+        h = eta_quotient_q({2: 24, 1: -24}, nterms)
+        return h / (h.scale(64).add_const(1) ** 2)
+    if tag == "s":
+        return (_single(1, 1, 8, nterms) * _single(2, 2, 8, nterms)).shift24(24)
+    return (_single(4, 4, 8, nterms) / _single(1, 1, 8, nterms)).shift24(24)
+
+
+@pytest.mark.parametrize("nterms", [41, 201, 801])
+@pytest.mark.parametrize("tag", ["u", "s", "w"])
+def test_dual_is_the_composite_construction(tag, nterms):
+    got, want = hauptmodul_alt_q(tag, nterms), _composite_dual(tag, nterms)
+    assert (got.off24, got.coeffs) == (want.off24, want.coeffs)
+
+
+@pytest.mark.parametrize("tag, entry", [(tag, entry) for tag, vec in qs.DUAL_PRODUCTS.items()
+                                        for entry in vec])
+def test_verify_qseries_fails_a_dual_with_one_power_changed(monkeypatch, capsys, tag, entry):
+    # one more factor (1 + q^start) moves the product first at q^start, so the
+    # dual q * product, and for u also h / (1 + 64h)^2, first at q^(start + 1)
+    from supercong.cli import EXIT_FAIL, main
+
+    vec = qs.DUAL_PRODUCTS[tag]
+    monkeypatch.setitem(qs.DUAL_PRODUCTS, tag, {**vec, entry: vec[entry] + 1})
+    assert main(["verify", "qseries", "--terms", "30", "--format", "json"]) == EXIT_FAIL
+    rows = {r["spec_id"]: (r["outcome"], r["details"])
+            for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows[f"dual-{tag}"] == ("fail", f"first mismatch at q^{entry[1] + 1}, through q^30")
+    assert [name for name, (outcome, _) in rows.items() if outcome != "pass"] == [f"dual-{tag}"]
+
+
 def test_dual_u_is_the_old_quotient_of_eta_squares_to_the_fourth():
     # the quotient squared twice (up to about 3,600 bits at q^200) against
     # the fourth power of the narrow weight-2 form divided once
@@ -305,6 +362,17 @@ def test_checks_state_the_exponent_they_compared_through():
     assert agreement(QSeries(-48, [1, 2, 3]), QSeries(-48, [1, 5, 3, 4])) == Agreement(-1, 0)
     with pytest.raises(ValueError, match="integral offsets"):
         agreement(QSeries(12, [1]), QSeries(12, [1]))
+
+
+@pytest.mark.parametrize("a, b", [
+    (QSeries(0, []), QSeries(0, [1, 2])),
+    (QSeries(0, [1, 2]), QSeries(0, [])),
+    (QSeries(24, []), QSeries(48, [])),
+])
+def test_agreement_rejects_series_that_share_no_exponent(a, b):
+    # no exponent is compared, so there is nothing to pass "through q^-1"
+    with pytest.raises(ValueError, match="share no known exponent"):
+        agreement(a, b)
 
 
 def test_genfun_identities_to_200():
