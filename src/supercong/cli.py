@@ -26,7 +26,8 @@ flag or in the config file, that the flag's type or choices reject; a size
 flag's type refuses a value below its floor, so the parser stops it before
 any check runs.  A check that raises becomes an `error` row whose detail is
 `Type: message`, with the traceback on stderr, and the rest of the report
-still prints.
+still prints.  `sequence` exits 1, after the terms before it, with `error:`
+on stderr where its family's row stops dividing exactly.
 """
 
 from __future__ import annotations
@@ -147,12 +148,16 @@ def _cmd_list(args) -> int:
 def _cmd_sequence(args) -> int:
     """Print the terms, lifting Python's int-to-str digit limit only while
     printing: a term outgrows it within a few thousand n, and the parsing of
-    flag and config values keeps its guard."""
+    flag and config values keeps its guard.  A row that stops dividing
+    exactly ends the terms with an error on stderr."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         for a in iter_terms(args.sequence, args.count):
             print(a)
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     finally:
         sys.set_int_max_str_digits(limit)
     return EXIT_OK

@@ -400,7 +400,7 @@ def catalog_forms() -> list[FormSpec]:
 # -- per-prime evaluation ------------------------------------------------------
 
 
-# P(n), from the row's p_coeffs, and Q(n) = e n^6 of each RECURRENCES row, for
+# P(n), from Recurrence.P, and Q(n) = e n^6 of each RECURRENCES row, for
 # n = 0, 1, ...: they do not depend on p, so each process builds them once, on
 # first use, and extends them when a larger p asks for more.  The key is the row
 # itself, so a changed row gets tables of its own.
@@ -412,10 +412,9 @@ def coefficients(rec: Recurrence, count: int) -> tuple[list[int], list[int]]:
     caller shares them, so none may modify them."""
     P, Q = _COEFFICIENTS.setdefault(rec, ([], []))
     if len(P) < count:
-        p0, p1, p2, p3 = rec.p_coeffs
         e = rec.e
         new = range(len(P), count)
-        P.extend([((p3 * n + p2) * n + p1) * n + p0 for n in new])
+        P.extend(map(rec.P, new))
         Q.extend([e * n**6 for n in new])
     return P, Q
 

@@ -46,11 +46,13 @@ from the G under test, but its coefficient of q^k depends only on G below
 q^k, so a G wrong first at q^k still fails at q^k.  That costs about a dozen
 products of series of length N+1, whose coefficients have at most 164 bits
 at N = 200 (t itself; 147 for u), instead of the N powers of x that
-composing needs.  The same call checks, by sequences.recurrence_break, that
-the defining sums obey the recurrence, so the statement proved is still
-about the sums; `compose`, built in the ring, stays as the literal-definition
-oracle.  The t-j relation and the dual constructions are compared by
-`agreement`, and every check states the last exponent it compared.
+composing needs.  The same call proves, by sequences.certify (a Zeilberger
+certificate, checked once per process), that the defining sums obey the
+recurrence at every n, so the statement proved is still about the sums and
+no sum is taken; `compose`, built in the ring, stays as the
+literal-definition oracle.  The t-j relation and the dual constructions are
+compared by `agreement`, and every check states the last exponent it
+compared.
 
 Every product of two series is one big-integer product by Kronecker
 substitution (Harvey, J. Symbolic Comput. 44, 2009): each operand packed into
@@ -66,7 +68,7 @@ from math import perm
 from operator import mul
 from typing import NamedTuple
 
-from .sequences import RECURRENCES, SequenceId, exact_terms, recurrence_break
+from .sequences import RECURRENCES, SequenceId, certify
 
 def _slot_bytes(width: int, n: int) -> int:
     """The fewest bytes per slot that hold a coefficient c_k of the product
@@ -452,18 +454,13 @@ def genfun_identity(tag: str, nterms: int) -> Agreement:
     and compares the result with 0 through q^nterms; a G that does not start
     with 1 fails at q^0.  For u, x = X/G^4 is built from the same G, whose
     one fixed point the check then tests (see the module docstring).  Raises
-    ArithmeticError when the defining sums do not obey the recurrence.
+    ArithmeticError when sequences.certify cannot prove that the defining
+    sums obey the recurrence.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
     seq = HAUPTMODUL_SEQUENCE[tag]
-    terms = exact_terms(seq, nterms + 1)
-    if terms[0] != 1:
-        raise ArithmeticError(f"{seq.value}: a_0 = {terms[0]}, not 1; build is broken")
-    n = recurrence_break(seq, terms)
-    if n is not None:
-        raise ArithmeticError(
-            f"{seq.value}: defining sums break the recurrence at n = {n}; build is broken")
+    certify(seq)
     g = genfun_rhs_q(tag, nterms + 1)
     if g.coeff_at(0) != 1:
         return Agreement(0, 0)
@@ -551,8 +548,9 @@ def v_ode(nterms: int) -> Agreement:
     at n.  So the ODE is checked in two steps.  First the identity of the two
     operators, compared on s^0..s^11: each is a sum of s^i times a cubic in
     theta, so s^0..s^3 already fix it, and it holds for every n; raises
-    ArithmeticError when it fails.  Then the row on the defining sums, at the
-    degrees 0..nterms.
+    ArithmeticError when it fails.  Then sequences.certify proves the row on
+    the defining sums at every n, or raises.  So the ODE holds at every
+    degree, and the row states the degrees 0..nterms.
     """
     if nterms < 10:
         raise ValueError("nterms must be >= 10")
@@ -562,12 +560,11 @@ def v_ode(nterms: int) -> Agreement:
         for j, poly in enumerate(V_ODE):
             for i, coef in enumerate(poly):
                 ode[k - j + 1 + i] = ode.get(k - j + 1 + i, 0) + perm(k, j) * coef
-        p_k = sum(coef * k**i for i, coef in enumerate(rec.p_coeffs))
-        row = {k: k**3, k + 1: p_k, k + 2: rec.e * (k + 1) ** 3}
+        row = {k: k**3, k + 1: rec.P(k), k + 2: rec.e * (k + 1) ** 3}
         if {pw: v for pw, v in ode.items() if v} != {pw: v for pw, v in row.items() if v}:
             raise ArithmeticError(f"s * V_ODE is not V's recurrence operator on s^{k}")
-    v = exact_terms(SequenceId.V, nterms + 2)
-    return Agreement(recurrence_break(SequenceId.V, v), len(v) - 2)
+    certify(SequenceId.V)
+    return Agreement(None, nterms)
 
 
 def v_ode_check(nterms: int) -> int | None:

@@ -1,89 +1,59 @@
 """The seven binomial / Apery-like sequence families, as exact facts.
 
-Two independent descriptions.  The defining sums give exact big-integer
-terms, in two evaluation orders chosen by the access pattern.  exact_term(n)
-sums one term, k by k: each summand is the one before times its term ratio
-in k, so only the first calls comb.  exact_terms(count) (iter_terms streams
-the same prefix) builds a whole row of summands at a time: row n is row
-n - 1 times each summand's ratio in n, one map over the row with no Python
-step per summand, and a_n is its sum (V pairs C(2k,k)^2 with
-C(2n-2k,n-k)^2, half the products by symmetry; CB3 and CB4 step C(2k,k) by
-its ratio, CB6 takes its closed form term by term).  Each quotient
-term * num // den is exact because it is an integer summand.  The two
-orders check each other, and the tests keep the literal comb sums as the
-oracle for both.  One table of three-term recurrences, RECURRENCES, is what
-the prime sweep runs mod p^3 (congruence.PrimeContext.terms and
-congruence._walk); recurrence_break checks exact terms against the same
-table, which the sums never read.  Nothing here reduces modulo anything.
+Each family is stated by three facts, each once:
+
+- its summand F(n, k) in SUMMANDS, a product of math.comb: the defining sum
+  is a_n = sum F(n, k) over 0 <= k <= n, and a binomial product is its one
+  summand at k = 0;
+- its row of RECURRENCES, (n+1)^3 a_(n+1) = P(n) a_n - e n^3 a_(n-1);
+- its Zeilberger certificate in CERTIFICATES (Zeilberger, J. Symbolic
+  Comput. 11, 1991; Petkovsek, Wilf and Zeilberger, A = B, 1996), a
+  rational G(n, k) = F(n+2, k) Q(n, k) / S(n, k) with
+
+      (n+2)^3 F(n+2, k) - P(n+1) F(n+1, k) + e (n+1)^3 F(n, k)
+          = G(n, k+1) - G(n, k),
+
+  and G = 0 for the binomial products.
+
+The functions read those facts.  exact_term(n) is the literal sum, the one
+oracle.  iter_terms and exact_terms run the row in exact integers, one divmod
+by (n+1)^3 per term with two terms live: the one fast path, whose row the
+prime sweep runs mod p^3 (congruence.PrimeContext.terms and
+congruence._walk).  certify proves, once per process, that the sums obey the
+row at every n, so no caller sums them to trust it.  Nothing here reduces
+modulo anything.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from itertools import islice
+from fractions import Fraction
+from functools import cache
 from math import comb
-from operator import floordiv, mul
 from typing import NamedTuple
 
 
 class SequenceId(str, Enum):
-    CB3 = "CB3"  # C(2k,k)^3
-    CB4 = "CB4"  # C(2k,k)^2 C(4k,2k)
-    CB6 = "CB6"  # C(2k,k) C(3k,k) C(6k,3k)
+    CB3 = "CB3"
+    CB4 = "CB4"
+    CB6 = "CB6"
     V = "V"
     T = "T"
     D = "D"
     A = "A"
 
 
-def _v_central_squares(n: int) -> int:
-    # sum C(2k,k)^2 C(2n-2k,n-k)^2
-    term = total = comb(2 * n, n) ** 2
-    for k in range(n):
-        term = term * ((2 * k + 1) * (n - k)) ** 2 // ((k + 1) * (2 * n - 2 * k - 1)) ** 2
-        total += term
-    return total
-
-
-def _t_main(n: int) -> int:
-    # sum C(n,k)^2 C(2k,n)^2, whose summands vanish below k = ceil(n/2)
-    k0 = (n + 1) // 2
-    term = total = (comb(n, k0) * comb(2 * k0, n)) ** 2
-    for k in range(k0, n):
-        term = (term * ((n - k) * (2 * k + 1) * (2 * k + 2)) ** 2
-                // ((k + 1) * (2 * k + 1 - n) * (2 * k + 2 - n)) ** 2)
-        total += term
-    return total
-
-
-def _d_main(n: int) -> int:
-    # sum C(n,k)^2 C(2k,k) C(2n-2k,n-k)
-    term = total = comb(2 * n, n)
-    for k in range(n):
-        term = term * (n - k) ** 3 * (2 * k + 1) // ((k + 1) ** 3 * (2 * n - 2 * k - 1))
-        total += term
-    return total
-
-
-def _a_main(n: int) -> int:
-    # sum C(n,k)^2 C(n+k,k)^2
-    term = total = 1
-    for k in range(n):
-        term = term * ((n - k) * (n + k + 1)) ** 2 // (k + 1) ** 4
-        total += term
-    return total
-
-
-_CANONICAL = {
-    SequenceId.CB3: lambda n: comb(2 * n, n) ** 3,
-    SequenceId.CB4: lambda n: comb(2 * n, n) ** 2 * comb(4 * n, 2 * n),
-    SequenceId.CB6: lambda n: comb(2 * n, n) * comb(3 * n, n) * comb(6 * n, 3 * n),
-    SequenceId.V: _v_central_squares,
-    SequenceId.T: _t_main,
-    SequenceId.D: _d_main,
-    SequenceId.A: _a_main,
+SUMMANDS = {
+    SequenceId.CB3: lambda n, k: 0 if k else comb(2 * n, n) ** 3,
+    SequenceId.CB4: lambda n, k: 0 if k else comb(2 * n, n) ** 2 * comb(4 * n, 2 * n),
+    SequenceId.CB6: lambda n, k: 0 if k else comb(2 * n, n) * comb(3 * n, n) * comb(6 * n, 3 * n),
+    SequenceId.V: lambda n, k: (comb(2 * k, k) * comb(2 * n - 2 * k, n - k)) ** 2,
+    SequenceId.T: lambda n, k: (comb(n, k) * comb(2 * k, n)) ** 2,
+    SequenceId.D: lambda n, k: comb(n, k) ** 2 * comb(2 * k, k) * comb(2 * n - 2 * k, n - k),
+    SequenceId.A: lambda n, k: (comb(n, k) * comb(n + k, k)) ** 2,
 }
+
 
 class Recurrence(NamedTuple):
     """(n+1)^3 a_{n+1} = P(n) a_n - e n^3 a_{n-1}, P(n) = c(2n+1)(alpha n^2 + alpha n + beta)."""
@@ -93,16 +63,20 @@ class Recurrence(NamedTuple):
     beta: int
     e: int
 
+    def P(self, n: int) -> int:
+        """P(n), the one evaluation of P."""
+        c, alpha, beta, _ = self
+        return c * (2 * n + 1) * (alpha * n * (n + 1) + beta)
+
     @property
     def p_coeffs(self) -> tuple[int, int, int, int]:
-        """(P_0, P_1, P_2, P_3) with P(n) = sum P_i n^i, the one source of P."""
+        """(P_0, P_1, P_2, P_3) with P(n) = sum P_i n^i, for the theta-operator."""
         c, alpha, beta, _ = self
         return c * beta, c * (alpha + 2 * beta), 3 * c * alpha, 2 * c * alpha
 
 
-# a_0 = 1 for every family.  e = 0 for the binomial products, whose term
-# ratios are rational in n; the Apery-like rows are those of Almkvist-Zudilin
-# (2006) and Zagier (2009).
+# e = 0 for the binomial products, whose term ratios are rational in n; the
+# Apery-like rows are those of Almkvist-Zudilin (2006) and Zagier (2009).
 RECURRENCES = {
     SequenceId.CB3: Recurrence(8, 4, 1, 0),     # 8 (2n+1)^3
     SequenceId.CB4: Recurrence(8, 16, 3, 0),    # 8 (2n+1)(4n+1)(4n+3)
@@ -114,108 +88,122 @@ RECURRENCES = {
 }
 
 
-def recurrence_break(seq: SequenceId, a: list[int]) -> int | None:
-    """First n < len(a) - 1 at which exact a_(n-1), a_n, a_(n+1) break the
-    family's RECURRENCES row, or None."""
-    rec = RECURRENCES[SequenceId(seq)]
-    (p0, p1, p2, p3), e = rec.p_coeffs, rec.e
-    prev = 0
-    for n in range(len(a) - 1):
-        rhs = (((p3 * n + p2) * n + p1) * n + p0) * a[n] - e * n**3 * prev
-        if (n + 1) ** 3 * a[n + 1] != rhs:
-            return n
-        prev = a[n]
-    return None
+def _zero(n: int, k: int) -> tuple[int, int]:
+    return 0, 1
 
+
+# (Q(n, k), S(n, k)) of G(n, k) = F(n+2, k) Q / S, found by undetermined
+# coefficients; S has no zero at integers n, k >= 0.
+CERTIFICATES = {
+    SequenceId.CB3: _zero,
+    SequenceId.CB4: _zero,
+    SequenceId.CB6: _zero,
+    SequenceId.V: lambda n, k: (-k**2 * (4*k*n + 6*k - 4*n**2 - 13*n - 10),
+                                (2*n - 2*k + 3) ** 2),
+    SequenceId.T: lambda n, k: (8*k**2*n + 12*k**2 - 16*k*n**2 - 56*k*n - 48*k
+                                + 7*n**3 + 38*n**2 + 68*n + 40, 1),
+    SequenceId.D: lambda n, k: (-k**3 * (4*k**3 - 18*k**2*n - 30*k**2 + 26*k*n**2 + 89*k*n
+                                         + 74*k - 12*n**3 - 62*n**2 - 104*n - 56),
+                                (n + 2) ** 2 * (2*k - 2*n - 3)),
+    SequenceId.A: lambda n, k: (4*k**4 * (2*n + 3) * (2*k**2 - 3*k - 4*n**2 - 12*n - 8),
+                                ((n + 1 + k) * (n + 2 + k)) ** 2),
+}
 
 def exact_term(seq: SequenceId, n: int) -> int:
-    """a_n by the defining summation, exact big-integer arithmetic."""
+    """a_n by the defining sum, the literal sum of F(n, k) over 0 <= k <= n."""
     if n < 0:
         raise ValueError("sequence index must be >= 0")
-    return _CANONICAL[SequenceId(seq)](n)
-
-
-def _central_binomials() -> Iterator[int]:
-    """C(2k,k) for k = 0, 1, ..., each from the one before by its ratio 2(2k-1)/k."""
-    c, k = 1, 0
-    while True:
-        yield c
-        k += 1
-        c = c * (4 * k - 2) // k
-
-
-def _squares(r: range):
-    return map(mul, r, r)
-
-
-# Row n of A, T or D, read from its end: s(n, n - j) for j = 0, 1, ...  Entry
-# j >= 1 is entry j - 1 of row n - 1 times the summand's exact ratio in n,
-# s(n, k) / s(n - 1, k) with k = n - j; each ratio function below gives it
-# for n >= 1 as (numerators, denominators).  Entries past the numerators have
-# left the support (T's k < ceil(n/2)).  Entry 0 is s(n, n) = C(2n,n)^power.
-def _a_ratio(n: int):
-    # ((n+k)/(n-k))^2 = ((2n-j)/j)^2
-    return _squares(range(2 * n - 1, n - 1, -1)), _squares(range(1, n + 1))
-
-
-def _t_ratio(n: int):
-    # ((2k-n+1)/(n-k))^2 = ((n-2j+1)/j)^2 for k >= ceil(n/2)
-    return _squares(range(n - 1, 0, -2)), _squares(range(1, n // 2 + 1))
-
-
-def _d_ratio(n: int):
-    # 2n^2 (2j-1) / j^3
-    j = range(1, n + 1)
-    return range(2 * n * n, 4 * n**3, 4 * n * n), map(mul, _squares(j), j)
-
-
-_ROW_STEPS = {SequenceId.A: (_a_ratio, 2), SequenceId.T: (_t_ratio, 2), SequenceId.D: (_d_ratio, 1)}
-
-
-def _row_sums(seq: SequenceId, count: int) -> Iterator[int]:
-    ratio, power = _ROW_STEPS[seq]
-    central = _central_binomials()
-    row = [next(central)]
-    yield 1
-    for n in range(1, count):
-        nums, dens = ratio(n)
-        row = [next(central) ** power, *map(floordiv, map(mul, row, nums), dens)]
-        yield sum(row)
-
-
-def _v_sums(count: int) -> Iterator[int]:
-    # V_n = sum b_k b_(n-k), b_k = C(2k,k)^2: the pairs k < n - k twice, and
-    # the middle square when n is even
-    b = []
-    for n, c in zip(range(count), _central_binomials()):
-        b.append(c * c)
-        half = (n + 1) // 2
-        total = 2 * sum(map(mul, b[:half], b[n:n - half:-1]))
-        yield total + b[n // 2] ** 2 if n % 2 == 0 else total
-
-
-def _binomial_products(seq: SequenceId, count: int) -> Iterator[int]:
-    if seq is SequenceId.CB3:
-        return (c**3 for c in islice(_central_binomials(), count))
-    if seq is SequenceId.CB4:
-        c = list(islice(_central_binomials(), 2 * count))
-        return (c[k] ** 2 * c[2 * k] for k in range(count))
-    return (exact_term(seq, n) for n in range(count))
+    summand = SUMMANDS[SequenceId(seq)]
+    return sum(summand(n, k) for k in range(n + 1))
 
 
 def iter_terms(seq: SequenceId, count: int) -> Iterator[int]:
-    """a_0 .. a_(count-1) by the defining sums, a whole row at a time, each
-    yielded as soon as it is summed."""
+    """a_0 .. a_(count-1) by the family's RECURRENCES row in exact integers,
+    each yielded as soon as it is made.  Raises ArithmeticError, naming the
+    family and n, where (n+1)^3 does not divide the step."""
     seq = SequenceId(seq)
+    rec = RECURRENCES[seq]
     if count <= 0:
-        return iter(())
-    if seq in _ROW_STEPS:
-        return _row_sums(seq, count)
-    if seq is SequenceId.V:
-        return _v_sums(count)
-    return _binomial_products(seq, count)
+        return
+    prev, a = 0, 1
+    yield a
+    for n in range(count - 1):
+        a_next, r = divmod(rec.P(n) * a - rec.e * n**3 * prev, (n + 1) ** 3)
+        if r:
+            raise ArithmeticError(f"{seq.value}: (n+1)^3 does not divide the step at n = {n}")
+        prev, a = a, a_next
+        yield a
 
 
 def exact_terms(seq: SequenceId, count: int) -> list[int]:
-    """a_0 .. a_(count-1) by the defining sums, a whole row at a time."""
+    """a_0 .. a_(count-1), as iter_terms makes them."""
     return list(iter_terms(seq, count))
+
+
+# the (row, summand, certificate) triples that certify has proved
+_CERTIFIED: set = set()
+
+
+def certify(seq: SequenceId) -> None:
+    """Prove that the defining sums of seq obey its RECURRENCES row at every n,
+    or raise ArithmeticError naming the family and where the proof fails.
+
+    Checks in exact arithmetic, with a_n = sum_k F(n, k):
+      (1) the certificate identity of the module docstring at every
+          0 <= k <= n+3 and n <= 40;
+      (2) G(n, 0) = 0 at n <= 40;
+      (3) a_0 = 1 and (4) a_1 = P(0), from the sums.
+
+    Why that holds at every n.  For V, T, D and A, F(n, k), F(n+1, k),
+    F(n+2, k) and F(n+2, k+1) are each B(n, k) times a rational function of
+    n and k whose denominator, like S, has no zero at integers n, k >= 0;
+    B = F(n+2, k), and for T, B = ((2k)! / (k! (n+2-k)! (2k-n)!))^2.  So
+    where B(n, k) = 0 every term of (1) is 0, and elsewhere (1) says
+    H(n, k) = 0 for one polynomial H, of degree at most 12 in n and at most
+    12 in k (the tests derive the bounds).  B(n, .) is nonzero at the n+3
+    values 0 <= k <= n+2 (T: ceil(n/2) <= k <= n+2), so at 13 or more of them
+    on each of the 21 rows 20 <= n <= 40: H vanishes in k on each such row,
+    and so identically, and (1) holds at every n, k >= 0.  For the binomial
+    products every term of (1) is 0 but at k = 0, where (1) divided by
+    F(n+2, 0) is H(n) = 0 for a polynomial H of degree at most 12, checked at
+    41 values of n.  In (2), G(n, 0) = F(n+2, 0) Q(n, 0) / S(n, 0): T's
+    F(n+2, 0) is 0 at every n, and for V, D and A, Q(n, 0), of degree at
+    most 12, vanishes at 41 values of n.  Since F(n+2, k), and with it
+    G(n, k), is 0 for k > n+2, the sum of (1) over 0 <= k <= n+2 telescopes
+    to
+
+        (n+2)^3 a_(n+2) - P(n+1) a_(n+1) + e (n+1)^3 a_n = G(n, n+3) - G(n, 0) = 0,
+
+    the row at every n >= 1, and (3) and (4) are its start and the row at
+    n = 0.  Each (row, summand, certificate) is proved once per process, so a
+    changed fact is proved again.
+    """
+    seq = SequenceId(seq)
+    rec, summand, certificate = RECURRENCES[seq], SUMMANDS[seq], CERTIFICATES[seq]
+    if (rec, summand, certificate) in _CERTIFIED:
+        return
+
+    @cache
+    def F(n: int, k: int) -> int:
+        return summand(n, k) if 0 <= k <= n else 0
+
+    def G(n: int, k: int) -> Fraction:
+        q, s = certificate(n, k)
+        return Fraction(F(n + 2, k) * q, s)
+
+    def broken(what: str) -> ArithmeticError:
+        return ArithmeticError(f"{seq.value}: {what}; build is broken")
+
+    if F(0, 0) != 1:
+        raise broken(f"a_0 = {F(0, 0)}, not 1")
+    if F(1, 0) + F(1, 1) != rec.P(0):
+        raise broken(f"a_1 = {F(1, 0) + F(1, 1)}, not P(0) = {rec.P(0)}")
+    for n in range(41):
+        g = [G(n, k) for k in range(n + 5)]
+        if g[0]:
+            raise broken(f"G({n}, 0) = {g[0]}, not 0")
+        p, e = rec.P(n + 1), rec.e * (n + 1) ** 3
+        for k in range(n + 4):
+            if (n + 2) ** 3 * F(n + 2, k) - p * F(n + 1, k) + e * F(n, k) != g[k + 1] - g[k]:
+                raise broken(f"the certificate identity fails at n = {n}, k = {k}")
+    _CERTIFIED.add((rec, summand, certificate))

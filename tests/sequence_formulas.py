@@ -1,10 +1,9 @@
 """Every stated defining formula of the four families whose terms are sums.
 
-The first formula of each family is the literal comb sum that
-supercong.sequences evaluates in two orders: exact_term steps one sum by the
-summands' ratios in k, exact_terms a whole row of summands by their ratios
-in n.  The others are independent sums stated for V and T.  The tests use
-them as the oracle for both orders.
+The first formula of each family is the literal comb sum, stated here again
+apart from supercong.sequences, whose exact_term sums its SUMMANDS and whose
+exact_terms runs the RECURRENCES row.  The others are independent sums stated
+for V and T.  The tests hold both routes to them.
 """
 
 from math import comb

@@ -695,7 +695,7 @@ def _check_pins(tmp_path, lines):
 def test_pin_runner_reports_each_digest_and_fails_on_a_changed_one(tmp_path):
     table = (SCRIPTS / "pins.txt").read_text().splitlines()
     pins = [ln for ln in table if ln.strip() and not ln.startswith("#")]
-    assert len(pins) == len({ln.split()[0] for ln in pins}) == 12
+    assert len(pins) == len({ln.split()[0] for ln in pins}) == 13
     good = next(ln for ln in pins if ln.startswith("sequenceD401.txt "))
     name, digest, _ = good.split(" ", 2)
     assert _check_pins(tmp_path, [good]) == (0, [f"{name} {digest}"])

@@ -2,6 +2,7 @@
 independent big-integer oracle."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -30,14 +31,21 @@ from supercong.congruence import (
 )
 from supercong.quadforms import FormSpec, QuadRep, represent, unit_leading
 from supercong.report import Report
-from supercong.sequences import RECURRENCES, Recurrence, SequenceId, exact_terms
+from supercong.sequences import RECURRENCES, Recurrence, SequenceId, exact_term
+
+
+@functools.cache
+def literal_sums(seq):
+    """a_0 .. a_79 by the literal defining sums, which read no recurrence."""
+    return [exact_term(seq, n) for n in range(80)]
 
 
 def oracle_lhs_fraction(spec, p):
     """Independent route: exact big-integer terms, one modular inversion."""
     pk = p**spec.mod_exp
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
-    terms = exact_terms(spec.sequence, limit + 1)
+    terms = literal_sums(spec.sequence)[:limit + 1]
+    assert len(terms) == limit + 1
     m = spec.m
     num = sum(a * m ** (limit - k) for k, a in enumerate(terms))
     return num % pk * pow(pow(m, limit, pk), -1, pk) % pk

@@ -1,5 +1,6 @@
 """Exact q-expansion algebra and the generating-function identity checks."""
 
+import functools
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import supercong.qseries as qs
+import supercong.sequences as sequences
 from supercong.qseries import (
     ETA_QUOTIENTS,
     HAUPTMODUL_SEQUENCE,
@@ -40,7 +42,7 @@ from supercong.qseries import (
     v_ode_check,
     weber_f_2tau_pow24_q,
 )
-from supercong.sequences import RECURRENCES, SequenceId, exact_terms
+from supercong.sequences import RECURRENCES, SequenceId, exact_term, exact_terms
 
 TAGS = ("t", "u", "s", "w", "v", "h")
 
@@ -372,12 +374,18 @@ def test_genfun_identities_to_200():
         assert genfun_identity_check(tag, 200) is None, tag
 
 
+@functools.cache
+def _sums(seq, count):
+    """a_0 .. a_(count-1) by the literal defining sums, which read no recurrence."""
+    return [exact_term(seq, n) for n in range(count)]
+
+
 def _composed(tag, nterms):
     """The literal sum a_n x^n through q^nterms, with x = -s for V."""
     x = hauptmodul_q(tag, nterms)
     if tag == "s":
         x = -x
-    return compose(exact_terms(HAUPTMODUL_SEQUENCE[tag], nterms + 1), x).truncate(nterms + 1)
+    return compose(_sums(HAUPTMODUL_SEQUENCE[tag], nterms + 1), x).truncate(nterms + 1)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -481,44 +489,21 @@ def test_pullback_factors_state_theta_x(tag):
 
 
 def test_genfun_check_rejects_corrupted_exact_term(monkeypatch):
-    import supercong.qseries as qs
-
-    real = exact_terms
-
-    def corrupted(seq, count):
-        vals = real(seq, count)
-        if seq is SequenceId.D and count > 30:
-            vals[30] += 1
-        return vals
-
-    monkeypatch.setattr(qs, "exact_terms", corrupted)
-    with pytest.raises(ArithmeticError, match="D: .* n = 29"):
+    # one summand of D's defining sum off by one, F(30, 12): a_30 is one more,
+    # and the certificate identity first reads F(30, 12) through G(28, 12)
+    real = sequences.SUMMANDS[SequenceId.D]
+    good = exact_term(SequenceId.D, 30)
+    monkeypatch.setitem(sequences.SUMMANDS, SequenceId.D,
+                        lambda n, k: real(n, k) + ((n, k) == (30, 12)))
+    assert exact_term(SequenceId.D, 30) == good + 1
+    with pytest.raises(ArithmeticError, match="D: .* n = 28, k = 11;"):
         qs.genfun_identity_check("v", 40)
-
-
-def test_genfun_identity_rejects_a_wrong_row_step(monkeypatch):
-    # D's numerator off by one from n = 25 on: the sums change first at
-    # a_25, which the recurrence first reads at n = 24
-    import supercong.sequences as sequences
-
-    ratio, power = sequences._ROW_STEPS[SequenceId.D]
-
-    def wrong(n):
-        nums, dens = ratio(n)
-        return (map(lambda x: x + 1, nums) if n >= 25 else nums), dens
-
-    good = exact_terms(SequenceId.D, 201)
-    monkeypatch.setitem(sequences._ROW_STEPS, SequenceId.D, (wrong, power))
-    bad = exact_terms(SequenceId.D, 201)
-    assert bad[:25] == good[:25] and bad[25] != good[25]
-    with pytest.raises(ArithmeticError, match="D: defining sums break the recurrence at n = 24;"):
-        genfun_identity("v", 200)
 
 
 def test_genfun_check_rejects_corrupted_recurrence_row(monkeypatch):
     row = RECURRENCES[SequenceId.T]
     monkeypatch.setitem(RECURRENCES, SequenceId.T, row._replace(e=row.e + 1))
-    with pytest.raises(ArithmeticError, match="T: .* n = 1"):
+    with pytest.raises(ArithmeticError, match="T: .* n = 0, k = 0;"):
         genfun_identity_check("w", 20)
 
 
@@ -617,20 +602,32 @@ def test_v_recurrence_row_is_the_stated_ode():
 
 
 def test_v_ode_negative_control(monkeypatch):
-    import supercong.qseries as qs
+    # one summand F(m, j) of V's defining sums off by one: the certificate
+    # identity first reads it through G(m - 2, j), at row n = m - 2, k = j - 1
+    real = sequences.SUMMANDS[SequenceId.V]
+    for m, j in ((2, 1), (7, 3), (40, 20)):
+        monkeypatch.setitem(sequences.SUMMANDS, SequenceId.V,
+                            lambda n, k: real(n, k) + ((n, k) == (m, j)))
+        with pytest.raises(ArithmeticError, match=f"V: .* n = {m - 2}, k = {j - 1};"):
+            qs.v_ode_check(20)
 
-    real = exact_terms
-    # V_k first enters the recurrence at n = k - 1
-    for corrupt, nterms in ((2, 20), (7, 20), (50, 60)):
 
-        def corrupted(seq, count):
-            vals = real(seq, count)
-            if seq is SequenceId.V and count > corrupt:
-                vals[corrupt] += 1
-            return vals
+def test_verify_qseries_sums_nothing(monkeypatch, capsys):
+    # the same report with every way to sum a sequence refusing, and no proof
+    # carried over from an earlier call
+    from supercong.cli import main
 
-        monkeypatch.setattr(qs, "exact_terms", corrupted)
-        assert qs.v_ode_check(nterms) == corrupt - 1
+    argv = ["verify", "qseries", "--terms", "200", "--format", "csv"]
+    code, want = main(argv), capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("verify qseries summed a sequence")
+
+    for name in ("exact_term", "exact_terms", "iter_terms"):
+        monkeypatch.setattr(sequences, name, refuse)
+    monkeypatch.setattr(sequences, "_CERTIFIED", set())
+    assert main(argv) == code == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("j, i", [(0, 0), (1, 2), (3, 4)])
