@@ -28,6 +28,10 @@ any check runs.  A check that raises becomes an `error` row whose detail is
 `Type: message`, with the traceback on stderr, and the rest of the report
 still prints.  `sequence` exits 1, after the terms before it, with `error:`
 on stderr where its family's row stops dividing exactly.
+
+Only `verify cm` and `verify identities` read highprec, so they import it
+themselves: with it comes mpmath, which would otherwise take about half the
+start-up time of every other command.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import json
 import sys
 from functools import partial
 
-from . import congruence, highprec, qseries
+from . import congruence, qseries
 from .quadforms import lemma23_trials
 from .report import Report, Row, error_row
 from .sequences import SequenceId, iter_terms
@@ -213,6 +217,8 @@ def _check_rows(results, label: str) -> list[Row]:
 
 
 def _verify_cm(args) -> tuple[Report, dict]:
+    from . import highprec
+
     digits = args.digits
     rows = []
     for target in highprec.cm_table():
@@ -224,6 +230,8 @@ def _verify_cm(args) -> tuple[Report, dict]:
 
 
 def _verify_identities(args) -> tuple[Report, dict]:
+    from . import highprec
+
     rows = _guarded("identities", lambda: _check_rows(
         highprec.identity_suite(args.samples, args.prec), "max residual"))
     return Report(rows), {}

@@ -36,7 +36,6 @@ encoding bug, not at the underlying mathematics).
 from __future__ import annotations
 
 import functools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -674,7 +673,8 @@ def sweep(
     list per prime; the row of a family with one row walks (see _walk).  The
     choice depends on the rows alone, never on p.  Work is split by prime,
     over at most one process per prime; the report is sorted (spec id, then
-    p), so output is identical for any worker count.
+    p), so output is identical for any worker count.  Only workers > 1
+    imports multiprocessing, so a serial sweep does not pay for its import.
     """
     if lo > hi:
         raise ValueError("empty prime range")
@@ -688,6 +688,8 @@ def sweep(
     # interleave primes so chunks carry comparable work
     chunks = [(specs, shared, primes[i::workers]) for i in range(workers)]
     if workers > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_sweep_chunk, chunks)
     else:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -707,3 +708,35 @@ def test_pin_runner_reports_each_digest_and_fails_on_a_changed_one(tmp_path):
     code, out = _check_pins(tmp_path, [f"usage.txt {empty} verify cm --max-p 7"])
     assert code == 1 and out == [f"usage.txt {empty} exit code {EXIT_USAGE}"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pins.txt"]  # writes no output file
+
+
+# Each command loads only the layers it runs: highprec, and with it mpmath, under
+# verify cm and verify identities; multiprocessing under --workers > 1.
+LAZY_MODULES = ("mpmath", "multiprocessing", "supercong.highprec")
+_IMPORT_PROBE = """
+import json, sys
+from supercong.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.argv[2:] if m in sys.modules)]))
+"""
+
+
+def _loaded_after(*argvs):
+    """Exit codes of cli.main on each argv in one fresh interpreter, and which
+    of LAZY_MODULES it had loaded after the last."""
+    path = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs), *LAZY_MODULES],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_commands_import_only_the_layers_they_run():
+    assert _loaded_after(["list"], ["sequence", "D", "--count", "5"],
+                         ["verify", "congruences", "--max-p", "50"],
+                         ["verify", "qseries", "--terms", "10"]) == [[0, 0, 0, 0], []]
+    # positive controls: the probe sees an import where a command makes one
+    assert _loaded_after(["verify", "identities", "--samples", "1"]) == [
+        [0], ["mpmath", "supercong.highprec"]]
+    assert _loaded_after(["verify", "congruences", "--max-p", "50", "--workers", "2"]) == [
+        [0], ["multiprocessing"]]

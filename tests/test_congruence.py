@@ -4,6 +4,7 @@ independent big-integer oracle."""
 import dataclasses
 import functools
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -707,7 +708,7 @@ def test_sweep_starts_at_most_one_process_per_prime(monkeypatch, workers, hi, wa
         def map(self, fn, args):
             return list(map(fn, args))
 
-    monkeypatch.setattr(congruence.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     report = sweep(["T1.29"], 5, hi, workers=workers)
     assert report.rows == sweep(["T1.29"], 5, hi).rows
     assert started == ([want] if want > 1 else [])
