@@ -413,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sequence(args)
         return _cmd_verify(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -31,11 +31,11 @@ values, and each product or quotient rounds its mantissa once, by flooring
 it to prec + 32 bits of its larger part (a relative error below
 2^-(prec+30)); the exponent is carried apart, so the error stays relative at
 any tau, however large or small the value.  The sums of the identities are
-exact; the sums with a constant in u and gamma2 cut an addend below
-2^-(2 (prec + 32)) of the other and round the sum once.  mpmath stays at
-the edges: it converts tau and the arguments made from it, and computes the
-constants (roots of unity, sqrt(2), sqrt(7)) and the multipliers sqrt(-i tau)
-and sqrt(c tau + d), each converted exactly to a binary value.
+exact; the sums with a constant in u and gamma2 are exact and rounded once.
+mpmath stays at the edges: it converts tau and the arguments made from it,
+and computes the constants (roots of unity, sqrt(2), sqrt(7)) and the
+multipliers sqrt(-i tau) and sqrt(c tau + d), each converted exactly to a
+binary value.
 
 hauptmodul_value is the one numeric entry point: the six Hauptmoduls and
 the Weber functions f and f1 of the class invariants, converted to mpc once,
@@ -306,32 +306,11 @@ def _bpow(z, n: int, bits: int) -> tuple[int, int, int]:
     return out
 
 
-def _aligned(z, exp: int) -> tuple[int, int]:
-    """z's mantissa at exponent exp: exact for exp <= z's exponent, floored above it."""
-    shift = z[2] - exp
-    if shift >= 0:
-        return z[0] << shift, z[1] << shift
-    return z[0] >> -shift, z[1] >> -shift
-
-
 def _bsum(*terms) -> tuple[int, int, int]:
     """The exact sum of binary values."""
     exp = min(t[2] for t in terms)
     return (sum(t[0] << (t[2] - exp) for t in terms),
             sum(t[1] << (t[2] - exp) for t in terms), exp)
-
-
-def _badd(a, b, bits: int) -> tuple[int, int, int]:
-    """a + b with an addend below 2^-(2 bits) of the other cut there, rounded once."""
-    top = max(_top(a), _top(b))
-    exp = max(min(a[2], b[2]), top - 2 * bits)
-    (ar, ai), (br, bi) = _aligned(a, exp), _aligned(b, exp)
-    return _rounded(ar + br, ai + bi, exp, bits)
-
-
-def _top(z) -> int:
-    """The exponent just above z's larger part."""
-    return _mag(z) + z[2]
 
 
 def _neg(z) -> tuple[int, int, int]:
@@ -352,8 +331,8 @@ class _Eta:
     """The eta kernel at one precision, with the Weber functions and gamma2
     on its binary values.
 
-    Made per numeric call, inside that call's mp.workprec(prec + guard): it
-    binds sqrt(2) there once and zeta48^-1 on first use, and memoises the
+    Made per numeric call: it binds sqrt(2) once and zeta48^-1 on first use,
+    each at prec + guard bits whatever the caller's mp.prec, and memoises the
     kernel on the exact argument, so each distinct point is evaluated once
     per call.  Values are Gaussian binary values (re, im, exp); each product
     and quotient rounds its mantissa once, to `bits` = prec + 32 bits.
@@ -373,7 +352,8 @@ class _Eta:
         self.prec = prec
         self.bits = prec + _GUARD_BITS
         self.memo: dict[tuple, tuple[int, int, int]] = {}
-        self.sqrt2 = _from_mpmath(mpmath.sqrt(2), self.bits)
+        with mp.workprec(self.bits):
+            self.sqrt2 = _from_mpmath(mpmath.sqrt(2), self.bits)
 
     @cached_property
     def zeta48_inv(self) -> tuple[int, int, int]:
@@ -400,7 +380,7 @@ class _Eta:
         """gamma2 = (f^24 - 16) / f^8, the cube root of j."""
         f8 = _bpow(self.weber(tau, "f"), 8, self.bits)
         f24 = _bpow(f8, 3, self.bits)
-        return _bdiv(_badd(f24, (-16, 0, 0), self.bits), f8, self.bits)
+        return _bdiv(_rounded(*_bsum(f24, (-16, 0, 0)), self.bits), f8, self.bits)
 
 
 def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
@@ -412,7 +392,7 @@ def hauptmodul_value(tag: str, tau: mpmath.mpc, prec: int) -> mpmath.mpc:
         bits = eta.bits
         if tag == "u":
             f24 = _bpow(eta.weber(tau, "f2"), 24, bits)
-            value = _bdiv(f24, _bpow(_badd(f24, (64, 0, 0), bits), 2, bits), bits)
+            value = _bdiv(f24, _bpow(_rounded(*_bsum(f24, (64, 0, 0)), bits), 2, bits), bits)
         elif tag in ETA_QUOTIENTS:
             exps, power = ETA_QUOTIENTS[tag]
             value = (1, 0, 0)
@@ -596,6 +576,12 @@ def _eta_mult_gamma0_4(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return jacobi(a, c0), expo
 
 
+def _gamma2_mult(a: int, b: int, c: int, d: int) -> int:
+    """The multiplier gamma2((a tau + b)/(c tau + d)) / gamma2(tau) on SL(2, Z)
+    is omega^k, omega = zeta24^8; returns k."""
+    return (a * c - a * b + a * a * c * d - c * d) % 3
+
+
 def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResult]:
     """Numeric checks of the transformation and Weber-function identities.
 
@@ -643,8 +629,7 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
         for _ in range(23):
             zeta24_powers.append(zeta24_powers[-1] * zeta24)
         zeta24_powers = [value(z) for z in zeta24_powers]
-        omega = mpmath.mpc(-1, mpmath.sqrt(3)) / 2
-        omega_powers = [(1, 0, 0), value(omega), value(omega * omega)]
+        omega_powers = zeta24_powers[::8]  # omega = zeta24^8
         for _ in range(samples):
             tau = _random_tau(rng)
             e_tau = eta(tau)
@@ -684,8 +669,7 @@ def identity_suite(samples: int, prec: int, seed: int = 12345) -> list[CheckResu
 
             a, b, c, d = _random_sl2(rng)
             g2m = eta.gamma2((a * tau + b) / (c * tau + d))
-            expo = (a * c - a * b + a * a * c * d - c * d) % 3
-            note("gamma2-transform", g2m, mul(omega_powers[expo], g2))
+            note("gamma2-transform", g2m, mul(omega_powers[_gamma2_mult(a, b, c, d)], g2))
 
         # fixed-point facts
         root2 = mpmath.sqrt(2)

@@ -247,24 +247,10 @@ def first_mismatch(a: QSeries, b: QSeries) -> int | None:
 
 
 def eta_q(mult: int, nterms: int) -> QSeries:
-    """Expansion of eta(mult*tau): q^(mult/24) times the pentagonal series."""
+    """Expansion of eta(mult*tau): q^(mult/24) times its Euler product."""
     if mult < 1 or nterms < 1:
         raise ValueError("eta_q needs mult >= 1 and nterms >= 1")
-    coeffs = [0] * nterms
-    coeffs[0] = 1
-    k = 1
-    while True:
-        e1 = mult * k * (3 * k - 1) // 2
-        e2 = mult * k * (3 * k + 1) // 2
-        if e1 >= nterms and e2 >= nterms:
-            break
-        sign = -1 if k % 2 else 1
-        if e1 < nterms:
-            coeffs[e1] += sign
-        if e2 < nterms:
-            coeffs[e2] += sign
-        k += 1
-    return QSeries(mult, coeffs)
+    return eta_quotient_q({mult: 1}, nterms)
 
 
 def _euler_product(s: list[int]) -> list[int]:

@@ -106,7 +106,7 @@ def test_verify_unknown_theorem(capsys):
         "verify", "congruences", "--theorem", "T77.1", "--max-p", "20",
     ])
     assert code == EXIT_USAGE
-    assert "unknown" in err
+    assert "error: unknown congruence id 'T77.1'" in err.splitlines()
 
 
 def test_usage_error_exit_code(capsys):

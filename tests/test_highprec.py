@@ -191,6 +191,17 @@ def test_eta_num_keeps_its_precision_under_a_53_bit_caller():
         assert abs(got - exact) / abs(exact) < mpmath.mpf(2) ** -248
 
 
+def test_evaluator_binds_sqrt2_at_its_own_precision():
+    # f2, u and the three sqrt(2) identities read it
+    with mp.workprec(53):
+        low = highprec._Eta(256).sqrt2
+    with mp.workprec(288):
+        high = highprec._Eta(256).sqrt2
+    assert low == high
+    with mp.workprec(400):
+        assert abs(highprec._to_mpc(low, 400) - mpmath.sqrt(2)) < mpmath.mpf(2) ** -286
+
+
 @st.composite
 def _fixed_point_pair(draw):
     work = draw(st.integers(64, 1100))
@@ -524,9 +535,15 @@ def _f_without_zeta48(monkeypatch) -> None:
     monkeypatch.setattr(highprec._Eta, "weber", weber)
 
 
+def _omega_step_off(monkeypatch) -> None:
+    real = highprec._gamma2_mult
+    monkeypatch.setattr(highprec, "_gamma2_mult", lambda *m: (real(*m) + 1) % 3)
+
+
 CONTROLS = {
     "eta-gamma0(4)": _zeta24_step_off,
     "f(t+1)=z48^-1 f1": _f_without_zeta48,
+    "gamma2-transform": _omega_step_off,
 }
 
 
@@ -678,7 +695,8 @@ def test_residuals_are_relative_to_the_sides_compared():
     scaled = [(z[0] * big, z[1] * big, z[2]) for z in (left, right)]
     assert _ratio(*scaled) == _ratio(left, right)  # exactly, not to a rounding
     diff = highprec._bsum(scaled[0], highprec._neg(scaled[1]))
-    assert highprec._top(diff) > 100 + highprec._top(highprec._bsum(left, highprec._neg(right)))
+    small = highprec._bsum(left, highprec._neg(right))
+    assert highprec._mag(diff) + diff[2] > 100 + highprec._mag(small) + small[2]
     # squared: the relative difference is 2^-100 / (1 + 2^-100)
     assert abs(_ratio(left, right) * 2**200 - 1) < Fraction(1, 10**20)
 
