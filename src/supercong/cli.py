@@ -27,7 +27,8 @@ flag's type refuses a value below its floor, so the parser stops it before
 any check runs.  A check that raises becomes an `error` row whose detail is
 `Type: message`, with the traceback on stderr, and the rest of the report
 still prints.  `sequence` exits 1, after the terms before it, with `error:`
-on stderr where its family's row stops dividing exactly.
+on stderr where its family's row stops dividing exactly.  A command whose
+reader closes standard output early (`| head`) exits 1, with stderr empty.
 
 Only `verify cm` and `verify identities` read highprec, so they import it
 themselves: with it comes mpmath, which would otherwise take about half the
@@ -40,6 +41,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import partial
 
@@ -139,14 +141,24 @@ def exit_code_for(report: Report, strict_conjectural: bool = False) -> int:
     return EXIT_FAIL if fails or report.anomalies() or "error" in report.summary() else EXIT_OK
 
 
-def _cmd_list(args) -> int:
-    print(f"{'id':<12}{'status':<13}{'seq':<5}{'m':>22}  {'limit':<6}{'mod':<5}source")
-    for spec in congruence.catalog():
-        print(
-            f"{spec.id:<12}{spec.status:<13}{spec.sequence.value:<5}"
-            f"{spec.m:>22}  {spec.limit:<6}p^{spec.mod_exp:<3}{spec.source}"
-        )
+def _emit(texts) -> int:
+    """Write each text to stdout as it comes: EXIT_OK, or EXIT_FAIL with stderr
+    empty where the reader closes stdout early."""
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest goes to devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     return EXIT_OK
+
+
+def _cmd_list(args) -> int:
+    rows = [("id", "status", "seq", "m", "limit", "mod", "source")] + [
+        (s.id, s.status, s.sequence.value, s.m, s.limit, f"p^{s.mod_exp}", s.source)
+        for s in congruence.catalog()]
+    return _emit("{:<12}{:<13}{:<5}{:>22}  {:<6}{:<5}{}\n".format(*row) for row in rows)
 
 
 def _cmd_sequence(args) -> int:
@@ -157,14 +169,12 @@ def _cmd_sequence(args) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for a in iter_terms(args.sequence, args.count):
-            print(a)
+        return _emit(f"{a}\n" for a in iter_terms(args.sequence, args.count))
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     finally:
         sys.set_int_max_str_digits(limit)
-    return EXIT_OK
 
 
 def _verify_congruences(args) -> tuple[Report, dict]:
@@ -200,7 +210,7 @@ def _verify_qseries(args) -> tuple[Report, dict]:
 
     for tag in QSERIES_CHECKS:
         add(f"genfun-{tag}", lambda: qseries.genfun_identity(tag, n))
-    for tag in ("u", "s", "w"):
+    for tag in qseries.DUAL_PRODUCTS:
         add(f"dual-{tag}", lambda: qseries.agreement(
             qseries.hauptmodul_q(tag, n), qseries.hauptmodul_alt_q(tag, n)))
     add("t-j-cubic", lambda: qseries.t_j_relation(n), "nonzero")
@@ -324,8 +334,7 @@ def _cmd_verify(args) -> int:
         texts[1:] = [text.partition("\n")[2] for text in texts[1:]]
     if args.format == "json" and len(texts) > 1:
         texts = ["[\n" + ",\n".join(texts) + "\n]\n"]
-    print("".join(texts), end="")
-    return max(codes)
+    return max(_emit(texts), *codes)
 
 
 def _read_config(path: str) -> dict:

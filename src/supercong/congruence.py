@@ -547,19 +547,16 @@ def _factorial_mod(n: int, modulus: int) -> int:
     return f
 
 
-def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext | None = None) -> int:
+def lhs_sum(spec: CongruenceSpec, p: int, ctx: PrimeContext) -> int:
     """sum_{k<=L} a_k m^-k mod p^mod_exp; it raises ValueError when p | m.
 
     A family in ctx.shared reads the context's terms t_k = a_k ((p-1)!)^3:
     Horner in m, two terms a step, z <- z m^2 + t_k m + t_{k+1} for
     k = 0, 2, .., with m^2 mod p^3 made once per row and one zero term put in
     front when the count L+1 is odd, gives z = ((p-1)!)^3 m^L times the sum.
-    Any other row, and every row without a context, walks (_walk), which gives
-    z = (L!)^3 m^L times the sum.  Either way one inversion of the scale
-    finishes it.
+    Any other row walks (_walk), which gives z = (L!)^3 m^L times the sum.
+    Either way one inversion of the scale finishes it.
     """
-    if ctx is None:
-        ctx = PrimeContext(p, frozenset())
     pk = ctx.pk
     mm = spec.m % pk
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1

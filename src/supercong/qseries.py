@@ -7,8 +7,8 @@ quotient is not integral raises ArithmeticError.  Arithmetic is exact, and
 truncation is pessimistic (an operation's result is only as long as it is
 provably correct).
 
-On top of the core algebra: the eta expansion, the weight-2 Eisenstein
-series, the six Hauptmoduls t/u/s/w/v/h with their alternative product
+On top of the core algebra: the eta expansion, the six Hauptmoduls
+t/u/s/w/v/h with their alternative product
 constructions, and the identity checks the verification suite runs (the six
 generating-function identities, the cubic relation between t and j(2tau),
 and the third-order differential equation of the V generating function,
@@ -22,15 +22,15 @@ are q times (1+q^e) products, each an exponent vector in DUAL_PRODUCTS; u's,
 h / (1 + 64 h)^2 of h = q prod (1+q^n)^24 = f2^24 / 2^12, ties the two.
 Every infinite product, from an eta or a (1+q^e) exponent vector, is one
 Euler-product recurrence, n c_n = sum s_k c_(n-k), never factor by factor,
-and E2(m tau) is (24/m) times the logarithmic derivative s of eta(m tau).
+and u's G is the logarithmic derivative s of the eta quotient h.
 
 A generating-function identity sum a_n x(q)^n = G(q) is checked without
 composing.  The family's row of sequences.RECURRENCES is the operator
 
     L = theta^3 - x P(theta) + e x^2 (theta + 1)^3,        theta = x d/dx,
 
-with P from Recurrence.p_coeffs, and f(x) = sum a_n x^n is its only
-power-series solution with f(0) = 1, since x = 0 is a point of maximal
+with P from the coefficients Recurrence.p, and f(x) = sum a_n x^n is its
+only power-series solution with f(0) = 1, since x = 0 is a point of maximal
 unipotent monodromy: L x^m = m^3 x^m + O(x^(m+1)).  Pulled back along
 x(q) = +-q + ... (Y. Yang, Math. Z. 2004), G = f(x(q)) through q^N exactly
 when G_0 = 1 and L_q G vanishes through q^N, and the first nonzero
@@ -289,14 +289,6 @@ def one_plus_q_product(factors: dict[tuple[int, int], int], nterms: int) -> QSer
     return QSeries(0, _euler_product(s))
 
 
-def e2_q(mult: int, nterms: int) -> QSeries:
-    """E2(mult tau) = 1 - 24 sum sigma(n) q^(mult n) = (24/mult) theta log eta(mult tau)."""
-    if nterms < 1:
-        raise ValueError("nterms must be >= 1")
-    s = _eta_log_derivative({mult: 1}, nterms)
-    return QSeries(0, [1] + [24 * c // mult for c in s[1:]])
-
-
 def compose(outer: list, inner: QSeries) -> QSeries:
     """sum_n outer[n] * inner^n, for inner = c*q^j + ... with integral j >= 1.
 
@@ -338,7 +330,7 @@ ETA_QUOTIENTS = {
 # one_plus_q_product of the vector, for u that of h = f2^24 / 2^12 in h / (1 + 64 h)^2.
 DUAL_PRODUCTS = {"u": {(1, 1): 24}, "s": {(1, 1): 8, (2, 2): 8}, "w": {(4, 4): 8, (1, 1): -8}}
 
-# Hauptmodul tag -> {m: e_m} of the paired weight-2 form; u's is 2E2(2tau) - E2(tau).
+# Hauptmodul tag -> {m: e_m} of the paired weight-2 form; u's is _u_weight2_q.
 WEIGHT2_FORMS = {
     "t": {2: 20, 1: -8, 4: -8},
     "s": {1: 8, 2: -4},
@@ -391,10 +383,8 @@ def hauptmodul_q(tag: str, nterms: int) -> QSeries:
 
 
 def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
-    """Independent second construction, where one is stated: q times one Euler
-    product from DUAL_PRODUCTS, s = q prod (1+q^n)^8 (1+q^2n)^8 and
-    w = f2(4tau)^8 / f2(tau)^8 = q prod (1+q^4n)^8 (1+q^n)^-8; u is then
-    h / (1 + 64h)^2 of h = q prod (1+q^n)^24, Weber's f2^24 / (f2^24 + 64)^2."""
+    """Independent second construction, where one is stated: q times the Euler
+    product of the tag's DUAL_PRODUCTS vector, for u then h / (1 + 64h)^2 of it."""
     if tag not in DUAL_PRODUCTS:
         raise ValueError(f"no alternative construction for {tag!r}")
     x = one_plus_q_product(DUAL_PRODUCTS[tag], nterms).shift24(24)
@@ -402,8 +392,8 @@ def hauptmodul_alt_q(tag: str, nterms: int) -> QSeries:
 
 
 def _u_weight2_q(nterms: int) -> QSeries:
-    """2E2(2tau) - E2(tau), u's paired weight-2 form; it leads with 1."""
-    return e2_q(2, nterms).scale(2) - e2_q(1, nterms)
+    """u's weight-2 form 2E2(2tau) - E2(tau) = theta log eta(2tau)^24 / eta(tau)^24."""
+    return QSeries(0, [1] + _eta_log_derivative({2: 24, 1: -24}, nterms)[1:])
 
 
 def genfun_rhs_q(tag: str, nterms: int) -> QSeries:
@@ -468,7 +458,7 @@ def genfun_identity(tag: str, nterms: int) -> Agreement:
     # B^5 L_q G = N_3 - x B^5 P(theta_x) G + e x^2 B^5 (theta_x + 1)^3 G, a
     # polynomial in x = X/D; multiplied by D^deg, by Horner in X
     e = RECURRENCES[seq].e
-    parts = [n3, -cleared(*RECURRENCES[seq].p_coeffs)]
+    parts = [n3, -cleared(*RECURRENCES[seq].p)]
     if e:
         parts.append(cleared(1, 3, 3, 1).scale(e))
     lg = parts[-1]

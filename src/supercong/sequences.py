@@ -56,35 +56,27 @@ SUMMANDS = {
 
 
 class Recurrence(NamedTuple):
-    """(n+1)^3 a_{n+1} = P(n) a_n - e n^3 a_{n-1}, P(n) = c(2n+1)(alpha n^2 + alpha n + beta)."""
+    """(n+1)^3 a_{n+1} = P(n) a_n - e n^3 a_{n-1}, P(n) = sum p_i n^i."""
 
-    c: int
-    alpha: int
-    beta: int
+    p: tuple[int, int, int, int]  # (P_0, P_1, P_2, P_3), ascending
     e: int
 
     def P(self, n: int) -> int:
-        """P(n), the one evaluation of P."""
-        c, alpha, beta, _ = self
-        return c * (2 * n + 1) * (alpha * n * (n + 1) + beta)
-
-    @property
-    def p_coeffs(self) -> tuple[int, int, int, int]:
-        """(P_0, P_1, P_2, P_3) with P(n) = sum P_i n^i, for the theta-operator."""
-        c, alpha, beta, _ = self
-        return c * beta, c * (alpha + 2 * beta), 3 * c * alpha, 2 * c * alpha
+        """P(n) by Horner in p, the one evaluation of P."""
+        p0, p1, p2, p3 = self.p
+        return ((p3 * n + p2) * n + p1) * n + p0
 
 
 # e = 0 for the binomial products, whose term ratios are rational in n; the
 # Apery-like rows are those of Almkvist-Zudilin (2006) and Zagier (2009).
 RECURRENCES = {
-    SequenceId.CB3: Recurrence(8, 4, 1, 0),     # 8 (2n+1)^3
-    SequenceId.CB4: Recurrence(8, 16, 3, 0),    # 8 (2n+1)(4n+1)(4n+3)
-    SequenceId.CB6: Recurrence(24, 36, 5, 0),   # 24 (2n+1)(6n+1)(6n+5)
-    SequenceId.V: Recurrence(8, 2, 1, 256),
-    SequenceId.T: Recurrence(4, 3, 1, 16),
-    SequenceId.D: Recurrence(2, 5, 2, 64),
-    SequenceId.A: Recurrence(1, 17, 5, 1),
+    SequenceId.CB3: Recurrence((8, 48, 96, 64), 0),          # 8 (2n+1)^3
+    SequenceId.CB4: Recurrence((24, 176, 384, 256), 0),      # 8 (2n+1)(4n+1)(4n+3)
+    SequenceId.CB6: Recurrence((120, 1104, 2592, 1728), 0),  # 24 (2n+1)(6n+1)(6n+5)
+    SequenceId.V: Recurrence((8, 32, 48, 32), 256),          # 8 (2n+1)(2n^2+2n+1)
+    SequenceId.T: Recurrence((4, 20, 36, 24), 16),           # 4 (2n+1)(3n^2+3n+1)
+    SequenceId.D: Recurrence((4, 18, 30, 20), 64),           # 2 (2n+1)(5n^2+5n+2)
+    SequenceId.A: Recurrence((5, 27, 51, 34), 1),            # (2n+1)(17n^2+17n+5)
 }
 
 

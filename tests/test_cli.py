@@ -721,13 +721,17 @@ print(json.dumps([codes, sorted(m for m in sys.argv[2:] if m in sys.modules)]))
 """
 
 
+def _src_env():
+    """The environment with the repository's src/ first on PYTHONPATH."""
+    path = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _loaded_after(*argvs):
     """Exit codes of cli.main on each argv in one fresh interpreter, and which
     of LAZY_MODULES it had loaded after the last."""
-    path = [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs), *LAZY_MODULES],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_src_env(), capture_output=True, text=True, check=True)
     return json.loads(run.stdout.splitlines()[-1])
 
 
@@ -740,3 +744,16 @@ def test_commands_import_only_the_layers_they_run():
         [0], ["mpmath", "supercong.highprec"]]
     assert _loaded_after(["verify", "congruences", "--max-p", "50", "--workers", "2"]) == [
         [0], ["multiprocessing"]]
+
+
+def test_reader_that_leaves_early_gets_exit_1_and_no_traceback():
+    # 3000 terms of A are megabytes, far more than a pipe buffers, so the
+    # writer meets the closed pipe
+    argv = [sys.executable, "-m", "supercong.cli", "sequence", "A", "--count", "3000"]
+    proc = subprocess.Popen(argv, env=_src_env(), stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")

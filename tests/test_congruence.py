@@ -143,6 +143,11 @@ def test_verify_examples():
     assert row.outcome == "skip" and row.detail == "divides-m"
 
 
+def walk(spec, p):
+    """lhs_sum on the walk: a context that shares no family's terms."""
+    return lhs_sum(spec, p, PrimeContext(p, frozenset()))
+
+
 def test_lhs_sum_against_oracle():
     """Every row at every prime 5 <= p < 80 with p not dividing m, on the walk
     and on the shared terms.  Both kernels step two indices a pass, so the
@@ -155,19 +160,18 @@ def test_lhs_sum_against_oracle():
             if spec.m % p == 0:
                 continue
             want = oracle_lhs_fraction(spec, p)
-            assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx) == want, (spec.id, p)
+            assert walk(spec, p) == lhs_sum(spec, p, ctx) == want, (spec.id, p)
             parities.add(((p - 1) // 2 if spec.limit == "half" else p - 1) % 2)
     assert parities == {0, 1}
 
 
 def recurrence_lhs(spec, p):
     """sum a_k m^-k mod p^3 from exact terms of the recurrence, each division checked."""
-    c, alpha, beta, e = RECURRENCES[spec.sequence]
+    rec = RECURRENCES[spec.sequence]
     limit = (p - 1) // 2 if spec.limit == "half" else p - 1
     terms, prev = [1], 0
     for n in range(limit):
-        q, r = divmod(c * (2 * n + 1) * (alpha * n * (n + 1) + beta) * terms[n]
-                      - e * n**3 * prev, (n + 1) ** 3)
+        q, r = divmod(rec.P(n) * terms[n] - rec.e * n**3 * prev, (n + 1) ** 3)
         assert r == 0
         prev = terms[n]
         terms.append(q)
@@ -190,7 +194,7 @@ def test_lhs_sum_against_recurrence_oracle_near_1100():
             p = next(p for p in primes_in(*window) if spec.qualifies(p) and spec.m % p)
             ctx = contexts.setdefault(p, PrimeContext(p))
             want = recurrence_lhs(spec, p)
-            assert lhs_sum(spec, p, ctx) == lhs_sum(spec, p) == want, (spec.id, p)
+            assert lhs_sum(spec, p, ctx) == walk(spec, p) == want, (spec.id, p)
             checked.add(spec.sequence)
         assert checked == set(SequenceId)
         first = lookup("T1.1")
@@ -198,18 +202,18 @@ def test_lhs_sum_against_recurrence_oracle_near_1100():
         half = lookup("T1.1-b")  # m = 4096, the same primes
         assert half.limit == "half" and half.qualifies(p)
         want = recurrence_lhs(half, p)
-        assert lhs_sum(half, p, contexts[p]) == lhs_sum(half, p) == want, (half.id, p)
+        assert lhs_sum(half, p, contexts[p]) == walk(half, p) == want, (half.id, p)
 
 
 def test_walk_is_the_shared_path_below_600():
-    """lhs_sum without a context walks; with PrimeContext(p) it reads the shared
-    terms.  Both agree for every row at every prime 5 <= p < 600 with p not
-    dividing m, qualifying or not."""
+    """lhs_sum with a context that shares nothing walks; with PrimeContext(p)
+    it reads the shared terms.  Both agree for every row at every prime
+    5 <= p < 600 with p not dividing m, qualifying or not."""
     for p in primes_in(5, 599):
         ctx = PrimeContext(p)
         for spec in catalog():
             if spec.m % p:
-                assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx), (spec.id, p)
+                assert walk(spec, p) == lhs_sum(spec, p, ctx), (spec.id, p)
 
 
 def test_walk_is_the_shared_path_at_99991():
@@ -222,7 +226,7 @@ def test_walk_is_the_shared_path_at_99991():
     assert set(firsts) == set(SequenceId)
     for spec in firsts.values():
         assert spec.m % p
-        assert lhs_sum(spec, p) == lhs_sum(spec, p, ctx), spec.id
+        assert walk(spec, p) == lhs_sum(spec, p, ctx), spec.id
 
 
 @pytest.mark.parametrize("spec_id, p", [("T1.1", 1103), ("T1.29", 1117)])
@@ -230,7 +234,7 @@ def test_walk_catches_one_changed_coefficient(monkeypatch, spec_id, p):
     # a half e = 0 row and a full e != 0 row; P(n) one too large at one n < L
     spec = lookup(spec_id)
     want = recurrence_lhs(spec, p)
-    assert lhs_sum(spec, p) == want
+    assert walk(spec, p) == want
     real = congruence.coefficients
 
     def off_by_one(rec, count):
@@ -240,7 +244,7 @@ def test_walk_catches_one_changed_coefficient(monkeypatch, spec_id, p):
         return P, Q
 
     monkeypatch.setattr(congruence, "coefficients", off_by_one)
-    assert lhs_sum(spec, p) != want
+    assert walk(spec, p) != want
 
 
 @pytest.mark.parametrize("table", [0, 1], ids=["cubes", "products"])
@@ -250,7 +254,7 @@ def test_walk_catches_one_changed_weight(monkeypatch, spec_id, p, table):
     # (n(n+1))^3 one too large at one n the walk reads, n = L-1 mod 2
     spec = lookup(spec_id)
     want = recurrence_lhs(spec, p)
-    assert lhs_sum(spec, p) == want
+    assert walk(spec, p) == want
     real = congruence.pair_weights
 
     def off_by_one(count):
@@ -259,7 +263,7 @@ def test_walk_catches_one_changed_weight(monkeypatch, spec_id, p, table):
         return weights
 
     monkeypatch.setattr(congruence, "pair_weights", off_by_one)
-    assert lhs_sum(spec, p) != want
+    assert walk(spec, p) != want
 
 
 @pytest.mark.parametrize("spec_id, p, shared", [("T1.1", 1103, False), ("T1.5", 1097, True)])
@@ -269,7 +273,7 @@ def test_first_order_rows_step_their_q_table(monkeypatch, spec_id, p, shared):
     # on the shared terms of PrimeContext(p)
     spec = lookup(spec_id)
     assert RECURRENCES[spec.sequence].e == 0 and spec.qualifies(p)
-    context = PrimeContext if shared else lambda p: None
+    context = PrimeContext if shared else functools.partial(PrimeContext, shared=frozenset())
     want = recurrence_lhs(spec, p)
     assert lhs_sum(spec, p, context(p)) == want
     real = congruence.coefficients
@@ -286,7 +290,7 @@ def test_first_order_rows_step_their_q_table(monkeypatch, spec_id, p, shared):
 
 def test_lhs_sum_raises_when_p_divides_m():
     spec = lookup("T1.9")  # m = 28^4
-    for ctx in (None, PrimeContext(7)):
+    for ctx in (PrimeContext(7, frozenset()), PrimeContext(7)):
         with pytest.raises(ValueError):
             lhs_sum(spec, 7, ctx)
 
@@ -339,13 +343,11 @@ def test_cofactorials_are_factorial_ratios():
 
 def test_coefficient_tables_are_the_recurrence_polynomials():
     for rec in RECURRENCES.values():
-        c, alpha, beta, e = rec
         P, Q = coefficients(rec, 3000)
-        assert P[:3000] == [c * (2 * n + 1) * (alpha * n * n + alpha * n + beta)
-                            for n in range(3000)]
-        assert Q[:3000] == [e * n**6 for n in range(3000)]  # zeros for CB3, CB4, CB6
+        assert P[:3000] == [sum(c * n**i for i, c in enumerate(rec.p)) for n in range(3000)]
+        assert Q[:3000] == [rec.e * n**6 for n in range(3000)]  # zeros for CB3, CB4, CB6
     # a row no table holds yet: a short table grows by extension, never rebuilt
-    rec = Recurrence(3, 7, 2, 5)
+    rec = Recurrence((6, 33, 63, 42), 5)
     short = [list(table) for table in coefficients(rec, 10)]
     P, Q = coefficients(rec, 3000)
     assert (len(short[0]), len(P), len(Q)) == (10, 3000, 3000)

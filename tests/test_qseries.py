@@ -25,7 +25,6 @@ from supercong.qseries import (
     _euler_product,
     agreement,
     compose,
-    e2_q,
     eta_quotient_q,
     first_mismatch,
     genfun_identity,
@@ -222,16 +221,33 @@ def test_euler_product_rejects_non_integral_series():
         _euler_product([0, 1, 0, 0])
 
 
+def e2_sigma_q(mult, nterms):
+    """E2(mult tau) = 1 - 24 sum sigma(n) q^(mult n), from a divisor-sum sieve:
+    the oracle of u's weight-2 form and of the eta logarithmic derivative."""
+    sigma = [0] * nterms
+    for d in range(1, nterms):
+        for n in range(d, nterms, d):
+            sigma[n] += d
+    return QSeries(0, [1] + [0 if k % mult else -24 * sigma[k // mult] for k in range(1, nterms)])
+
+
 def test_e2_values():
-    e2 = e2_q(1, 4)
+    e2 = e2_sigma_q(1, 4)
     assert e2.coeffs == [1, -24, -72, -96]
-    assert e2_q(2, 5).coeffs == [1, 0, -24, 0, -72]
-    comb48 = e2_q(2, 5).scale(8) - e2_q(1, 5).scale(4)
+    assert e2_sigma_q(2, 5).coeffs == [1, 0, -24, 0, -72]
+    comb48 = e2_sigma_q(2, 5).scale(8) - e2_sigma_q(1, 5).scale(4)
     assert comb48.coeffs[0] == 4 and comb48.coeffs[1] == 96
+    # E2(mult tau) = (24/mult) theta log eta(mult tau), the kernel's sum
     for mult in range(1, 7):
-        want = [1] + [-24 * sum(d for d in range(1, k // mult + 1) if k // mult % d == 0)
-                      if k % mult == 0 else 0 for k in range(1, 150)]
-        assert e2_q(mult, 150).coeffs == want
+        s = qs._eta_log_derivative({mult: 1}, 150)
+        assert [1] + [24 * c // mult for c in s[1:]] == e2_sigma_q(mult, 150).coeffs
+
+
+@pytest.mark.parametrize("nterms", [1, 2, 201, 801])
+def test_u_weight2_form_is_2e2_2tau_minus_e2(nterms):
+    want = e2_sigma_q(2, nterms).scale(2) - e2_sigma_q(1, nterms)
+    for got in (qs._u_weight2_q(nterms), genfun_rhs_q("u", nterms)):
+        assert (got.off24, got.coeffs) == (0, want.coeffs)
 
 
 def test_compose_trivial():
@@ -456,7 +472,7 @@ def r_based_first_nonzero(tag, nterms, x=None, g=None):
     d1 = r * g.theta()
     d2 = r * d1.theta()
     d3 = r * d2.theta()
-    p0, p1, p2, p3 = RECURRENCES[seq].p_coeffs
+    p0, p1, p2, p3 = RECURRENCES[seq].p
     e = RECURRENCES[seq].e
     inner = -(d3.scale(p3) + d2.scale(p2) + d1.scale(p1) + g.scale(p0))
     if e:
@@ -617,17 +633,16 @@ def test_v_ode_low_order_balance():
 
 def test_v_recurrence_row_is_the_stated_ode():
     # s * ODE equals V's RECURRENCES operator pulled back to s = -x,
-    #   theta^3 + c s (2 theta + 1)(alpha theta^2 + alpha theta + beta) + e s^2 (theta + 1)^3;
+    #   theta^3 + s P(theta) + e s^2 (theta + 1)^3;
     # compared on s^k, and s^0..s^3 already fix an operator of order 3
-    c, alpha, beta, e = RECURRENCES[SequenceId.V]
+    rec = RECURRENCES[SequenceId.V]
     for k in range(12):
         ode = {}
         for j, poly in enumerate(V_ODE):
             for i, coef in enumerate(poly):
                 power = k - j + 1 + i
                 ode[power] = ode.get(power, 0) + math.perm(k, j) * coef
-        row = {k: k**3, k + 1: c * (2 * k + 1) * (alpha * k * (k + 1) + beta),
-               k + 2: e * (k + 1) ** 3}
+        row = {k: k**3, k + 1: rec.P(k), k + 2: rec.e * (k + 1) ** 3}
         nonzero = {pw: v for pw, v in ode.items() if v}
         assert nonzero == {pw: v for pw, v in row.items() if v}, k
 

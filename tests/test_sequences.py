@@ -35,11 +35,11 @@ def scaled_exact(a: int, p: int) -> int:
 
 def recurrence_mismatches(seq, terms):
     """Indices n where terms break (n+1)^3 a_{n+1} = P(n) a_n - Q(n) a_{n-1}."""
-    c, alpha, beta, e = RECURRENCES[seq]
+    rec = RECURRENCES[seq]
     bad = []
     for n in range(len(terms) - 1):
         prev = terms[n - 1] if n else 0
-        rhs = c * (2 * n + 1) * (alpha * n * n + alpha * n + beta) * terms[n] - e * n**3 * prev
+        rhs = rec.P(n) * terms[n] - rec.e * n**3 * prev
         if (n + 1) ** 3 * terms[n + 1] != rhs:
             bad.append(n)
     return bad
@@ -145,9 +145,30 @@ def test_recurrences_reproduce_exact_terms(oracle):
         assert recurrence_mismatches(seq, oracle[seq]) == [], seq
 
 
+# (c, alpha, beta) of each row's P(n) = c (2n+1)(alpha n^2 + alpha n + beta),
+# the form in which Almkvist-Zudilin (2006) and Zagier (2009) state them
+LITERATURE_P = {
+    SequenceId.CB3: (8, 4, 1),
+    SequenceId.CB4: (8, 16, 3),
+    SequenceId.CB6: (24, 36, 5),
+    SequenceId.V: (8, 2, 1),
+    SequenceId.T: (4, 3, 1),
+    SequenceId.D: (2, 5, 2),
+    SequenceId.A: (1, 17, 5),
+}
+
+
+def test_recurrence_coefficients_are_the_literature_form():
+    assert set(LITERATURE_P) == set(RECURRENCES)
+    for seq, (c, alpha, beta) in LITERATURE_P.items():
+        rec = RECURRENCES[seq]
+        for n in range(21):
+            assert rec.P(n) == c * (2 * n + 1) * (alpha * n * (n + 1) + beta), (seq, n)
+
+
 def test_recurrence_check_rejects_wrong_coefficient(oracle, monkeypatch):
     row = RECURRENCES[SequenceId.A]
-    monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(beta=row.beta + 1))
+    monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(p=(row.p[0] + 1, *row.p[1:])))
     assert recurrence_mismatches(SequenceId.A, oracle[SequenceId.A])
     with pytest.raises(ArithmeticError, match="A: "):
         certify(SequenceId.A)
@@ -273,10 +294,12 @@ def test_certificates_are_identities_of_rational_functions():
 
 
 def test_sequence_command_reports_a_broken_row(monkeypatch, capsys):
-    # beta + 1 in A's row: a_1 = 6, and 8 a_2 = 3 * 40 * 6 - 1 is odd
+    # P_0 + 1 in A's row: a_1 = P(0) = 6, and 8 a_2 = P(1) a_1 - a_0 = 118 * 6 - 1
+    # is odd
     from supercong.cli import EXIT_FAIL, main
 
-    monkeypatch.setitem(RECURRENCES, SequenceId.A, RECURRENCES[SequenceId.A]._replace(beta=6))
+    row = RECURRENCES[SequenceId.A]
+    monkeypatch.setitem(RECURRENCES, SequenceId.A, row._replace(p=(6, *row.p[1:])))
     terms = iter_terms(SequenceId.A, 10)
     assert [next(terms), next(terms)] == [1, 6]
     with pytest.raises(ArithmeticError, match=r"A: .* n = 1$"):
